@@ -22,6 +22,7 @@ from .errors import (
     NotUnit,
     PrecisionCapExceeded,
     Reducible,
+    SchurCohnDegenerate,
 )
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -235,9 +236,9 @@ def format_element(a, var="b"):
 class NumberField:
     """A Pisot field Q(beta), carrying certificates and exact constants.
 
-    Construct through make_field, which validates irreducibility and the
-    Pisot property and fills in xi0 = 1/g'(beta), D = N(g'(beta)) and the
-    certified root boxes.
+    Construct through make_field, which certifies the Pisot property (and
+    with it irreducibility) and fills in xi0 = 1/g'(beta), D = N(g'(beta))
+    and the certified root boxes.
     """
 
     def __init__(self, min_poly, precision, theta, root_boxes, float_roots):
@@ -469,7 +470,7 @@ class NumberField:
             for p, boxes in self._boxes.items():
                 if p >= prec:
                     return boxes
-        boxes = _certified_root_boxes(self._g, prec, self._float_roots)
+        boxes = _certified_root_boxes(self._g, prec)
         with self._lock:
             self._boxes[prec] = boxes
         return boxes
@@ -517,10 +518,14 @@ class NumberField:
 def make_field(poly, precision=128, require_unit=False):
     """Build a certified Pisot field from k-coefficients or a MinimalPolynomial.
 
-    Raises Reducible (with a witness factor) or NotPisot (with the offending
-    approximate root box).  Non-unit Pisot polynomials are allowed unless
-    require_unit is set; downstream coding and forms operations check the
-    unit flag themselves.
+    Acceptance rests on one certificate, the certified root boxes (one real
+    root above 1, every other root strictly inside the unit circle), and one
+    exact cross-check, a Schur-Cohn disk count.  A Pisot certificate also
+    proves irreducibility, so the factor search runs only on rejection, to
+    name a witness: the error is Reducible (with a witness factor) if g
+    factors, else NotPisot (with the offending approximate root box).
+    Non-unit Pisot polynomials are allowed unless require_unit is set;
+    downstream coding and forms operations check the unit flag themselves.
     """
     if not isinstance(poly, MinimalPolynomial):
         poly = MinimalPolynomial(tuple(int(c) for c in poly))
@@ -529,14 +534,31 @@ def make_field(poly, precision=128, require_unit=False):
     if poly.k[-1] == 0:
         raise Reducible((0, 1), "constant term zero, x divides g")
     g = poly.g_coeffs()
-    ok, witness = polyops.irreducible_or_witness(g)
-    if not ok:
-        raise Reducible(witness)
-    n_dominant = polyops.count_real_roots(g, Fraction(1), None)
+    try:
+        boxes, theta = _pisot_certificate(g, precision)
+    except (NotPisot, PrecisionCapExceeded):
+        # a factor of a Pisot g lacking beta has |constant term| < 1, i.e. 0, but g(0) != 0
+        ok, witness = polyops.irreducible_or_witness(g)
+        if not ok:
+            raise Reducible(witness) from None
+        raise
+    _cross_check_disk_count(g, poly.m, theta)
+    froots = _ordered_float_roots(g, sum(b.is_real for b in boxes))
+    field = NumberField(poly, precision, theta, boxes, froots)
+    if require_unit and not field.is_unit_field:
+        raise NotUnit(f"|k_m| = {abs(poly.k[-1])} != 1")
+    return field
+
+
+def _pisot_certificate(g, precision):
+    """Certified root boxes (dominant first) and theta, or NotPisot."""
+    if polyops.degree(polyops.sturm_chain(g)[-1]) > 0:  # gcd(g, g') is nonconstant
+        raise NotPisot(message="repeated root")
+    boxes = _certified_root_boxes(g, precision)
+    # a real box collapsed to the point 1 holds the root 1
+    n_dominant = sum(1 for b in boxes if b.is_real and b.re_lo >= 1 and b.re_hi > 1)
     if n_dominant != 1:
         raise NotPisot(message=f"{n_dominant} real roots exceed 1 (need exactly one)")
-    froots = _ordered_float_roots(g)
-    boxes = _certified_root_boxes(g, precision, froots)
     theta = Fraction(0)
     for box in boxes[1:]:
         up = box.abs_upper()
@@ -545,7 +567,7 @@ def make_field(poly, precision=128, require_unit=False):
             if lo >= 1:
                 raise NotPisot(box)
             # borderline: refine once at higher precision before giving up
-            boxes_hi = _certified_root_boxes(g, 4 * precision, froots)
+            boxes_hi = _certified_root_boxes(g, 4 * precision)
             up = boxes_hi[boxes.index(box)].abs_upper()
             if up >= 1:
                 raise NotPisot(box)
@@ -554,11 +576,7 @@ def make_field(poly, precision=128, require_unit=False):
     theta = Fraction(math.ceil(theta * 2 ** 30), 2 ** 30)  # round up: stays an upper bound
     if theta <= 0:
         raise AssertionError("theta must be positive")
-    _cross_check_disk_count(g, poly.m, theta)
-    field = NumberField(poly, precision, theta, boxes, froots)
-    if require_unit and not field.is_unit_field:
-        raise NotUnit(f"|k_m| = {abs(poly.k[-1])} != 1")
-    return field
+    return boxes, theta
 
 
 def is_irreducible(coeffs_or_poly):
@@ -567,14 +585,11 @@ def is_irreducible(coeffs_or_poly):
         g = coeffs_or_poly.g_coeffs()
     else:
         g = list(coeffs_or_poly)
-    ok, witness = polyops.irreducible_or_witness(g)
-    return (True, None) if ok else (False, witness)
+    return polyops.irreducible_or_witness(g)
 
 
 def _cross_check_disk_count(g, m, theta):
     # independent Schur-Cohn count: all m-1 subdominant roots inside |z| < rho
-    from .errors import SchurCohnDegenerate
-
     rho = theta + (1 - theta) / 4
     for _ in range(12):
         try:
@@ -588,40 +603,35 @@ def _cross_check_disk_count(g, m, theta):
     # degenerate radii throughout: certified boxes already decided Pisot-ness
 
 
-def _ordered_float_roots(g):
-    coeffs = [float(c) for c in g]
-    roots = np.roots(coeffs[::-1])
-    roots = sorted(roots, key=lambda z: (-z.real, abs(z.imag)))
-    dominant = max(roots, key=lambda z: z.real if abs(z.imag) < 1e-9 else -math.inf)
-    rest = [z for z in roots if z is not dominant]
-    reals = sorted([z for z in rest if abs(z.imag) < 1e-9], key=lambda z: z.real)
-    complexes = [z for z in rest if z.imag > 1e-9]
-    complexes.sort(key=lambda z: (z.real, z.imag))
-    ordered = [complex(dominant.real, 0.0)]
-    ordered += [complex(z.real, 0.0) for z in reals]
-    for z in complexes:
+def _ordered_float_roots(g, n_real):
+    """Float roots in certificate order: the largest real root, the other
+    real roots ascending, then complex pairs by (re, im), upper one first.
+    The exact real-root count n_real says which float roots are real."""
+    roots = sorted(np.roots([float(c) for c in reversed(g)]), key=lambda z: z.imag)
+    n_pairs = (len(roots) - n_real) // 2
+    reals = sorted(z.real for z in roots[n_pairs:len(roots) - n_pairs])
+    ordered = [complex(x, 0.0) for x in reals[-1:] + reals[:-1]]
+    for z in sorted(roots[len(roots) - n_pairs:], key=lambda z: (z.real, z.imag)):
         ordered += [z, z.conjugate()]
     return ordered
 
 
-def _certified_root_boxes(g, prec, froots):
-    """Isolating boxes of width <= 2^-prec: sign changes for real roots,
-    exact-rational Newton plus a Weierstrass a-posteriori radius for the rest."""
+def _certified_root_boxes(g, prec):
+    """Isolating boxes of width <= 2^-prec in _ordered_float_roots order: sign
+    changes for real roots, exact-rational Newton plus a Weierstrass
+    a-posteriori radius for the rest."""
     m = polyops.degree(g)
     width = Fraction(1, 2 ** prec)
     real_ivs = polyops.isolate_real_roots(g)
     refined = [polyops.refine_root_interval(g, lo, hi, width / 4) for lo, hi in real_ivs]
-    n_complex_pairs = (m - len(refined)) // 2
-    if len(refined) + 2 * n_complex_pairs != m:
+    refined = refined[-1:] + refined[:-1]  # dominant first
+    if (m - len(refined)) % 2:
         raise AssertionError("real root count inconsistent with degree")
 
     approx = [((lo + hi) / 2, Fraction(0)) for lo, hi in refined]
-    uppers = []
-    for z in froots:
-        if z.imag > 1e-9:
-            uppers.append(z)
+    uppers = _ordered_float_roots(g, len(refined))[len(refined)::2]
     scale = Fraction(1, 2 ** (prec + 48))
-    cplx = [( _dyadic(z.real, scale), _dyadic(z.imag, scale)) for z in uppers]
+    cplx = [(_dyadic(z.real, scale), _dyadic(z.imag, scale)) for z in uppers]
 
     gd = polyops.derivative(g)
     radii = []
@@ -634,33 +644,18 @@ def _certified_root_boxes(g, prec, froots):
     else:
         raise PrecisionCapExceeded("complex root refinement did not converge")
 
-    boxes = []
-    for (lo, hi) in refined:
-        boxes.append(Box(lo, hi, Fraction(0), Fraction(0)))
+    boxes = [Box(lo, hi, Fraction(0), Fraction(0)) for lo, hi in refined]
     base = len(approx)
     for idx, (re, im) in enumerate(cplx):
         r = max(radii[base + idx], radii[base + len(cplx) + idx])
         boxes.append(Box(re - r, re + r, im - r, im + r))
         boxes.append(Box(re - r, re + r, -im - r, -im + r))
 
-    _order_boxes_like(boxes, froots)
-    if not _pairwise_disjoint(boxes):
+    # Weierstrass: a disk disjoint from all m disks holds exactly one root
+    disks = [Box(re - r, re + r, im - r, im + r) for (re, im), r in zip(pts, radii)]
+    if not (_pairwise_disjoint(boxes) and _pairwise_disjoint(disks)):
         raise AssertionError("root boxes are not pairwise disjoint")
     return boxes
-
-
-def _order_boxes_like(boxes, froots):
-    boxes.sort(key=lambda b: _match_index(b, froots))
-
-
-def _match_index(box, froots):
-    c = box.center()
-    best, arg = None, None
-    for i, z in enumerate(froots):
-        d = (c[0] - z.real) ** 2 + (c[1] - z.imag) ** 2
-        if best is None or d < best:
-            best, arg = d, i
-    return arg
 
 
 def _pairwise_disjoint(boxes):

@@ -52,6 +52,9 @@ class TestCommands:
         assert "(-1 + 2*b)/5" in out
         assert "D = N(g'(beta)) = -5" in out
 
+    def test_field_degree_8(self, capsys):
+        assert main(["field", "1,1,1,1,1,1,1,1"]) == EXIT_OK
+
     def test_field_unit_check(self, capsys):
         assert main(["field", "3,4,1", "--unit", "3+1/b", "--unit", "b"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -100,9 +103,11 @@ class TestCommands:
 class TestExitCodes:
     def test_reducible_is_math_rejection(self, capsys):
         assert main(["field", "0,4"]) == EXIT_MATH
+        assert main(["field", "x^4-2x^3-x^2+2x+1"]) == EXIT_MATH  # (x^2 - x - 1)^2
 
     def test_not_pisot_is_math_rejection(self, capsys):
         assert main(["field", "1,3"]) == EXIT_MATH
+        assert main(["field", "x^2+x+3"]) == EXIT_MATH  # no real root
 
     def test_zbeta_requires_unit(self, capsys):
         assert main(["zbeta", "2,2"]) == EXIT_MATH

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pisotcoding.numberfield as nf
 from oracles import sylvester_resultant
 from pisotcoding import (
     EQUAL,
@@ -17,6 +18,7 @@ from pisotcoding import (
     is_irreducible,
     make_field,
 )
+from pisotcoding import polyops
 
 
 class TestMakeField:
@@ -54,6 +56,69 @@ class TestIrreducibility:
         ok, witness = is_irreducible([-4, 0, 1])
         assert not ok and tuple(witness) in {(-2, 1), (2, 1)}
         assert is_irreducible([-1, 0, 0, -1, 1])[0]
+
+
+# (k, error, witness): each rejection keeps the type it had when the factor
+# search ran first; a witness must divide g.
+REJECTIONS = [
+    ((-1, -3), NotPisot, None),  # x^2 + x + 3: no real root at all
+    ((2, 1, -2, -1), Reducible, (-1, -1, 1)),  # (x^2 - x - 1)^2: repeated root
+    ((0, 2, 1), Reducible, (1, 1)),  # (x^2 - x - 1)(x + 1): root on the unit circle
+    ((2, -2, 2, -1), Reducible, (-1, 1)),  # (x - 1)^2 (x^2 + 1)
+    ((1, -1, 1), Reducible, (-1, 1)),  # (x - 1)(x^2 + 1)
+    ((1, 1, 1, -1), NotPisot, None),  # Salem: a complex pair on the unit circle
+    ((0, 0, 0, 0, 0, 0, 1, 1), NotPisot, None),  # x^8 - x - 1
+]
+
+# theta of each accepted field, as certified with the factor search in place
+ACCEPTED_THETA = {
+    (1, 1): Fraction(663609007, 1073741824),
+    (1, 1, 1): Fraction(98965813, 134217728),
+    (3, 4, 1): Fraction(371526231, 536870912),
+    (1, 0, 0, 1): Fraction(504892595, 536870912),
+    (3, -1): Fraction(205066473, 536870912),
+    (0, 1, 1): Fraction(932906649, 1073741824),
+    (2, 2): Fraction(393016817, 536870912),
+    (1, 1, 1, 1, 1): Fraction(467640335, 536870912),
+    (1, 1, 1, 1, 1, 1): Fraction(973040973, 1073741824),
+    (1, 1, 1, 1, 1, 1, 1): Fraction(499446557, 536870912),
+    (1, 1, 1, 1, 1, 1, 1, 1): Fraction(1017034481, 1073741824),
+}
+
+
+class TestPisotCertificate:
+    @pytest.mark.parametrize("k, error, witness", REJECTIONS)
+    def test_rejection_contract(self, k, error, witness):
+        with pytest.raises(error) as ei:
+            make_field(k)
+        if witness is not None:
+            assert ei.value.factor == witness
+            g = nf.MinimalPolynomial(k).g_coeffs()
+            assert polyops.poly_divmod(g, list(witness))[1] == []
+
+    @pytest.mark.parametrize("k, theta", ACCEPTED_THETA.items())
+    def test_accepting_path_runs_no_factor_search(self, monkeypatch, k, theta):
+        def no_search(g):
+            raise AssertionError("factor search on the accepting path")
+
+        monkeypatch.setattr(polyops, "irreducible_or_witness", no_search)
+        assert make_field(k).theta == theta
+
+    def test_no_real_root_still_gets_all_boxes(self):
+        g = nf.MinimalPolynomial((-1, -3)).g_coeffs()
+        boxes = nf._certified_root_boxes(g, 128)
+        assert len(boxes) == 2 and not any(b.is_real for b in boxes)
+
+    def test_real_root_disks_enter_disjointness(self, monkeypatch):
+        # widen the tribonacci real root's Weierstrass disk over the complex pair
+        radii = nf._weierstrass_radii
+
+        def wide_real_disks(g, pts):
+            return [Fraction(3) if im == 0 else r for (_, im), r in zip(pts, radii(g, pts))]
+
+        monkeypatch.setattr(nf, "_weierstrass_radii", wide_real_disks)
+        with pytest.raises(AssertionError, match="not pairwise disjoint"):
+            make_field((1, 1, 1))
 
 
 class TestRingOps:
