@@ -39,7 +39,7 @@ from .numeration import (
     is_admissible,
     value_of,
 )
-from .shift import build_automaton, max_entropy_chain, sample
+from .shift import _parry_chain, sample
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,16 @@ def kernel_values(spec, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_C
 
     For a fundamental xi this is exactly the Z_beta value set.  The fiber of
     0 is exceptional: its size is unrelated to the almost-everywhere preimage
-    count (a bijective coding can still send several periodic sequences to 0)."""
+    count (a bijective coding can still send several periodic sequences to 0).
+    The set is computed once per field, xi and caps; each call returns a
+    fresh list."""
     if spec.is_zero:
         raise ZeroHomoclinicPoint("zero parameter")
+    key = ("kernel_values", spec.xi.coords, orbit_cap, period_cap)
+    return list(spec.field.derived(key, lambda: _kernel_values(spec, orbit_cap)))
+
+
+def _kernel_values(spec, orbit_cap):
     field = spec.field
     mu = field.xi0 * field.invert(spec.xi)
     m = field.m
@@ -267,7 +274,7 @@ def kernel_values(spec, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_C
             rot = expansion_value(field, Expansion((), per[r:] + per[:r]))
             if rot.coords not in coords_set:
                 raise AssertionError("kernel enumeration is not shift-closed")
-    return out
+    return tuple(out)
 
 
 # -- injectivity experiment ------------------------------------------------------
@@ -322,7 +329,7 @@ def _experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resol
 def _experiment_chunk(args):
     spec, t_range, seed, n_digits, tol, resolution, orbit_cap, kernel_coords = args
     field = spec.field
-    chain = max_entropy_chain(build_automaton(d_sequence(field)))
+    chain = _parry_chain(field)
     nonzero_kernel = [field.element(c) for c in kernel_coords]
     out = []
     pts = []

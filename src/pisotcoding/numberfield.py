@@ -254,6 +254,7 @@ class NumberField:
         self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
         self._boxes = {precision: root_boxes}
         self._pow_cache = {}
+        self._derived = {}  # key -> value built once by derived()
         m = min_poly.m
         # reduction rows: coords of beta^(m+j) for j = 0..m-2
         rows = []
@@ -410,14 +411,20 @@ class NumberField:
         return float(sum(float(c) * b[i] for i, c in enumerate(a.coords)))
 
     def float_with_margin(self, a):
-        """Float estimate with a conservative rigorous error bound."""
+        """Float estimate with a conservative rigorous error bound; the bound
+        is infinite (nothing decided) when a coordinate overflows a float."""
         b = self._pow_f
         v = 0.0
         mag = 1.0
-        for i, c in enumerate(a.coords):
-            fc = float(c)
-            v += fc * b[i]
-            mag += abs(fc) * b[i]
+        try:
+            for i, c in enumerate(a.coords):
+                fc = float(c)
+                v += fc * b[i]
+                mag += abs(fc) * b[i]
+        except OverflowError:
+            mag = math.inf
+        if mag == math.inf:
+            return 0.0, math.inf
         return v, 1e-12 * mag
 
     def compare(self, a, b):
@@ -460,6 +467,21 @@ class NumberField:
                 return fl
             prec *= 2
         raise PrecisionCapExceeded("floor refinement cap hit")
+
+    # -- derived data ---------------------------------------------------------
+
+    def derived(self, key, build):
+        """The value build() gives for key, built once and kept as long as
+        the field lives.  key must hold every argument the value depends on.
+        build runs outside the lock (it may refine beta_interval, which takes
+        it); if two threads race, both build and the first value published
+        is the one every caller gets.  A failing build caches nothing."""
+        with self._lock:
+            if key in self._derived:
+                return self._derived[key]
+        value = build()
+        with self._lock:
+            return self._derived.setdefault(key, value)
 
     # -- certified boxes for all conjugates -----------------------------------
 

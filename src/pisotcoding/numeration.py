@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -138,9 +138,12 @@ class DSequence:
         return range(self.floor_beta + 1)
 
 
-@lru_cache(maxsize=None)
 def d_sequence(field, orbit_cap=DEFAULT_ORBIT_CAP):
-    """Exact d' and d with detected preperiod and period."""
+    """Exact d' and d with detected preperiod and period (built once per field)."""
+    return field.derived(("d_sequence", orbit_cap), lambda: _d_sequence(field, orbit_cap))
+
+
+def _d_sequence(field, orbit_cap):
     digits = []
     state = field.one
     seen = {}
@@ -219,9 +222,8 @@ class AdmissibilityTracker:
         return True
 
 
-@lru_cache(maxsize=None)
 def _tracker(field):
-    return AdmissibilityTracker(d_sequence(field))
+    return field.derived(("tracker",), lambda: AdmissibilityTracker(d_sequence(field)))
 
 
 def is_admissible(word_or_expansion, dseq):
@@ -319,11 +321,8 @@ def _int_tables(field):
 
 def _expand_unit_scaled(field, nums, den, orbit_cap):
     """Expansion loop over integer numerators with a fixed denominator
-    (invariant under the greedy map): plain int arithmetic, float floors
-    with a rigorous margin, exact fallback near digit boundaries."""
-    m = field.m
+    (invariant under the greedy map), one _greedy_step per digit."""
     krev, powf = _int_tables(field)
-    fden = float(den)
     digits = []
     seen = {}
     state = nums
@@ -332,23 +331,37 @@ def _expand_unit_scaled(field, nums, den, orbit_cap):
             j = seen[state]
             return canonical_expansion(tuple(digits[:j]), tuple(digits[j:]))
         seen[state] = n
-        top = state[m - 1]
-        new = [top * krev[0]]
-        for i in range(1, m):
-            new.append(state[i - 1] + top * krev[i])
-        v = sum(new[i] * powf[i] for i in range(m)) / fden
-        err = 1e-12 * (1.0 + sum(abs(new[i]) * powf[i] for i in range(m)) / fden)
-        r = round(v)
-        if abs(v - r) > err:
-            dig = math.floor(v)
-        else:
-            dig = field.floor(field.element([Fraction(c, den) for c in new]))
-        new[0] -= dig * den
+        dig, state = _greedy_step(field, krev, powf, state, den)
         digits.append(dig)
-        state = tuple(new)
         if not any(state):
             return canonical_expansion(tuple(digits), ())
     raise OrbitCapExceeded("expansion orbit exceeded the cap")
+
+
+def _greedy_step(field, krev, powf, state, den):
+    """One step x -> beta x - floor(beta x) of the greedy map on integer
+    numerators over den: plain int arithmetic, returns (digit, next state)."""
+    top = state[-1]
+    new = [top * krev[0]]
+    for i in range(1, len(state)):
+        new.append(state[i - 1] + top * krev[i])
+    dig = _floor_scaled(field, new, den, powf)
+    new[0] -= dig * den
+    return dig, tuple(new)
+
+
+def _floor_scaled(field, nums, den, powf):
+    """Floor of the value of nums / den in the power basis: a float floor
+    with a rigorous margin, exact arithmetic near an integer or when the
+    numerators overflow a float."""
+    try:
+        v = sum(map(mul, nums, powf)) / den
+        err = 1e-12 * (1.0 + sum(map(mul, map(abs, nums), powf)) / den)
+    except OverflowError:
+        err = math.inf
+    if err < math.inf and abs(v - round(v)) > err:
+        return math.floor(v)
+    return field.floor(field.element([Fraction(c, den) for c in nums]))
 
 
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -518,24 +531,13 @@ def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
 
 
 def _in_unit_interval(field, elem):
-    v, err = _float_with_margin(field, elem)
+    v, err = field.float_with_margin(elem)
     if err < 0.25:
         if -err < v and v < 1 - err:
             return True
         if v < -err or v > 1 + err:
             return False
     return field.sign(elem) >= 0 and elem < field.one
-
-
-def _float_with_margin(field, elem):
-    powf = field._pow_f
-    v = 0.0
-    mag = 1.0
-    for i, c in enumerate(elem.coords):
-        fc = float(c)
-        v += fc * powf[i]
-        mag += abs(fc) * powf[i]
-    return v, 1e-12 * mag
 
 
 def _zbeta_box_candidates(field, coord_cap=None):
@@ -558,8 +560,14 @@ def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
     denominator q of xi0 (restricted to a certified box for the conjugates,
     outside which pure periodicity is impossible), testing each candidate
     through beta_expand.  An independent cycle-following oracle over the
-    same box cross-validates; disagreement is a hard error.
+    same box cross-validates; disagreement is a hard error.  The set is
+    computed once per field and caps; each call returns a fresh list.
     """
+    key = ("z_beta", orbit_cap, period_cap)
+    return list(field.derived(key, lambda: _enumerate_z_beta(field, orbit_cap, period_cap)))
+
+
+def _enumerate_z_beta(field, orbit_cap, period_cap):
     if not field.is_unit_field:
         from .errors import NotUnit
 
@@ -591,7 +599,7 @@ def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
     for (a, _), (b, _) in zip(out, out[1:]):
         if not (a < b):
             raise AssertionError("canonical sort failed")
-    return out
+    return tuple(out)
 
 
 def _zbeta_cycle_oracle(field, in_unit, period_cap):
@@ -842,19 +850,56 @@ def validate_weak_finitarity(field, cert, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
-    """Empirical carry-propagation length over all admissible word pairs up to
-    the cap whose fractional sum is finite (a lower bound for the true constant)."""
-    words = enumerate_admissible_words(field, length_cap)
+    """Carry-propagation length: over all pairs u, v of admissible words up
+    to the cap whose fractional sum has a finite expansion, the largest
+    number of digits that expansion reaches past the longer of u and v.
+
+    Exact for the pairs it sees, and a lower bound for the true constant.
+    Word values are integer numerators over one common denominator, which
+    the greedy map keeps (beta is an algebraic integer); each fractional sum
+    is followed through one memo, state -> digits until zero (None once the
+    orbit cycles), shared by every pair, so every state is stepped once.
+    Computed once per field and caps.
+    """
+    key = ("estimate_L1", length_cap, orbit_cap)
+    return field.derived(key, lambda: _carry_length(field, length_cap, orbit_cap))
+
+
+def _carry_length(field, length_cap, orbit_cap):
+    words = enumerate_admissible_words(field, length_cap)  # sorted by length
+    values = [value_of(field, w).coords for w in words]
+    den = 1
+    for coords in values:
+        for c in coords:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    nums = [[int(c * den) for c in coords] for coords in values]
+    krev, powf = _int_tables(field)
+    depth = {(0,) * field.m: 0}
+
+    def digits_to_zero(state):
+        path = []
+        index = {}
+        while state not in depth:
+            if state in index:  # a cycle that misses zero
+                tail = None
+                break
+            if len(path) == orbit_cap:
+                raise OrbitCapExceeded("carry orbit exceeded the cap")
+            index[state] = len(path)
+            path.append(state)
+            _, state = _greedy_step(field, krev, powf, state, den)
+        else:
+            tail = depth[state]
+        for k, st in enumerate(reversed(path), start=1):
+            depth[st] = None if tail is None else tail + k
+        return depth[path[0]] if path else tail
+
     best = 0
-    for i, u in enumerate(words):
-        vu = value_of(field, u)
-        for v in words[i:]:
-            s = vu + value_of(field, v)
-            carry = field.floor(s)
-            exp = _expand_unit(s - carry, orbit_cap)
-            if not exp.is_finite:
-                continue
-            ext = exp.support_depth() - max(len(u), len(v))
-            if ext > best:
-                best = ext
+    for i, u in enumerate(nums):
+        for j in range(i, len(nums)):
+            s = [a + b for a, b in zip(u, nums[j])]
+            s[0] -= _floor_scaled(field, s, den, powf) * den
+            n = digits_to_zero(tuple(s))
+            if n is not None and n - len(words[j]) > best:
+                best = n - len(words[j])
     return best

@@ -220,6 +220,13 @@ def max_entropy_chain(automaton, tol=1e-12):
     )
 
 
+def _parry_chain(field):
+    """The maximal-entropy chain of the field's beta-shift, built once per field."""
+    return field.derived(
+        ("parry_chain",), lambda: max_entropy_chain(build_automaton(d_sequence(field)))
+    )
+
+
 def _pick(rng, weights):
     x = rng.random()
     acc = 0.0
@@ -283,7 +290,7 @@ def _value_int(field, word):
 
 
 def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap):
-    chain = max_entropy_chain(build_automaton(d_sequence(field)))
+    chain = _parry_chain(field)
     rng = random.Random(_child_seed(seed, n, ai))
     krev = tuple(int(c) for c in reversed(field.min_poly.k))
     powf = tuple(field._pow_f)

@@ -193,6 +193,14 @@ class TestKernels:
         assert len(kv) == 5
         assert all(e.is_purely_periodic for _, e in kv)
 
+    def test_returned_lists_are_fresh(self, quartic):
+        spec = HomoclinicSpec(quartic, quartic.xi0)
+        for get in (lambda: enumerate_z_beta(quartic), lambda: kernel_values(spec)):
+            got = get()
+            want = list(got)
+            got.clear()
+            assert get() == want
+
 
 class TestPreimageCounts:
     def test_fundamental_is_one(self, golden, tribonacci, cubic341, quartic):

@@ -195,6 +195,15 @@ class TestCompareFloor:
         b = golden.beta
         assert b > 1 and b < 2 and b >= b and not (b > b)
 
+    def test_overflowing_coordinates_decided_exactly(self, golden, quartic):
+        # coordinates past the float range must defer to exact refinement
+        assert golden.sign(golden.pow_beta(1600) - golden.pow_beta(1599)) == GREATER
+        lucas = [2, 1]  # L_n = beta^n + beta'^n with beta' = -1/beta, so 0 < beta'^1600 < 1
+        while len(lucas) <= 1600:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert golden.floor(golden.pow_beta(1600)) == lucas[1600] - 1
+        assert quartic.sign(quartic.pow_beta(5000) - quartic.pow_beta(4999)) == GREATER
+
 
 class TestEmbed:
     def test_embed_one(self, golden):

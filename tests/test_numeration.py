@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,14 @@ from pisotcoding import (
     value_of,
 )
 from pisotcoding.errors import OrbitCapExceeded
-from pisotcoding.numeration import ZERO_EXPANSION, canonical_expansion, word_compare
+from pisotcoding.numeration import (
+    ZERO_EXPANSION,
+    _expand_unit,
+    _floor_scaled,
+    _in_unit_interval,
+    canonical_expansion,
+    word_compare,
+)
 
 
 class TestExpansionType:
@@ -367,6 +376,58 @@ class TestEstimateL1:
 
     def test_quartic(self, quartic):
         assert estimate_L1(quartic, 8) >= 1
+
+    # cap-6 values of the all-pairs scan below
+    PINNED = {
+        (1, 1): 2,
+        (1, 1, 1): 3,
+        (0, 1, 1): 8,
+        (1, 0, 0, 1): 6,
+        (3, -1): 1,
+        (2, 1): 2,
+        (1, 1, 1, 1): 7,
+        (2, 2): 4,  # non-unit
+    }
+
+    def test_pinned_values(self):
+        for k, want in self.PINNED.items():
+            assert estimate_L1(make_field(k), 6) == want, k
+
+    def test_matches_all_pairs_scan(self):
+        for k in self.PINNED:
+            field = make_field(k)
+            assert estimate_L1(field, 4) == _all_pairs_carry_length(field, 4), k
+
+
+def _all_pairs_carry_length(field, length_cap):
+    """Reference: expand the fractional sum of every pair of admissible words."""
+    words = enumerate_admissible_words(field, length_cap)
+    best = 0
+    for i, u in enumerate(words):
+        vu = value_of(field, u)
+        for v in words[i:]:
+            s = vu + value_of(field, v)
+            exp = _expand_unit(s - field.floor(s), 10 ** 6)
+            if exp.is_finite:
+                best = max(best, exp.support_depth() - max(len(u), len(v)))
+    return best
+
+
+def test_dropped_field_is_collected():
+    field = make_field((4, 1))  # no other test builds an equal field
+    d_sequence(field)
+    enumerate_admissible_words(field, 4)
+    ref = weakref.ref(field)
+    del field
+    gc.collect()
+    assert ref() is None
+
+
+def test_overflowing_coordinates_take_the_exact_path(golden):
+    # the coordinates of beta^-1600 do not fit a float
+    x = golden.pow_beta(-1600) + Fraction(1, 2)
+    assert _in_unit_interval(golden, x)
+    assert _floor_scaled(golden, [int(2 * c) for c in x.coords], 2, golden._pow_f) == 0
 
 
 def test_word_compare_basics():

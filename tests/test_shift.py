@@ -1,13 +1,21 @@
+import json
 import math
 import random
 
 import pytest
 
+import pisotcoding.coding as coding
+import pisotcoding.numeration as numeration
+import pisotcoding.shift as shift
 from oracles import languages_agree
 from pisotcoding import (
+    HomoclinicSpec,
     SoficAutomaton,
     build_automaton,
+    check_finitarity,
+    check_weak_finitarity,
     d_sequence,
+    injectivity_experiment,
     is_admissible,
     make_field,
     max_entropy_chain,
@@ -182,3 +190,43 @@ def test_tail_experiment_jobs_deterministic(quartic, quartic_cert):
     r1 = tail_invariance_experiment(quartic, [10], 40, seed=4, certificate=quartic_cert, jobs=1)
     r2 = tail_invariance_experiment(quartic, [10], 40, seed=4, certificate=quartic_cert, jobs=3)
     assert r1.rows == r2.rows
+
+
+class TestDerivedData:
+    def test_built_once_per_field(self, monkeypatch):
+        counts = {}
+
+        def counting(module, name):
+            build = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(numeration, "_enumerate_z_beta")
+        counting(numeration, "_carry_length")
+        counting(shift, "max_entropy_chain")
+        counting(coding, "_kernel_values")
+        field = make_field((1, 1))
+        check_weak_finitarity(field)
+        check_finitarity(field)
+        spec = HomoclinicSpec(field, field.xi0)
+        for seed in (1, 2):
+            tail_invariance_experiment(field, [8], 10, seed=seed)
+            injectivity_experiment(spec, n_digits=12, trials=5, seed=seed)
+        assert counts == {
+            "_enumerate_z_beta": 1,
+            "_carry_length": 1,
+            "max_entropy_chain": 1,
+            "_kernel_values": 1,
+        }
+
+    def test_repeated_call_same_bytes(self, quartic, quartic_cert):
+        reports = [
+            tail_invariance_experiment(quartic, [10], 40, seed=6, certificate=quartic_cert)
+            for _ in range(2)
+        ]
+        a, b = (json.dumps(r.to_jsonable(), sort_keys=True).encode() for r in reports)
+        assert a == b
