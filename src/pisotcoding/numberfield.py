@@ -1,10 +1,13 @@
 """Exact arithmetic in Q(beta) for a Pisot number beta.
 
 Elements are rational coordinate vectors over the power basis
-1, beta, ..., beta^(m-1).  Zero tests are coordinate tests; sign and floor
-questions are settled by refining certified isolating boxes for the roots
-of the minimal polynomial until the answer is unambiguous, so every
-comparison this module reports is exact.
+1, beta, ..., beta^(m-1).  Zero tests are coordinate tests.  Every sign and
+floor is decided in integers: for K bits the field keeps integers L_i with
+L_i <= 2^K beta^i <= L_i + w (i < m), rounded outward from the certified
+dominant-root interval, so a value sum(n_i beta^i) / den is enclosed by
+sum(n_i L_i) +- w * sum(|n_i|) over den * 2^K.  An answer is returned only
+when that enclosure settles it, with K grown until it does; rational values
+are decided directly, so every comparison this module reports is exact.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .errors import (
 LESS, EQUAL, GREATER = -1, 0, 1
 
 _PRECISION_CAP = 1 << 16  # bits; safety valve, not a tuning knob
+_FIXED_BITS = 64  # the smallest fixed-point table; larger ones double it
 
 
 @dataclass(frozen=True)
@@ -209,12 +214,29 @@ class FieldElement:
         return f"<{format_element(self)} ~ {float(self):.10g}>"
 
 
+def _common_denominator(fracs):
+    """The least common denominator of some Fractions (1 for none)."""
+    return math.lcm(*(c.denominator for c in fracs))
+
+
+def _scaled(coords):
+    """(integer numerators, common denominator) of rational coordinates."""
+    den = _common_denominator(coords)
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _floor_rule(lo, hi, scale):
+    f = lo // scale
+    return f if f == hi // scale else None
+
+
+def _sign_rule(lo, hi, scale):
+    return GREATER if lo > 0 else LESS if hi < 0 else None
+
+
 def format_element(a, var="b"):
     """Pretty form with a common denominator, e.g. (-1 + 2*b)/5."""
-    den = 1
-    for c in a.coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = [int(c * den) for c in a.coords]
+    nums, den = _scaled(a.coords)
     terms = []
     for i, n in enumerate(nums):
         if n == 0:
@@ -254,6 +276,7 @@ class NumberField:
         self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
         self._boxes = {precision: root_boxes}
         self._pow_cache = {}
+        self._fixed = {}  # K -> (L_0..L_(m-1), w), see _fixed_table
         self._derived = {}  # key -> value built once by derived()
         m = min_poly.m
         # reduction rows: coords of beta^(m+j) for j = 0..m-2
@@ -375,7 +398,10 @@ class NumberField:
     # -- certified real embedding -------------------------------------------
 
     def beta_interval(self, prec):
-        """Dominant-root interval of width <= 2^-prec (exact endpoints)."""
+        """Dominant-root interval of width <= 2^-prec (exact endpoints).
+
+        Bisection is deterministic, so resuming it from the finest cached
+        interval gives the same endpoints as bisecting the root box."""
         with self._lock:
             best = None
             for p, iv in self._beta_iv.items():
@@ -383,7 +409,7 @@ class NumberField:
                     best = (p, iv)
             if best is not None:
                 return best[1]
-        lo, hi = self._dominant_seed()
+            lo, hi = self._beta_iv[max(self._beta_iv)] if self._beta_iv else self._dominant_seed()
         lo, hi = polyops.refine_root_interval(self._g, lo, hi, Fraction(1, 2 ** prec))
         with self._lock:
             self._beta_iv[prec] = (lo, hi)
@@ -410,63 +436,65 @@ class NumberField:
         b = self._pow_f
         return float(sum(float(c) * b[i] for i, c in enumerate(a.coords)))
 
-    def float_with_margin(self, a):
-        """Float estimate with a conservative rigorous error bound; the bound
-        is infinite (nothing decided) when a coordinate overflows a float."""
-        b = self._pow_f
-        v = 0.0
-        mag = 1.0
-        try:
-            for i, c in enumerate(a.coords):
-                fc = float(c)
-                v += fc * b[i]
-                mag += abs(fc) * b[i]
-        except OverflowError:
-            mag = math.inf
-        if mag == math.inf:
-            return 0.0, math.inf
-        return v, 1e-12 * mag
-
     def compare(self, a, b):
+        """Exact sign of a - b in the real embedding: LESS, EQUAL or GREATER.
+
+        Decided by the integer enclosure of the module docstring, whose
+        error bound w * sum(|n_i|) comes from the certified beta interval."""
         d = a - b
         if d.is_zero:
             return EQUAL
-        if d.is_rational:
-            return GREATER if d.coords[0] > 0 else LESS
-        v, err = self.float_with_margin(d)
-        if v > err:
-            return GREATER
-        if v < -err:
-            return LESS
-        prec = 32
-        while prec <= _PRECISION_CAP:
-            lo, hi = self.real_interval(d, prec)
-            if lo > 0:
-                return GREATER
-            if hi < 0:
-                return LESS
-            prec *= 2
-        raise PrecisionCapExceeded("sign refinement cap hit")
+        nums, _ = _scaled(d.coords)  # a positive denominator keeps the sign
+        return self._decide(nums, 1, _sign_rule)
 
     def sign(self, a):
         return self.compare(a, self.zero)
 
     def floor(self, a):
-        """Exact floor of the real embedding; boundary cases decided exactly."""
-        if a.is_rational:
-            return math.floor(a.coords[0])
-        v, err = self.float_with_margin(a)
-        r = round(v)
-        if abs(v - r) > err:
-            return math.floor(v)
-        prec = 32
-        while prec <= _PRECISION_CAP:
-            lo, hi = self.real_interval(a, prec)
-            fl, fh = math.floor(lo), math.floor(hi)
-            if fl == fh:
-                return fl
-            prec *= 2
-        raise PrecisionCapExceeded("floor refinement cap hit")
+        """Exact floor of the real embedding, decided by the integer
+        enclosure of the module docstring (rational values directly)."""
+        return self._floor_scaled(*_scaled(a.coords))
+
+    def _floor_scaled(self, nums, den):
+        """Exact floor of sum(nums[i] * beta^i) / den, integer nums, den > 0."""
+        return self._decide(nums, den, _floor_rule)
+
+    def _decide(self, nums, den, rule):
+        """rule(lo, hi, den << K) on an enclosure lo <= den 2^K x <= hi of
+        x = sum(nums[i] beta^i) / den, with K grown until rule answers.
+
+        K starts at _FIXED_BITS, or at the first doubling of it that exceeds
+        the bit length of sum(|n_i|) by 32, and doubles up to _PRECISION_CAP.
+        A rational x is decided exactly: an integer is never separated from
+        itself by an enclosure.  Lock-free: tables are published once."""
+        if not any(nums[1:]):
+            return rule(nums[0], nums[0], den)  # exact: K = 0, no error
+        mag = sum(map(abs, nums))
+        bits = _FIXED_BITS
+        while bits < mag.bit_length() + 32:
+            bits <<= 1
+        while bits <= _PRECISION_CAP:
+            low, width = self._fixed.get(bits) or self._fixed_table(bits)
+            s = sum(map(mul, nums, low))
+            e = width * mag
+            got = rule(s - e, s + e, den << bits)
+            if got is not None:
+                return got
+            bits <<= 1
+        raise PrecisionCapExceeded("fixed-point refinement cap hit")
+
+    def _fixed_table(self, bits):
+        """Integers L_i = floor(2^bits lo^i) and the largest
+        w = ceil(2^bits hi^i) - L_i over i < m, for a certified interval
+        [lo, hi] around beta; lo >= 1, so L_i <= 2^bits beta^i <= L_i + w."""
+        hi0 = self.root_intervals[0].re_hi
+        guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # keeps w small
+        lo, hi = self.beta_interval(bits + guard)
+        one = 1 << bits
+        low = tuple(math.floor(lo ** i * one) for i in range(self.m))
+        width = max(math.ceil(hi ** i * one) - li for i, li in enumerate(low))
+        with self._lock:
+            return self._fixed.setdefault(bits, (low, width))
 
     # -- derived data ---------------------------------------------------------
 

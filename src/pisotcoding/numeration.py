@@ -4,7 +4,8 @@ Digit strings are indexed from 1: position k carries the coefficient of
 beta^-k.  An Expansion stores a preperiod and a period; an empty period
 means the expansion is finite (tail of zeros).  All decisions here are
 exact: digits come from exact floors, periodicity from exact state
-repetition.
+repetition.  Every digit comes from one greedy step on integer numerators
+(_greedy_step), whose floor the field decides exactly (NumberField._decide).
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
 from .errors import OracleMismatch, OrbitCapExceeded, OutOfRange
-from .numberfield import FieldElement
+from .numberfield import FieldElement, _common_denominator, _scaled
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
@@ -144,26 +144,8 @@ def d_sequence(field, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def _d_sequence(field, orbit_cap):
-    digits = []
-    state = field.one
-    seen = {}
-    d_prime = None
-    for n in range(1, orbit_cap + 1):
-        y = field.mul_by_beta(state)
-        dig = field.floor(y)
-        digits.append(dig)
-        state = y - dig
-        if state.is_zero:
-            d_prime = Expansion(tuple(digits), ())
-            break
-        key = state.coords
-        if key in seen:
-            j = seen[key]
-            d_prime = canonical_expansion(tuple(digits[:j]), tuple(digits[j:]))
-            break
-        seen[key] = n
-    else:
-        raise OrbitCapExceeded("d-sequence orbit exceeded the cap")
+    one = (1,) + (0,) * (field.m - 1)
+    d_prime = _expand_unit_scaled(field, one, 1, orbit_cap, "d-sequence orbit exceeded the cap")
     if d_prime.is_finite:
         k = d_prime.support_depth()
         body = list(d_prime.pre[:k])
@@ -253,12 +235,7 @@ def value_of(field, word, offset=0):
     """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word)."""
     word = tuple(word)
     if field.is_unit_field and all(isinstance(e, int) for e in word):
-        krev, _ = _int_tables(field)
-        acc = [0] * field.m
-        for e in reversed(word):
-            acc[0] += e
-            acc = _div_beta_int(krev, acc)
-        out = field.element(acc)
+        out = field.element(_word_nums(field, word))
     else:
         binv = field.pow_beta(-1)
         out = field.zero
@@ -267,6 +244,16 @@ def value_of(field, word, offset=0):
     if offset:
         out = out * field.pow_beta(offset)
     return out
+
+
+def _word_nums(field, word):
+    """Integer coordinates of value_of(field, word) for a unit field."""
+    krev = _krev(field)
+    acc = [0] * field.m
+    for e in reversed(word):
+        acc[0] += e
+        acc = _div_beta_int(krev, acc)
+    return acc
 
 
 def _div_beta_int(krev, coords):
@@ -303,65 +290,46 @@ def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def _expand_unit(x, orbit_cap):
-    if x.is_zero:
-        return ZERO_EXPANSION
-    field = x.field
-    den = 1
-    for c in x.coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = tuple(int(c * den) for c in x.coords)
-    return _expand_unit_scaled(field, nums, den, orbit_cap)
+    nums, den = _scaled(x.coords)
+    return _expand_unit_scaled(x.field, tuple(nums), den, orbit_cap)
 
 
-def _int_tables(field):
-    krev = tuple(int(c) for c in reversed(field.min_poly.k))
-    powf = tuple(field._pow_f)
-    return krev, powf
+def _krev(field):
+    """k_m, ..., k_1 as ints: beta^m = sum(krev[i] * beta^i)."""
+    return tuple(int(c) for c in reversed(field.min_poly.k))
 
 
-def _expand_unit_scaled(field, nums, den, orbit_cap):
-    """Expansion loop over integer numerators with a fixed denominator
-    (invariant under the greedy map), one _greedy_step per digit."""
-    krev, powf = _int_tables(field)
+def _expand_unit_scaled(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
+    """Greedy orbit of nums / den in [0, 1) followed for at most orbit_cap
+    steps, with a fixed denominator (invariant under the greedy map)."""
+    krev = _krev(field)
     digits = []
-    seen = {}
+    seen = {nums: 0}
     state = nums
-    for n in range(orbit_cap):
+    for n in range(1, orbit_cap + 1):
+        dig, state = _greedy_step(field, krev, state, den)
+        digits.append(dig)
+        if not any(state):
+            return canonical_expansion(tuple(digits), ())
         if state in seen:
             j = seen[state]
             return canonical_expansion(tuple(digits[:j]), tuple(digits[j:]))
         seen[state] = n
-        dig, state = _greedy_step(field, krev, powf, state, den)
-        digits.append(dig)
-        if not any(state):
-            return canonical_expansion(tuple(digits), ())
-    raise OrbitCapExceeded("expansion orbit exceeded the cap")
+    raise OrbitCapExceeded(cap_message)
 
 
-def _greedy_step(field, krev, powf, state, den):
+def _greedy_step(field, krev, state, den):
     """One step x -> beta x - floor(beta x) of the greedy map on integer
-    numerators over den: plain int arithmetic, returns (digit, next state)."""
+    numerators over den, the floor decided exactly by the field: the one
+    step behind every expansion, the d-sequence, both Z_beta oracles and
+    the carry length.  Returns (digit, next state)."""
     top = state[-1]
     new = [top * krev[0]]
     for i in range(1, len(state)):
         new.append(state[i - 1] + top * krev[i])
-    dig = _floor_scaled(field, new, den, powf)
+    dig = field._floor_scaled(new, den)
     new[0] -= dig * den
     return dig, tuple(new)
-
-
-def _floor_scaled(field, nums, den, powf):
-    """Floor of the value of nums / den in the power basis: a float floor
-    with a rigorous margin, exact arithmetic near an integer or when the
-    numerators overflow a float."""
-    try:
-        v = sum(map(mul, nums, powf)) / den
-        err = 1e-12 * (1.0 + sum(map(mul, map(abs, nums), powf)) / den)
-    except OverflowError:
-        err = math.inf
-    if err < math.inf and abs(v - round(v)) > err:
-        return math.floor(v)
-    return field.floor(field.element([Fraction(c, den) for c in nums]))
 
 
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -373,20 +341,10 @@ def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
     if field.sign(x) < 0:
         raise OutOfRange("expand_nonneg requires x >= 0")
     if field.is_unit_field:
-        den = 1
-        for c in x.coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        nums = [int(c * den) for c in x.coords]
-        krev, powf = _int_tables(field)
-        fden = float(den)
+        nums, den = _scaled(x.coords)
+        krev = _krev(field)
         nu = 0
-        while True:
-            v = sum(nums[i] * powf[i] for i in range(field.m)) / fden
-            err = 1e-12 * (1.0 + sum(abs(nums[i]) * powf[i] for i in range(field.m)) / fden)
-            if v < 1 - err:
-                break
-            if v <= 1 + err and field.element([Fraction(c, den) for c in nums]) < field.one:
-                break
+        while field._floor_scaled(nums, den):  # x >= 0: floor 0 means x < 1
             nums = _div_beta_int(krev, nums)
             nu += 1
         return nu, _expand_unit_scaled(field, tuple(nums), den, orbit_cap)
@@ -436,24 +394,14 @@ def enumerate_admissible_words(field, max_len, include_empty=False):
 
 
 def _periodic_conjugate_radii(field, pad=1.15):
-    """Float radii bounding conjugates of purely periodic values, padded."""
+    """Float radii bounding conjugates of purely periodic values, padded:
+    about floor(beta) / (1 - |z|) for each subdominant root z."""
     fb = field.floor_beta
     radii = []
     for z in field._float_roots[1:]:
         r = abs(z)
-        best = 0.0
-        zp = complex(1.0, 0.0)
-        s = 0.0
-        rp = 1.0
-        for _ in range(1, 401):
-            s += rp
-            rp *= r
-            zp *= z
-            den = abs(zp - 1.0)
-            if den > 1e-12:
-                best = max(best, s / den)
         tail = (1.0 / (1.0 - r)) / max(1e-12, 1.0 - r ** 400)
-        radii.append(fb * max(best, tail) * pad + 1e-6)
+        radii.append(fb * tail * pad + 1e-6)
     return radii
 
 
@@ -531,13 +479,7 @@ def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
 
 
 def _in_unit_interval(field, elem):
-    v, err = field.float_with_margin(elem)
-    if err < 0.25:
-        if -err < v and v < 1 - err:
-            return True
-        if v < -err or v > 1 + err:
-            return False
-    return field.sign(elem) >= 0 and elem < field.one
+    return field.floor(elem) == 0
 
 
 def _zbeta_box_candidates(field, coord_cap=None):
@@ -572,21 +514,15 @@ def _enumerate_z_beta(field, orbit_cap, period_cap):
         from .errors import NotUnit
 
         raise NotUnit("Z_beta enumeration requires a unit Pisot field")
-    q = 1
-    for c in field.xi0.coords:
-        q = q * c.denominator // math.gcd(q, c.denominator)
+    q = _common_denominator(field.xi0.coords)
     candidates = _zbeta_box_candidates(field, coord_cap=q)
 
     primary = {}
-    in_unit = []
-    for y in candidates:
-        elem = field.element(y)
-        if not _in_unit_interval(field, elem):
-            continue
-        in_unit.append((y, elem))
-        exp = _expand_unit(elem, orbit_cap)
+    in_unit = [y for y in candidates if field._floor_scaled(y, 1) == 0]
+    for y in in_unit:
+        exp = _expand_unit_scaled(field, y, 1, orbit_cap)
         if exp.is_purely_periodic:
-            primary[y] = (elem, exp)
+            primary[y] = (field.element(y), exp)
 
     dual = _zbeta_cycle_oracle(field, in_unit, period_cap)
     if set(primary.keys()) != dual:
@@ -604,28 +540,12 @@ def _enumerate_z_beta(field, orbit_cap, period_cap):
 
 def _zbeta_cycle_oracle(field, in_unit, period_cap):
     """Cycle membership of the greedy map on the boxed lattice points."""
-    m = field.m
-    krev, powf = _int_tables(field)
-    nodes = {tuple(int(c) for c in elem.coords): y for y, elem in in_unit}
+    krev = _krev(field)
+    nodes = set(in_unit)
     color = {}
     cyclic = set()
 
-    def tau(state):
-        top = state[m - 1]
-        new = [top * krev[0]]
-        for i in range(1, m):
-            new.append(state[i - 1] + top * krev[i])
-        v = sum(new[i] * powf[i] for i in range(m))
-        err = 1e-12 * (1.0 + sum(abs(new[i]) * powf[i] for i in range(m)))
-        r = round(v)
-        if abs(v - r) > err:
-            dig = math.floor(v)
-        else:
-            dig = field.floor(field.element(new))
-        new[0] -= dig
-        return tuple(new)
-
-    for start in nodes:
+    for start in in_unit:
         if color.get(start) == 2:
             continue
         path = []
@@ -644,10 +564,10 @@ def _zbeta_cycle_oracle(field, in_unit, period_cap):
             index[cur] = len(path)
             path.append(cur)
             color[cur] = 1
-            cur = tau(cur)
+            cur = _greedy_step(field, krev, cur, 1)[1]
         for node in path:
             color[node] = 2
-    return {nodes[c] for c in cyclic}
+    return cyclic
 
 
 # -- finitarity ----------------------------------------------------------------
@@ -867,13 +787,9 @@ def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
 
 def _carry_length(field, length_cap, orbit_cap):
     words = enumerate_admissible_words(field, length_cap)  # sorted by length
-    values = [value_of(field, w).coords for w in words]
-    den = 1
-    for coords in values:
-        for c in coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = [[int(c * den) for c in coords] for coords in values]
-    krev, powf = _int_tables(field)
+    flat, den = _scaled([c for w in words for c in value_of(field, w).coords])
+    nums = [flat[i:i + field.m] for i in range(0, len(flat), field.m)]
+    krev = _krev(field)
     depth = {(0,) * field.m: 0}
 
     def digits_to_zero(state):
@@ -887,7 +803,7 @@ def _carry_length(field, length_cap, orbit_cap):
                 raise OrbitCapExceeded("carry orbit exceeded the cap")
             index[state] = len(path)
             path.append(state)
-            _, state = _greedy_step(field, krev, powf, state, den)
+            _, state = _greedy_step(field, krev, state, den)
         else:
             tail = depth[state]
         for k, st in enumerate(reversed(path), start=1):
@@ -898,7 +814,7 @@ def _carry_length(field, length_cap, orbit_cap):
     for i, u in enumerate(nums):
         for j in range(i, len(nums)):
             s = [a + b for a, b in zip(u, nums[j])]
-            s[0] -= _floor_scaled(field, s, den, powf) * den
+            s[0] -= field._floor_scaled(s, den) * den
             n = digits_to_zero(tuple(s))
             if n is not None and n - len(words[j]) > best:
                 best = n - len(words[j])

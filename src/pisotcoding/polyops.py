@@ -7,7 +7,7 @@ Everything here is exact; floats only appear as seeds supplied by callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .errors import SchurCohnDegenerate
 
@@ -162,22 +162,37 @@ def isolate_real_roots(coeffs):
 
 
 def refine_root_interval(coeffs, lo, hi, width):
-    """Bisection refinement of a sign-change bracket down to the given width."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    slo = sign_at(coeffs, lo)
+    """Bisection refinement of a sign-change bracket down to the given width.
+
+    The bracket is kept as integers a/d, b/d over one denominator that
+    doubles each step, so the steps take no gcd; the endpoints are those of
+    plain rational bisection."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    coeffs = [Fraction(c) for c in coeffs]
+    cden = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (cden // c.denominator) for c in coeffs]  # same signs
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    slo = _sign_homogeneous(ints, a, d)
     if slo == 0:
         return lo, lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = sign_at(coeffs, mid)
+    while (b - a) * width.denominator > width.numerator * d:
+        mid, d = a + b, 2 * d
+        sm = _sign_homogeneous(ints, mid, d)
         if sm == 0:
             # exact rational root; collapse
-            return mid, mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+            return Fraction(mid, d), Fraction(mid, d)
+        a, b = (mid, 2 * b) if sm == slo else (2 * a, mid)
+    return Fraction(a, d), Fraction(b, d)
+
+
+def _sign_homogeneous(ints, c, d):
+    """Sign of the integer polynomial at c/d (d > 0): Horner on d^n p(c/d)."""
+    acc, dp = 0, 1
+    for coef in reversed(ints):
+        acc = acc * c + coef * dp
+        dp *= d
+    return (acc > 0) - (acc < 0)
 
 
 def count_roots_in_disk(coeffs, radius):

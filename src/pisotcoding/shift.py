@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .numeration import (
     DEFAULT_ORBIT_CAP,
-    _div_beta_int,
-    _expand_unit,
+    _expand_unit_scaled,
+    _word_nums,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
@@ -279,22 +279,9 @@ def _child_seed(seed, n, ai):
     return ((seed * 1000003 + n) * 1000003 + ai) & 0x7FFFFFFFFFFFFFFF
 
 
-def _value_int(field, word):
-    """Integer coordinates of sum(word[i] * beta^-(i+1)) for unit fields."""
-    krev = tuple(int(c) for c in reversed(field.min_poly.k))
-    acc = [0] * field.m
-    for e in reversed(word):
-        acc[0] += e
-        acc = _div_beta_int(krev, acc)
-    return acc
-
-
 def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap):
     chain = _parry_chain(field)
     rng = random.Random(_child_seed(seed, n, ai))
-    krev = tuple(int(c) for c in reversed(field.min_poly.k))
-    powf = tuple(field._pow_f)
-    m = field.m
     acoords = [int(c) for c in alpha_coords]
     unchanged = 0
     for _ in range(trials):
@@ -304,18 +291,9 @@ def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap
             e = _pick(rng, chain.edge_probs[state])
             word.append(e)
             state = chain.automaton.transitions[state][e]
-        s = _value_int(field, word)
-        for i in range(m):
-            s[i] += acoords[i]
-        # subtract the integer part (sum < 2)
-        v = sum(s[i] * powf[i] for i in range(m))
-        err = 1e-12 * (1.0 + sum(abs(s[i]) * powf[i] for i in range(m)))
-        if v > 1 + err:
-            s[0] -= 1
-        elif v > 1 - err:
-            if not (field.element(s) < field.one):
-                s[0] -= 1
-        exp = _expand_unit(field.element(s), orbit_cap)
+        s = [a + b for a, b in zip(_word_nums(field, word), acoords)]
+        s[0] -= field._floor_scaled(s, 1)  # the carry
+        exp = _expand_unit_scaled(field, tuple(s), 1, orbit_cap)
         if exp.is_finite and exp.support_depth() <= n + window:
             unchanged += 1
     return (n, label, unchanged / trials if trials else 1.0, trials)
@@ -353,8 +331,10 @@ def tail_invariance_experiment(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk per worker: each chunk unpickles the field (make_field) once
+        chunk = max(1, math.ceil(len(tasks) / jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_tail_row_star, tasks))
+            rows = list(pool.map(_tail_row_star, tasks, chunksize=chunk))
     else:
         rows = [_tail_row(*t) for t in tasks]
     return TailReport(L=window, L1=l1, L2_ceil=l2, rows=tuple(rows))

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from pisotcoding import check_weak_finitarity, make_field
+
+# the same examples on every run, and no per-example time limit
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

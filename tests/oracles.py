@@ -1,5 +1,6 @@
 """Independent reference computations used only by the tests."""
 
+import math
 from fractions import Fraction
 
 
@@ -163,3 +164,35 @@ def forced_first_row(M, C, lower_rows):
     # r1 * A = rhs  <=>  A^T r1^T = rhs^T
     shifted_t = [[C[r][c] - (M[0][0] if r == c else 0) for r in range(m)] for c in range(m)]
     return solve_linear(shifted_t, rhs)
+
+
+_BETA_BRACKETS = {}  # k -> narrowest bracket of beta bisected so far
+
+
+def exact_floor(k, nums, den):
+    """floor(sum(nums[i] * beta^i) / den) for the Pisot root beta of
+    x^m = k1 x^(m-1) + ... + km, from plain Fraction bisection on g and
+    interval evaluation; beta is the only root of g in [1, 1 + max|k_i|]."""
+    k = tuple(k)
+    if not any(nums[1:]):
+        return nums[0] // den
+    m = len(k)
+
+    def g(x):
+        return x ** m - sum(c * x ** (m - 1 - i) for i, c in enumerate(k))
+
+    # g(1) < 0 < g(1 + max|k_i|) for a Pisot polynomial
+    lo, hi = _BETA_BRACKETS.get(k, (Fraction(1), Fraction(1 + max(abs(c) for c in k))))
+    while True:
+        # lo >= 1, so each term n * x^i is monotone in x on [lo, hi]
+        vlo = sum(min(n * lo ** i, n * hi ** i) for i, n in enumerate(nums)) / den
+        vhi = sum(max(n * lo ** i, n * hi ** i) for i, n in enumerate(nums)) / den
+        if math.floor(vlo) == math.floor(vhi):
+            _BETA_BRACKETS[k] = (lo, hi)
+            return math.floor(vlo)
+        for _ in range(32):
+            mid = (lo + hi) / 2
+            if g(mid) < 0:
+                lo = mid
+            else:
+                hi = mid

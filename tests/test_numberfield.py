@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pisotcoding.numberfield as nf
-from oracles import sylvester_resultant
+from oracles import exact_floor, sylvester_resultant
 from pisotcoding import (
     EQUAL,
     GREATER,
@@ -316,3 +316,66 @@ def test_format_element(golden):
     assert format_element(golden.zero) == "0"
     assert format_element(golden.one) == "1"
     assert format_element(-golden.beta) == "-b"
+
+
+# -- the integer decider against a library-free oracle ----------------------
+
+DECIDER_KS = ((1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2))  # (2, 2): non-unit
+_DECIDER_FIELDS = {}
+
+
+def _decider_field(k):
+    if k not in _DECIDER_FIELDS:
+        _DECIDER_FIELDS[k] = make_field(k)
+    return _DECIDER_FIELDS[k]
+
+
+@st.composite
+def decider_cases(draw):
+    """(k, integer numerators, den): wide coordinates, rational values, or
+    n +- beta^-e scaled by a denominator."""
+    k = draw(st.sampled_from(DECIDER_KS))
+    m = len(k)
+    den = draw(st.integers(1, 10 ** 6))
+    kind = draw(st.sampled_from(("wide", "rational", "near")))
+    if kind == "wide":
+        coord = st.one_of(st.integers(-(2 ** 2000), 2 ** 2000), st.integers(-50, 50))
+        return k, draw(st.lists(coord, min_size=m, max_size=m)), den
+    if kind == "rational":
+        return k, [draw(st.integers(-(10 ** 9), 10 ** 9))] + [0] * (m - 1), den
+    field = _decider_field(k)
+    e = draw(st.sampled_from((30, 60, 200)))
+    sign = draw(st.sampled_from((1, -1)))
+    x = field.from_rational(draw(st.integers(-(10 ** 6), 10 ** 6))) + sign * field.pow_beta(-e)
+    nums, xden = nf._scaled(x.coords)
+    return k, [n * den for n in nums], xden * den
+
+
+@settings(max_examples=150)
+@given(decider_cases())
+def test_floor_and_compare_match_oracle(case):
+    k, nums, den = case
+    field = _decider_field(k)
+    x = field.element([Fraction(n, den) for n in nums])
+    want = exact_floor(k, nums, den)
+    assert field.floor(x) == want
+    want_sign = EQUAL if not any(nums) else GREATER if want >= 0 else LESS
+    assert field.sign(x) == want_sign
+    b = field.beta
+    assert field.compare(x + b, b) == want_sign
+    assert field.compare(b, x + b) == -want_sign
+    assert field.compare(x, field.from_rational(want)) != LESS
+    assert field.compare(x, field.from_rational(want + 1)) == LESS
+
+
+@pytest.mark.parametrize("k", DECIDER_KS)
+def test_fixed_tables_enclose_beta_powers(k):
+    field = _decider_field(k)
+    for bits in (64, 1024):
+        field._fixed_table(bits)
+    field.floor(field.pow_beta(-200))  # grows K from the operand size
+    for bits, (low, width) in sorted(field._fixed.items()):
+        lo, hi = field.beta_interval(bits + 64)
+        for i, li in enumerate(low):
+            assert li <= lo ** i * 2 ** bits
+            assert hi ** i * 2 ** bits <= li + width

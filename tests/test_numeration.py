@@ -31,7 +31,6 @@ from pisotcoding.errors import OrbitCapExceeded
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
     _expand_unit,
-    _floor_scaled,
     _in_unit_interval,
     canonical_expansion,
     word_compare,
@@ -427,7 +426,13 @@ def test_overflowing_coordinates_take_the_exact_path(golden):
     # the coordinates of beta^-1600 do not fit a float
     x = golden.pow_beta(-1600) + Fraction(1, 2)
     assert _in_unit_interval(golden, x)
-    assert _floor_scaled(golden, [int(2 * c) for c in x.coords], 2, golden._pow_f) == 0
+    assert golden._floor_scaled([int(2 * c) for c in x.coords], 2) == 0
+
+
+def test_large_negative_power_expands_exactly(golden):
+    # coordinates near F_1500, value near 2^-1041: decided by a wide table
+    exp = beta_expand(golden.pow_beta(-1500))
+    assert exp == Expansion((0,) * 1499 + (1,), ())
 
 
 def test_word_compare_basics():

@@ -192,6 +192,37 @@ def test_tail_experiment_jobs_deterministic(quartic, quartic_cert):
     assert r1.rows == r2.rows
 
 
+def test_tail_experiment_unpickles_field_once_per_worker(quartic, quartic_cert, monkeypatch, tmp_path):
+    import functools
+    import multiprocessing
+    import os
+
+    import pisotcoding.numberfield as numberfield
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched make_field only when forked")
+    log = tmp_path / "make_field_calls"
+    log.touch()
+    original = numberfield.make_field
+
+    @functools.wraps(original)  # pickles by reference to numberfield.make_field
+    def counting(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numberfield, "make_field", counting)
+    jobs = 2
+    report = tail_invariance_experiment(
+        quartic, [10, 20], 40, seed=4, certificate=quartic_cert, jobs=jobs
+    )
+    calls = log.read_text().split()
+    assert 0 < len(calls) <= jobs
+    assert str(os.getpid()) not in calls
+    serial = tail_invariance_experiment(quartic, [10, 20], 40, seed=4, certificate=quartic_cert)
+    assert report.rows == serial.rows
+
+
 class TestDerivedData:
     def test_built_once_per_field(self, monkeypatch):
         counts = {}
