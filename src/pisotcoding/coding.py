@@ -4,7 +4,9 @@ A homoclinic parameter is an exact field element xi in the dual module
 xi0 * Z[beta]; the coding sends a two-sided digit window to the torus point
 with coordinates (value * xi * beta^-i mod 1).  Finite windows are evaluated
 exactly and rounded with a certified radius; purely periodic sequences are
-truncated under a rigorous two-sided tail bound.
+truncated where a float two-sided tail bound (geometric, with a safety
+factor of 2) drops below the tolerance, and that bound is added to the
+reported radius.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     CounterexampleFound,
     NotAUnit,
@@ -22,16 +22,11 @@ from .errors import (
     ZeroHomoclinicPoint,
 )
 from .forms import char_poly_k, identity, mat, mat_add, mat_det, mat_mul, mat_pow, mat_scale
-from .numberfield import FieldElement
 from .numeration import (
     DEFAULT_ORBIT_CAP,
     DEFAULT_PERIOD_CAP,
     Expansion,
-    _embedding_rows,
-    _sphere_candidates,
-    _in_unit_interval,
-    _periodic_conjugate_radii,
-    beta_expand,
+    _periodic_points,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
@@ -151,21 +146,24 @@ def phi_eval(spec, window, tolerance=1e-9):
 
     Finite windows are exact up to the requested rounding radius.  A purely
     periodic Expansion denotes the two-sided periodic sequence; it is
-    truncated once the rigorous two-sided tail bound drops below tolerance.
+    truncated once the two-sided tail bound drops below tolerance / 2, and
+    the radius is that bound plus a rounding radius of at most tolerance / 2.
     """
     if spec.is_zero:
         raise ZeroHomoclinicPoint("coding with xi = 0 is degenerate")
     field = spec.field
+    tail = 0.0
     if isinstance(window, Expansion):
         if window.is_finite:
             window = Window(1, window.pre)
         elif window.is_purely_periodic:
-            window = _periodic_window(spec, window, tolerance / 2)
+            tolerance /= 2
+            window, tail = _periodic_window(spec, window, tolerance)
         else:
             raise ValueError("phi_eval accepts finite windows or purely periodic sequences")
     if not is_admissible(window.digits, d_sequence(field)):
         raise ValueError("window is not admissible")
-    return _phi_window(spec, window, tolerance)
+    return _phi_window(spec, window, tolerance, extra_error=tail)
 
 
 def _phi_window(spec, window, tolerance, extra_error=0.0):
@@ -189,12 +187,14 @@ def _phi_window(spec, window, tolerance, extra_error=0.0):
 
 
 def _periodic_window(spec, exp, tolerance):
+    """The truncation of a purely periodic sequence to whole periods on both
+    sides, and the bound on the image error the truncation makes."""
     field = spec.field
     p = len(exp.per)
     theta = float(field.theta)
     fb = field.floor_beta
     beta_f = field._pow_f[1]
-    # safety factor 2 on top of the rigorous geometric bounds
+    # safety factor 2 on top of the geometric tail bounds, evaluated in floats
     c_left = 2.0 * fb * spec._conj_sum * theta ** (-(field.m - 1)) / (1 - theta)
     c_right = 2.0 * fb * spec._xi_abs * theta ** (-(field.m - 1)) / (1 - 1 / beta_f)
     reps = 1
@@ -206,7 +206,7 @@ def _periodic_window(spec, exp, tolerance):
         reps += 1
     k = reps * p
     digits = tuple(exp.digit(((i - 1) % p) + 1) for i in range(1 - k, k + 1))
-    return Window(1 - k, digits)
+    return Window(1 - k, digits), bound
 
 
 def kernel_sequences(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):
@@ -217,9 +217,12 @@ def kernel_sequences(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
 
 def kernel_values(spec, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):
     """Values in [0, 1) with purely periodic expansion and xi * value in the
-    dual module: the sequences mapping exactly to 0 under this coding.
+    dual module: the sequences mapping exactly to 0 under this coding, that
+    is the purely periodic points of mu * Z[beta] with mu = xi0 / xi.
 
-    For a fundamental xi this is exactly the Z_beta value set.  The fiber of
+    For a fundamental xi this is exactly the Z_beta value set, taken from
+    enumerate_z_beta with period_cap as its cap; for any other xi the
+    enumeration has no period cap and period_cap is not read.  The fiber of
     0 is exceptional: its size is unrelated to the almost-everywhere preimage
     count (a bijective coding can still send several periodic sequences to 0).
     The set is computed once per field, xi and caps; each call returns a
@@ -227,54 +230,14 @@ def kernel_values(spec, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_C
     if spec.is_zero:
         raise ZeroHomoclinicPoint("zero parameter")
     key = ("kernel_values", spec.xi.coords, orbit_cap, period_cap)
-    return list(spec.field.derived(key, lambda: _kernel_values(spec, orbit_cap)))
+    return list(spec.field.derived(key, lambda: _kernel_values(spec, orbit_cap, period_cap)))
 
 
-def _kernel_values(spec, orbit_cap):
+def _kernel_values(spec, orbit_cap, period_cap):
     field = spec.field
-    mu = field.xi0 * field.invert(spec.xi)
-    m = field.m
-    radii = _periodic_conjugate_radii(field)
-    basis = [mu * field.pow_beta(j) for j in range(m)]
-    embeds = []
-    for b in basis:
-        vals = []
-        for z in field._float_roots:
-            acc = complex(0.0)
-            zp = complex(1.0)
-            for c in b.coords:
-                acc += float(c) * zp
-                zp *= z
-            vals.append(acc)
-        embeds.append(vals)
-    A_rows, centers, halfw = _embedding_rows(field, embeds, radii)
-    W = np.diag(1.0 / halfw)
-    A = W @ A_rows
-    c = W @ centers
-    cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6)
-    out = []
-    for y in cands:
-        alpha = field.zero
-        for basis_elem, yi in zip(basis, y):
-            if yi:
-                alpha = alpha + basis_elem * yi
-        if not _in_unit_interval(field, alpha):
-            continue
-        exp = beta_expand(alpha, orbit_cap)
-        if exp.is_purely_periodic:
-            out.append((alpha, exp))
-    out.sort(key=lambda t: field.float_value(t[0]))
-    # the set must be closed under the shift (rotating the period)
-    coords_set = {a.coords for a, _ in out}
-    for _, exp in out:
-        per = exp.per
-        for r in range(1, len(per) or 1):
-            from .numeration import expansion_value
-
-            rot = expansion_value(field, Expansion((), per[r:] + per[:r]))
-            if rot.coords not in coords_set:
-                raise AssertionError("kernel enumeration is not shift-closed")
-    return tuple(out)
+    if spec.is_fundamental:
+        return tuple(enumerate_z_beta(field, orbit_cap, period_cap))
+    return _periodic_points(field, field.xi0 * field.invert(spec.xi), orbit_cap)
 
 
 # -- injectivity experiment ------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .errors import OracleMismatch, OrbitCapExceeded, OutOfRange
+from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange
 from .numberfield import FieldElement, _common_denominator, _scaled
 
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -390,7 +391,7 @@ def enumerate_admissible_words(field, max_len, include_empty=False):
     return out
 
 
-# -- Z_beta enumeration --------------------------------------------------------
+# -- periodic points: Z_beta and the coding kernels ----------------------------
 
 
 def _periodic_conjugate_radii(field, pad=1.15):
@@ -405,46 +406,39 @@ def _periodic_conjugate_radii(field, pad=1.15):
     return radii
 
 
-def _embedding_rows(field, lattice_float_embeddings, radii):
-    """Rows of the box-normalised system for the sphere decoder.
-
-    lattice_float_embeddings[j][i] is the i-th float embedding of the j-th
-    lattice basis vector; row order matches field root order.
-    """
-    m = field.m
-    rows = []
-    centers = []
-    halfw = []
-    rows.append([lattice_float_embeddings[j][0].real for j in range(m)])
-    centers.append(0.5)
-    halfw.append(0.5 + 1e-9)
-    i = 1
-    ridx = 0
-    while i < m:
-        z = field._float_roots[i]
-        if abs(z.imag) < 1e-12:
-            rows.append([lattice_float_embeddings[j][i].real for j in range(m)])
-            centers.append(0.0)
-            halfw.append(radii[ridx])
-            i += 1
-            ridx += 1
-        else:
-            rows.append([lattice_float_embeddings[j][i].real for j in range(m)])
-            centers.append(0.0)
-            halfw.append(radii[ridx])
-            rows.append([lattice_float_embeddings[j][i].imag for j in range(m)])
-            centers.append(0.0)
-            halfw.append(radii[ridx])
-            i += 2
-            ridx += 2
-    return np.array(rows), np.array(centers), np.array(halfw)
+def _embedding_rows(field, basis, den):
+    """(A, c) for the sphere decoder: each entry of A y - c lies in [-1, 1]
+    when the lattice point sum(y_j basis_j) / den (integer numerators) has
+    its value in [0, 1) and its conjugates in the padded box.  Rows follow
+    the field roots, a complex pair giving the real and imaginary part of
+    its upper root."""
+    radii = _periodic_conjugate_radii(field)
+    rows, centers, halfw = [], [], []
+    for i, z in enumerate(field._float_roots):
+        if z.imag < 0:
+            continue  # the lower root of a complex pair
+        embeds = []
+        for b in basis:
+            acc = complex(0.0)
+            zp = complex(1.0)
+            for n in b:
+                acc += (n / den) * zp
+                zp *= z
+            embeds.append(acc)
+        for part in ("real", "imag") if z.imag else ("real",):
+            rows.append([getattr(e, part) for e in embeds])
+            centers.append(0.5 if i == 0 else 0.0)
+            halfw.append(0.5 + 1e-9 if i == 0 else radii[i - 1])
+    W = np.diag(1.0 / np.array(halfw))
+    return W @ np.array(rows), W @ np.array(centers)
 
 
 def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
-    """Integer vectors y with ||A y - c||^2 <= radius_sq, exhaustively.
+    """Integer vectors y with ||A y - c||^2 <= radius_sq, up to float error.
 
-    Plain QR-based sphere decoding with padded bounds; coord_cap clips every
-    coordinate to [-cap, cap].
+    Plain QR-based sphere decoding with padded bounds (the slacks are float,
+    not derived, so the search is exhaustive only up to them); coord_cap
+    clips every coordinate to [-cap, cap].
     """
     m = A.shape[1]
     q, r = np.linalg.qr(A)
@@ -482,28 +476,15 @@ def _in_unit_interval(field, elem):
     return field.floor(elem) == 0
 
 
-def _zbeta_box_candidates(field, coord_cap=None):
-    radii = _periodic_conjugate_radii(field)
-    m = field.m
-    embeds = []
-    for j in range(m):
-        embeds.append([z ** j for z in field._float_roots])
-    A_rows, centers, halfw = _embedding_rows(field, embeds, radii)
-    W = np.diag(1.0 / halfw)
-    A = W @ A_rows
-    c = W @ centers
-    return _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6, coord_cap=coord_cap)
-
-
 def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):
     """All alpha in Z[beta] inside [0, 1) with purely periodic expansion.
 
-    Primary enumeration scans integer coordinate vectors bounded by the
-    denominator q of xi0 (restricted to a certified box for the conjugates,
-    outside which pure periodicity is impossible), testing each candidate
-    through beta_expand.  An independent cycle-following oracle over the
-    same box cross-validates; disagreement is a hard error.  The set is
-    computed once per field and caps; each call returns a fresh list.
+    Found by _periodic_points among integer coordinate vectors bounded by
+    the denominator q of xi0, inside a float-padded box for the conjugates
+    (the box is not derived exactly).  Two independent oracles cross-check
+    every point of that box; disagreement is a hard error.  A cycle longer
+    than period_cap raises OrbitCapExceeded.  The set is computed once per
+    field and caps; each call returns a fresh list.
     """
     key = ("z_beta", orbit_cap, period_cap)
     return list(field.derived(key, lambda: _enumerate_z_beta(field, orbit_cap, period_cap)))
@@ -511,25 +492,80 @@ def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
 
 def _enumerate_z_beta(field, orbit_cap, period_cap):
     if not field.is_unit_field:
-        from .errors import NotUnit
-
         raise NotUnit("Z_beta enumeration requires a unit Pisot field")
     q = _common_denominator(field.xi0.coords)
-    candidates = _zbeta_box_candidates(field, coord_cap=q)
+    return _periodic_points(field, field.one, orbit_cap, period_cap, coord_cap=q)
 
-    primary = {}
-    in_unit = [y for y in candidates if field._floor_scaled(y, 1) == 0]
-    for y in in_unit:
-        exp = _expand_unit_scaled(field, y, 1, orbit_cap)
-        if exp.is_purely_periodic:
-            primary[y] = (field.element(y), exp)
 
-    dual = _zbeta_cycle_oracle(field, in_unit, period_cap)
-    if set(primary.keys()) != dual:
+def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
+    """(alpha, Expansion) for every alpha in mu * Z[beta] inside [0, 1) with
+    purely periodic expansion, sorted by value; 1 must lie in the lattice,
+    so that the greedy map keeps it.
+
+    A lattice point is sum(y_j * mu * beta^j), held as integer numerators
+    over one den.  Candidates lie in the padded box of the sphere decoder
+    (coord_cap clips each y_j).  Primary oracle: one memo over states, each
+    stepped once and followed past the box until its orbit closes; a point
+    is periodic iff it lies on its own cycle, whose digits give its
+    expansion.  A candidate whose orbit needs more than orbit_cap steps to
+    repeat or reach 0 raises OrbitCapExceeded.  The dual colour walk
+    (_cycle_oracle) cross-checks the box, and the set must be closed under
+    the greedy map."""
+    m = field.m
+    flat, den = _scaled([c for j in range(m) for c in (mu * field.pow_beta(j)).coords])
+    basis = [flat[j * m:(j + 1) * m] for j in range(m)]
+    A, c = _embedding_rows(field, basis, den)
+    cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6, coord_cap=coord_cap)
+    columns = list(zip(*basis))
+    states = [tuple(sum(map(mul, y, col)) for col in columns) for y in cands]
+    in_unit = [s for s in states if field._floor_scaled(s, den) == 0]
+
+    krev = _krev(field)
+    succ = {}  # state -> (digit, next state)
+    orbit = {}  # state -> (steps to its cycle, cycle length; 0 for the cycle at 0)
+    for start in in_unit:
+        path = []
+        index = {}
+        cur = start
+        while cur not in orbit:
+            if cur in index:
+                cycle = path[index[cur]:]
+                p = 0 if not any(cur) else len(cycle)
+                for st in cycle:
+                    orbit[st] = (0, p)
+                del path[index[cur]:]
+                break
+            if len(path) > orbit_cap:
+                raise OrbitCapExceeded("expansion orbit exceeded the cap")
+            index[cur] = len(path)
+            path.append(cur)
+            succ[cur] = _greedy_step(field, krev, cur, den)
+            cur = succ[cur][1]
+        k, p = orbit[cur]
+        for st in reversed(path):
+            k += 1
+            orbit[st] = (k, p)
+        # steps until the orbit of start repeats a state or reaches 0
+        if max(1, sum(orbit[start])) > orbit_cap:
+            raise OrbitCapExceeded("expansion orbit exceeded the cap")
+    members = {s for s in in_unit if orbit[s][0] == 0}
+
+    dual = _cycle_oracle(field, krev, in_unit, den, period_cap)
+    if members != dual:
         raise OracleMismatch(
-            f"Z_beta oracles disagree: primary {sorted(primary)} vs dual {sorted(dual)}"
+            f"periodic-point oracles disagree: primary {sorted(members)} vs dual {sorted(dual)}"
         )
-    out = list(primary.values())
+    if any(succ[s][1] not in members for s in members):
+        raise AssertionError("periodic points are not closed under the greedy map")
+    out = []
+    for s in in_unit:
+        if s in members:
+            digits = []
+            cur = s
+            for _ in range(orbit[s][1] or 1):
+                dig, cur = succ[cur]
+                digits.append(dig)
+            out.append((field.element([Fraction(n, den) for n in s]), canonical_expansion((), digits)))
     out.sort(key=lambda t: field.float_value(t[0]))
     # floats separate distinct candidates here by construction; confirm order exactly
     for (a, _), (b, _) in zip(out, out[1:]):
@@ -538,9 +574,9 @@ def _enumerate_z_beta(field, orbit_cap, period_cap):
     return tuple(out)
 
 
-def _zbeta_cycle_oracle(field, in_unit, period_cap):
-    """Cycle membership of the greedy map on the boxed lattice points."""
-    krev = _krev(field)
+def _cycle_oracle(field, krev, in_unit, den, period_cap):
+    """Cycle membership of the greedy map on the boxed lattice points; a
+    cycle longer than period_cap (None: no cap) raises OrbitCapExceeded."""
     nodes = set(in_unit)
     color = {}
     cyclic = set()
@@ -552,19 +588,18 @@ def _zbeta_cycle_oracle(field, in_unit, period_cap):
         index = {}
         cur = start
         while True:
-            st = color.get(cur)
-            if st == 2 or cur not in nodes:
+            if color.get(cur) == 2 or cur not in nodes:
                 break
             if cur in index:
                 cycle = path[index[cur]:]
-                if len(cycle) > period_cap:
+                if period_cap is not None and len(cycle) > period_cap:
                     raise OrbitCapExceeded("period cap exceeded in dual oracle")
                 cyclic.update(cycle)
                 break
             index[cur] = len(path)
             path.append(cur)
             color[cur] = 1
-            cur = _greedy_step(field, krev, cur, 1)[1]
+            cur = _greedy_step(field, krev, cur, den)[1]
         for node in path:
             color[node] = 2
     return cyclic

@@ -23,7 +23,7 @@ from pisotcoding import (
     xi_from_integer_coordinate,
 )
 from pisotcoding.forms import mat_det, mat_mul, mat_pow, mat_vec
-from pisotcoding.numeration import canonical_expansion
+from pisotcoding.numeration import Expansion, beta_expand, canonical_expansion
 
 
 class TestXiFromCoordinate:
@@ -116,6 +116,14 @@ class TestPhiEval:
             dist = max(min(c, 1 - c) for c in pt.coords) + pt.error_radius
             assert dist <= 1e-8
 
+    def test_periodic_radius_covers_truncation(self, golden):
+        # the two-sided sequence ...100100... maps to 1/2 in the first
+        # coordinate under xi = 3 xi0; its truncation must stay inside the radius
+        spec = HomoclinicSpec(golden, 3 * golden.xi0)
+        for tol in (1e-2, 1e-4, 1e-8):
+            pt = phi_eval(spec, Expansion.parse("|100"), tol)
+            assert abs(pt.coords[0] - 0.5) <= pt.error_radius <= tol
+
     def test_periodic_geometric_decay(self, quartic):
         # repeating a kernel period longer drives the window image to 0 at
         # the subdominant rate theta^k (theta ~ 0.9404 here, so slowly)
@@ -187,11 +195,35 @@ class TestKernels:
         zb = {a.coords for a, _ in enumerate_z_beta(quartic)}
         assert kv == zb
 
-    def test_golden_xi_one_kernel(self, golden):
-        spec = HomoclinicSpec(golden, golden.one)
-        kv = kernel_values(spec)
-        assert len(kv) == 5
-        assert all(e.is_purely_periodic for _, e in kv)
+    def test_golden_xi_one_kernel(self):
+        # kernel sizes for xi = 1, each member checked without the enumerator:
+        # purely periodic, in (xi0 / xi) Z[beta], and the set closed under the
+        # greedy map alpha -> beta alpha - floor(beta alpha)
+        sizes = {(1, 1): 5, (1, 1, 1): 46, (0, 1, 1): 23, (3, -1): 6, (2, 1): 8, (3, 4, 1): 58}
+        for k, size in sizes.items():
+            field = make_field(k)
+            spec = HomoclinicSpec(field, field.one)
+            kv = kernel_values(spec)
+            assert len(kv) == size, k
+            values = {a.coords for a, _ in kv}
+            for a, e in kv:
+                assert e.is_purely_periodic
+                assert beta_expand(a) == e
+                assert (spec.ratio * a).is_integral
+                ba = field.beta * a
+                assert (ba - field.floor(ba)).coords in values
+
+    def test_fundamental_kernel_reuses_zbeta(self, monkeypatch):
+        # every sphere decode starts with one QR factorisation
+        decodes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: decodes.append(1) or qr(a))
+        quartic = make_field((1, 0, 0, 1))  # fresh: nothing derived yet
+        enumerate_z_beta(quartic)
+        assert len(decodes) == 1
+        kv = kernel_values(HomoclinicSpec(quartic, quartic.xi0))
+        assert len(kv) == 6
+        assert len(decodes) == 1
 
     def test_returned_lists_are_fresh(self, quartic):
         spec = HomoclinicSpec(quartic, quartic.xi0)

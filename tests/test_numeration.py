@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_admissible
+from pisotcoding import numeration
 from pisotcoding import (
     Expansion,
     OutOfRange,
@@ -295,6 +296,17 @@ class TestZBeta:
                 for r in range(1, len(per)):
                     rot = canonical_expansion((), per[r:] + per[:r])
                     assert expansion_value(field, rot).coords in values
+
+    def test_quartic_steps_each_state_once(self, monkeypatch):
+        # the primary oracle shares one memo over states, so merging orbits
+        # are not stepped again (one walk per candidate took 329,850 steps)
+        steps = []
+        step = numeration._greedy_step
+        monkeypatch.setattr(
+            numeration, "_greedy_step", lambda *a: steps.append(1) or step(*a)
+        )
+        assert len(enumerate_z_beta(make_field((1, 0, 0, 1)))) == 6
+        assert len(steps) < 25000
 
     def test_values_purely_periodic(self, quartic):
         for a, exp in enumerate_z_beta(quartic):
