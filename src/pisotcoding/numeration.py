@@ -6,6 +6,9 @@ means the expansion is finite (tail of zeros).  All decisions here are
 exact: digits come from exact floors, periodicity from exact state
 repetition.  Every digit comes from one greedy step on integer numerators
 (_greedy_step), whose floor the field decides exactly (NumberField._decide).
+Every admissibility question (words, expansions, word enumeration, splice
+checks, and the automaton in shift) goes through one rule, Parry's
+single-track automaton read off the quasi-greedy d (_parry_walk).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -114,18 +118,6 @@ def canonical_expansion(pre, per):
 ZERO_EXPANSION = Expansion((), ())
 
 
-def word_compare(x, y):
-    """Lexicographic comparison of two eventually periodic digit strings."""
-    px = len(x.per) or 1
-    py = len(y.per) or 1
-    window = max(len(x.pre), len(y.pre)) + px * py // math.gcd(px, py) + 1
-    for i in range(1, window + 1):
-        dx, dy = x.digit(i), y.digit(i)
-        if dx != dy:
-            return -1 if dx < dy else 1
-    return 0
-
-
 @dataclass(frozen=True)
 class DSequence:
     """Greedy (d') and quasi-greedy (d) expansions of 1."""
@@ -157,76 +149,82 @@ def _d_sequence(field, orbit_cap):
     return DSequence(d_prime=d_prime, d=d, floor_beta=field.floor_beta)
 
 
-class AdmissibilityTracker:
-    """Incremental admissibility: tracks every suffix still matching a prefix of d.
+def _parry_walk(dseq, digits, state=0):
+    """Parry's single-track automaton on the quasi-greedy d = d_1 d_2 ...,
+    the one admissibility rule (Parry, Acta Math. Acad. Sci. Hungar. 11,
+    1960); build_automaton minimizes the same table.
 
-    This is the subset construction straight from the definition (every
-    suffix must stay lexicographically below d); it is used for word
-    enumeration and as an independent reference for the single-track
-    automaton.
+    States are 0 ... ell + p - 1 for ell = |d.pre| and p = |d.per|: state i
+    means the last i digits equal d_1 ... d_i.  Digit e in state i steps
+    strictly below d, to state 0, when e < d_(i+1); advances to i + 1 (to
+    ell after the last state) when e = d_(i+1); and is rejected above.
+    Returns the state after digits (None at a rejection) and whether some
+    step went strictly below d.  Below is the outcome of the comparison, not
+    the target: the advance out of the last state of a purely periodic d
+    also lands in state 0.
     """
-
-    def __init__(self, dseq):
-        d = dseq.d
-        self.ell = len(d.pre)
-        self.p = len(d.per) or 1
-        self.horizon = self.ell + self.p
-        self._d = [d.digit(i) for i in range(1, self.horizon + 2)]
-        self.start = frozenset()
-        self.alphabet = tuple(dseq.alphabet)
-
-    def d_at(self, j):
-        if j <= self.horizon:
-            return self._d[j - 1]
-        return self._d[self.ell + (j - self.ell - 1) % self.p]
-
-    def _canon(self, j):
-        if j <= self.horizon:
-            return j
-        return self.ell + (j - self.ell - 1) % self.p + 1
-
-    def step(self, state, e):
-        """Next state frozenset, or None when the word becomes inadmissible."""
-        new = set()
-        for j in set(state) | {0}:
-            dj = self.d_at(j + 1)
-            if e > dj:
-                return None
-            if e == dj:
-                new.add(self._canon(j + 1))
-        return frozenset(new)
-
-    def accepts(self, word):
-        st = self.start
-        for e in word:
-            st = self.step(st, e)
-            if st is None:
-                return False
-        return True
-
-
-def _tracker(field):
-    return field.derived(("tracker",), lambda: AdmissibilityTracker(d_sequence(field)))
+    d = dseq.d
+    dd, ell = d.pre + d.per, len(d.pre)
+    n = len(dd)
+    below = False
+    for e in digits:
+        c = dd[state]
+        if e < c:
+            state, below = 0, True
+        elif e > c:
+            return None, below
+        else:
+            state = state + 1 if state + 1 < n else ell
+    return state, below
 
 
 def is_admissible(word_or_expansion, dseq):
-    """Parry admissibility: every suffix strictly below d."""
-    d = dseq.d
+    """Parry admissibility: every suffix strictly below d.
+
+    A word stands for its zero-extended string; it is admissible iff
+    _parry_walk never rejects a digit, since its zero tail is never
+    rejected and steps below d within ell + p digits.  An Expansion walks
+    pre, then whole periods until the state at a period start repeats; it
+    is admissible iff no digit is rejected and the closed cycle of periods
+    steps strictly below d somewhere: a cycle of equal steps means some
+    suffix equals d.  Time O(|pre| + (ell + p) |per|), memory O(ell + p).
+    A digit outside 0 ... floor(beta) raises ValueError for both kinds.
+    """
     if isinstance(word_or_expansion, Expansion):
-        exp = word_or_expansion
-        suffixes = [Expansion(exp.pre[i:], exp.per) for i in range(len(exp.pre))]
-        if exp.per:
-            per = exp.per
-            suffixes += [Expansion((), per[i:] + per[:i]) for i in range(len(per))]
-        else:
-            suffixes += [ZERO_EXPANSION]
-        return all(word_compare(s, d) < 0 for s in suffixes)
-    word = tuple(word_or_expansion)
-    if any(e < 0 or e > dseq.floor_beta for e in word):
+        pre, per = word_or_expansion.pre, word_or_expansion.per
+    else:
+        pre, per = tuple(word_or_expansion), ()
+    if any(e < 0 or e > dseq.floor_beta for part in (pre, per) for e in part):
         raise ValueError("digit outside the alphabet")
-    return all(
-        word_compare(Expansion(word[i:], ()), d) < 0 for i in range(len(word))
-    )
+    state, _ = _parry_walk(dseq, pre)
+    if not per or state is None:
+        return state is not None
+    first_pass = {}  # state at a period start -> index of the pass from it
+    below = []  # whether each pass stepped below d
+    while state is not None and state not in first_pass:
+        first_pass[state] = len(below)
+        state, b = _parry_walk(dseq, per, state)
+        below.append(b)
+    return state is not None and any(below[first_pass[state]:])
+
+
+def _admissible_words(dseq, max_len, first=0):
+    """Admissible words of length 1 ... max_len whose first digit is at
+    least first, in (length, word) order: breadth first over the states of
+    _parry_walk, digits ascending."""
+    frontier = [((), 0)]
+    for length in range(1, max_len + 1):
+        grown = []
+        for word, state in frontier:
+            for e in dseq.alphabet[first if length == 1 else 0:]:
+                nxt, _ = _parry_walk(dseq, (e,), state)
+                if nxt is None:
+                    break  # every larger digit lies above d as well
+                w = word + (e,)
+                yield w
+                if length < max_len:
+                    grown.append((w, nxt))
+        frontier = grown
 
 
 # -- values ------------------------------------------------------------------
@@ -373,22 +371,10 @@ def add_expansions(field, a_word, b_word, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def enumerate_admissible_words(field, max_len, include_empty=False):
-    """All admissible words of length <= max_len, DFS in lexicographic order."""
-    tracker = _tracker(field)
-    out = [()] if include_empty else []
-    stack = [((), tracker.start)]
-    while stack:
-        word, st = stack.pop()
-        for e in reversed(tracker.alphabet):
-            nxt = tracker.step(st, e)
-            if nxt is None:
-                continue
-            w2 = word + (e,)
-            out.append(w2)
-            if len(w2) < max_len:
-                stack.append((w2, nxt))
-    out.sort(key=lambda w: (len(w), w))
-    return out
+    """All admissible words of length <= max_len, ordered by length, then
+    lexicographically."""
+    words = list(_admissible_words(d_sequence(field), max_len))
+    return [()] + words if include_empty else words
 
 
 # -- periodic points: Z_beta and the coding kernels ----------------------------
@@ -680,19 +666,19 @@ def _splice_blocks(field, p):
 
 def _certify_alpha(field, alpha, exp, depth, orbit_cap, tails_per_bucket=400):
     d = d_sequence(field)
-    tracker = _tracker(field)
     p0 = len(exp.per)
     p = _padded_period(field, alpha, p0, len(d.d.pre) + len(d.d.per))
     # escalate the padded period when no repair fits its value window
     while p + 1 <= depth:
-        cert = _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tracker, tails_per_bucket)
+        cert = _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tails_per_bucket)
         if cert is not None:
             return cert
         p += p0
     return None
 
 
-def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tracker, tails_per_bucket):
+def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tails_per_bucket):
+    ds = d_sequence(field)
     window_hi = field.pow_beta(-p) * (field.one - alpha)
     alpha_digits = exp.digits(p)
     blocks = _splice_blocks(field, p)
@@ -702,7 +688,8 @@ def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tracker, tails_per
         budget = depth - (j - 1)
         if budget < 1:
             continue
-        for tail in _tails(tracker, budget, cap=tails_per_bucket):
+        # admissible words with a nonzero first digit, shortest first: cap + 1 of them
+        for tail in islice(_admissible_words(ds, budget, first=1), tails_per_bucket + 1):
             f_word = (0,) * (j - 1) + tail
             f_val = value_of(field, f_word)
             if not (f_val < window_hi):
@@ -712,33 +699,10 @@ def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tracker, tails_per
             if not s_exp.is_finite:
                 continue
             splice = alpha_digits * blocks + s_exp.pre
-            if not tracker.accepts(splice):
+            if not is_admissible(splice, ds):
                 continue
             return AlphaCertificate(alpha, exp, p, f_word, s_exp)
     return None
-
-
-def _tails(tracker, max_len, cap=200000):
-    """Admissible words with a nonzero first digit, shortest first."""
-    count = 0
-    frontier = []
-    for e in tracker.alphabet[1:]:
-        st = tracker.step(tracker.start, e)
-        if st is not None:
-            frontier.append(((e,), st))
-    while frontier:
-        nxt = []
-        for word, st in frontier:
-            yield word
-            count += 1
-            if count > cap:
-                return
-            if len(word) < max_len:
-                for e in tracker.alphabet:
-                    st2 = tracker.step(st, e)
-                    if st2 is not None:
-                        nxt.append((word + (e,), st2))
-        frontier = nxt
 
 
 def check_weak_finitarity(
@@ -782,11 +746,11 @@ def check_weak_finitarity(
 def validate_weak_finitarity(field, cert, orbit_cap=DEFAULT_ORBIT_CAP):
     """Re-check every certificate record by exact arithmetic; returns problems."""
     problems = []
-    tracker = _tracker(field)
+    ds = d_sequence(field)
     for r in cert.records:
         p = r.period
         fv = value_of(field, r.f_word)
-        if not is_admissible(r.f_word, d_sequence(field)):
+        if not is_admissible(r.f_word, ds):
             problems.append((r.alpha, "f word not admissible"))
         if not (field.pow_beta(-2 * p) <= fv and fv < field.pow_beta(-p)):
             problems.append((r.alpha, "f value outside [beta^-2p, beta^-p)"))
@@ -797,7 +761,7 @@ def validate_weak_finitarity(field, cert, orbit_cap=DEFAULT_ORBIT_CAP):
         if not s_exp.is_finite or s_exp != r.sum_expansion:
             problems.append((r.alpha, "sum expansion mismatch or infinite"))
         splice = r.expansion.digits(p) * _splice_blocks(field, p) + s_exp.pre
-        if not tracker.accepts(splice):
+        if not is_admissible(splice, ds):
             problems.append((r.alpha, "splice concatenation inadmissible"))
         if not expansion_value(field, s_exp) == s:
             problems.append((r.alpha, "sum expansion value mismatch"))

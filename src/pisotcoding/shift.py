@@ -1,7 +1,8 @@
 """Sofic presentation of the beta-shift, Parry chain, and sampling.
 
-The automaton is the standard single-track construction over the
-quasi-greedy expansion of 1, minimized so state counts are canonical.
+The automaton tabulates the admissibility rule owned by numeration
+(_parry_walk, Parry's single-track automaton over the quasi-greedy
+expansion of 1) and minimizes it here, so state counts are canonical.
 The maximal-entropy measure is realized as the Markov chain with edge
 weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
 """
@@ -18,6 +19,7 @@ from .errors import ConvergenceFailure
 from .numeration import (
     DEFAULT_ORBIT_CAP,
     _expand_unit_scaled,
+    _parry_walk,
     _word_nums,
     check_weak_finitarity,
     d_sequence,
@@ -81,30 +83,16 @@ class SoficAutomaton:
 
 
 def build_automaton(dseq):
-    """Single-track admissibility automaton, minimized and canonically numbered.
-
-    State i remembers the longest suffix equal to a prefix of d.  A digit
-    below d(i+1) resets to state 0, equality advances (wrapping into the
-    period), anything larger is forbidden.
-    """
+    """Admissibility automaton, minimized and canonically numbered: the
+    table of Parry's single-track rule (numeration._parry_walk), state i
+    and digit e going to the walk's next state, None where it rejects."""
     d = dseq.d
-    ell, p = len(d.pre), len(d.per) or 1
-    n = ell + p
-    alpha = dseq.floor_beta + 1
-    trans = []
-    for i in range(n):
-        row = []
-        nxt = i + 1 if i + 1 < n else ell
-        di = d.digit(i + 1)
-        for e in range(alpha):
-            if e < di:
-                row.append(0)
-            elif e == di:
-                row.append(nxt)
-            else:
-                row.append(None)
-        trans.append(tuple(row))
-    return _minimize(SoficAutomaton(n, alpha, tuple(trans)))
+    alphabet = dseq.alphabet
+    trans = tuple(
+        tuple(_parry_walk(dseq, (e,), i)[0] for e in alphabet)
+        for i in range(len(d.pre) + len(d.per))
+    )
+    return _minimize(SoficAutomaton(len(trans), len(alphabet), trans))
 
 
 def _minimize(auto):

@@ -1,6 +1,7 @@
 """Independent reference computations used only by the tests."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -68,6 +69,92 @@ def naive_admissible(word, d_pre, d_per):
         else:
             return False  # suffix never fell strictly below
     return True
+
+
+def _digit(x, i):
+    """Digit at 1-based position i of pre per per ... (zeros after a finite pre)."""
+    if i <= len(x.pre):
+        return x.pre[i - 1]
+    if not x.per:
+        return 0
+    return x.per[(i - len(x.pre) - 1) % len(x.per)]
+
+
+def word_compare(x, y):
+    """Lexicographic comparison of two eventually periodic digit strings,
+    each given by its pre and per digit tuples."""
+    px = len(x.per) or 1
+    py = len(y.per) or 1
+    window = max(len(x.pre), len(y.pre)) + px * py // math.gcd(px, py) + 1
+    for i in range(1, window + 1):
+        dx, dy = _digit(x, i), _digit(y, i)
+        if dx != dy:
+            return -1 if dx < dy else 1
+    return 0
+
+
+_Seq = namedtuple("_Seq", "pre per")
+
+
+def suffix_scan_admissible(pre, per, d):
+    """Parry admissibility of pre per per ... straight from the definition:
+    every suffix, each rotation of the period included, compared with the
+    quasi-greedy d by word_compare; a finite word is zero-extended.  Costs
+    O(|per|^2) for the rotations."""
+    pre, per = tuple(pre), tuple(per)
+    suffixes = [_Seq(pre[i:], per) for i in range(len(pre))]
+    if per:
+        suffixes += [_Seq((), per[i:] + per[:i]) for i in range(len(per))]
+    else:
+        suffixes.append(_Seq((), ()))
+    return all(word_compare(s, d) < 0 for s in suffixes)
+
+
+class AdmissibilityTracker:
+    """Incremental admissibility: tracks every suffix still matching a prefix of d.
+
+    The subset construction straight from the definition (every suffix
+    must stay lexicographically below d), over the d-sequence's quasi-greedy
+    d and alphabet.
+    """
+
+    def __init__(self, dseq):
+        d = dseq.d
+        self.ell = len(d.pre)
+        self.p = len(d.per) or 1
+        self.horizon = self.ell + self.p
+        self._d = [_digit(d, i) for i in range(1, self.horizon + 2)]
+        self.start = frozenset()
+        self.alphabet = tuple(dseq.alphabet)
+
+    def d_at(self, j):
+        if j <= self.horizon:
+            return self._d[j - 1]
+        return self._d[self.ell + (j - self.ell - 1) % self.p]
+
+    def _canon(self, j):
+        if j <= self.horizon:
+            return j
+        return self.ell + (j - self.ell - 1) % self.p + 1
+
+    def step(self, state, e):
+        """Next state frozenset, or None when the word becomes inadmissible."""
+        new = set()
+        for j in set(state) | {0}:
+            dj = self.d_at(j + 1)
+            if e > dj:
+                return None
+            if e == dj:
+                new.add(self._canon(j + 1))
+        return frozenset(new)
+
+    def accepts(self, word):
+        st = self.start
+        for e in word:
+            st = self.step(st, e)
+            if st is None:
+                return False
+        return True
 
 
 def languages_agree(automaton, tracker, max_len=None):

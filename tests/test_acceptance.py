@@ -18,10 +18,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    AdmissibilityTracker,
     companion,
     forced_first_row,
     languages_agree,
     matmul,
+    naive_admissible,
     poly_inverse_mod,
     poly_mul_mod,
     sylvester_resultant,
@@ -58,7 +60,7 @@ from pisotcoding import (
     value_of,
 )
 from pisotcoding.forms import classify_power_conjugacy, mat, mat_det, mat_mul, mat_vec
-from pisotcoding.numeration import _tracker, canonical_expansion
+from pisotcoding.numeration import canonical_expansion
 
 
 def _report(name, ok, detail=""):
@@ -606,10 +608,11 @@ def test_c13_automaton_agreement(golden, tribonacci, quartic, phi_squared, cubic
         ds = d_sequence(field)
         auto = build_automaton(ds)
         # complete language equality, every word length at once
-        ok &= languages_agree(auto, _tracker(field)) is None
+        ok &= languages_agree(auto, AdmissibilityTracker(ds)) is None
         for n in range(1, literal_len + 1):
             for word in itertools.product(range(ds.floor_beta + 1), repeat=n):
                 ok &= auto.accepts(word) == is_admissible(word, ds)
+                ok &= auto.accepts(word) == naive_admissible(word, ds.d.pre, ds.d.per)
             if not ok:
                 break
     assert _report(

@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_admissible
+from oracles import naive_admissible, suffix_scan_admissible, word_compare
 from pisotcoding import numeration
 from pisotcoding import (
     Expansion,
@@ -34,8 +35,11 @@ from pisotcoding.numeration import (
     _expand_unit,
     _in_unit_interval,
     canonical_expansion,
-    word_compare,
 )
+
+
+# one field per k-vector across hypothesis examples
+_field = functools.cache(make_field)
 
 
 class TestExpansionType:
@@ -185,6 +189,56 @@ class TestAdmissibility:
     def test_alphabet_validation(self, golden):
         with pytest.raises(ValueError):
             is_admissible((2,), d_sequence(golden))
+
+    def test_alphabet_validation_expansion(self, golden):
+        ds = d_sequence(golden)
+        for pre, per in (((-1,), ()), ((), (0, -1)), ((2,), (0,)), ((), (1, 0, 2))):
+            with pytest.raises(ValueError):
+                is_admissible(canonical_expansion(pre, per), ds)
+            with pytest.raises(ValueError):
+                is_admissible(Expansion(pre, per), ds)
+
+    @pytest.mark.parametrize(
+        "kvec", [(1, 1), (1, 1, 1), (3, 4, 1), (1, 0, 0, 1), (3, -1), (0, 1, 1), (2, 2)]
+    )
+    @given(data=st.data())
+    def test_matches_suffix_scan(self, kvec, data):
+        # words, raw and canonical Expansions against the definitional scan;
+        # periods lean on d: its rotations, its repeats, shifted tails of it
+        ds = d_sequence(_field(kvec))
+        d = ds.d
+        digits = st.integers(0, ds.floor_beta)
+        free = st.lists(digits, max_size=6).map(tuple)
+        pre = st.one_of(
+            free,
+            st.tuples(free, st.integers(0, len(d.pre))).map(lambda t: t[0] + d.pre[t[1]:]),
+        )
+        per = st.one_of(
+            st.lists(digits, min_size=1, max_size=6).map(tuple),
+            st.integers(0, len(d.per) - 1).map(lambda i: d.per[i:] + d.per[:i]),
+            st.integers(1, 3).map(lambda r: d.per * r),
+            st.integers(1, 3).map(lambda n: (0,) * n),
+            st.tuples(st.integers(0, len(d.per) - 1), digits).map(
+                lambda t: d.per[:t[0]] + (t[1],) + d.per[t[0] + 1:]
+            ),
+        )
+        a, b = data.draw(pre), data.draw(per)
+        assert is_admissible(a + b, ds) == suffix_scan_admissible(a + b, (), d)
+        for exp in (Expansion(a, b), canonical_expansion(a, b)):
+            assert is_admissible(exp, ds) == suffix_scan_admissible(exp.pre, exp.per, d), exp
+
+    def test_long_period(self, quartic):
+        # common denominator 70: an 88,920-digit period, decided in one
+        # pass per state of the rule (the suffix scan would need p^2 digits)
+        ds = d_sequence(quartic)
+        exp = beta_expand(quartic.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0]))
+        assert (len(exp.pre), len(exp.per)) == (14, 88920)
+        assert is_admissible(exp, ds)
+        # a digit after a 1 raised to 1, above d_2 = 0 (d = (1000)^inf)
+        assert ds.d == canonical_expansion((), (1, 0, 0, 0))
+        i = exp.per.index(1)
+        per = exp.per[:i + 1] + (1,) + exp.per[i + 2:]
+        assert not is_admissible(Expansion(exp.pre, per), ds)
 
     def test_matches_naive_oracle(self, golden, quartic, phi_squared, plastic):
         rng = random.Random(9)

@@ -7,7 +7,7 @@ import pytest
 import pisotcoding.coding as coding
 import pisotcoding.numeration as numeration
 import pisotcoding.shift as shift
-from oracles import languages_agree
+from oracles import AdmissibilityTracker, languages_agree, naive_admissible
 from pisotcoding import (
     HomoclinicSpec,
     SoficAutomaton,
@@ -22,7 +22,6 @@ from pisotcoding import (
     sample,
     tail_invariance_experiment,
 )
-from pisotcoding.numeration import _tracker
 
 
 class TestAutomaton:
@@ -46,7 +45,7 @@ class TestAutomaton:
         # product-graph equivalence against the definitional subset tracker
         for field in (golden, tribonacci, quartic, phi_squared, cubic341, plastic):
             auto = build_automaton(d_sequence(field))
-            assert languages_agree(auto, _tracker(field)) is None
+            assert languages_agree(auto, AdmissibilityTracker(d_sequence(field))) is None
 
     def test_exhaustive_agreement_to_length_12(self, golden, quartic, plastic):
         import itertools
@@ -57,6 +56,7 @@ class TestAutomaton:
             for n in range(1, 13):
                 for word in itertools.product((0, 1), repeat=n):
                     assert auto.accepts(word) == is_admissible(word, ds)
+                    assert auto.accepts(word) == naive_admissible(word, ds.d.pre, ds.d.per)
 
     def test_exhaustive_agreement_wider_alphabet(self, phi_squared, cubic341):
         # 3- and 5-letter alphabets: exhaustive to shorter lengths; the
@@ -69,6 +69,7 @@ class TestAutomaton:
             for n in range(1, max_len + 1):
                 for word in itertools.product(range(ds.floor_beta + 1), repeat=n):
                     assert auto.accepts(word) == is_admissible(word, ds)
+                    assert auto.accepts(word) == naive_admissible(word, ds.d.pre, ds.d.per)
 
     def test_irreducible(self, golden, quartic, phi_squared):
         for field in (golden, quartic, phi_squared):
