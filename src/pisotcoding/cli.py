@@ -226,7 +226,8 @@ def _emit(cfg, command, result, text_lines):
 def _field_summary(field):
     return {
         "k": list(field.min_poly.k),
-        "beta": field.float_value(field.beta),
+        # the float root, which can differ from the correctly rounded beta in the last bit
+        "beta": field._float_roots[0].real,
         "degree": field.m,
         "unit": field.is_unit_field,
         "theta": str(field.theta),

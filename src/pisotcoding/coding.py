@@ -193,7 +193,7 @@ def _periodic_window(spec, exp, tolerance):
     p = len(exp.per)
     theta = float(field.theta)
     fb = field.floor_beta
-    beta_f = field._pow_f[1]
+    beta_f = field._float_roots[0].real
     # safety factor 2 on top of the geometric tail bounds, evaluated in floats
     c_left = 2.0 * fb * spec._conj_sum * theta ** (-(field.m - 1)) / (1 - theta)
     c_right = 2.0 * fb * spec._xi_abs * theta ** (-(field.m - 1)) / (1 - 1 / beta_f)
@@ -268,7 +268,7 @@ class InjectivityReport:
 
 
 def _is_rational_integer(x):
-    return x.is_rational and x.coords[0].denominator == 1
+    return x.is_rational and x.is_integral
 
 
 def _experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resolution, orbit_cap):
@@ -378,7 +378,7 @@ def injectivity_experiment(
     hits = 0
     near_misses = 0
     counterexamples = []
-    log_beta = math.log(field._pow_f[1])
+    log_beta = math.log(field._float_roots[0].real)
     for bucket, members in clusters.items():
         size = len(members)
         histogram[size] = histogram.get(size, 0) + 1

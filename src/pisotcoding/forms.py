@@ -16,6 +16,7 @@ import numpy as np
 from . import polyops
 from .errors import CharPolyMismatch, NotConjugatePair, NotUnimodular
 from .numberfield import MinimalPolynomial, make_field
+from .polyops import mat_det
 
 
 def mat(rows):
@@ -60,28 +61,6 @@ def mat_pow(a, n):
         base = mat_mul(base, base)
         n >>= 1
     return acc
-
-
-def mat_det(a):
-    """Fraction-free Bareiss determinant over the integers."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def char_poly_k(M):

@@ -1,13 +1,18 @@
 """Exact arithmetic in Q(beta) for a Pisot number beta.
 
-Elements are rational coordinate vectors over the power basis
-1, beta, ..., beta^(m-1).  Zero tests are coordinate tests.  Every sign and
-floor is decided in integers: for K bits the field keeps integers L_i with
-L_i <= 2^K beta^i <= L_i + w (i < m), rounded outward from the certified
-dominant-root interval, so a value sum(n_i beta^i) / den is enclosed by
-sum(n_i L_i) +- w * sum(|n_i|) over den * 2^K.  An answer is returned only
-when that enclosure settles it, with K grown until it does; rational values
-are decided directly, so every comparison this module reports is exact.
+An element is sum(n_i beta^i) / den over the power basis 1, beta, ...,
+beta^(m-1): integer numerators n_i over one positive denominator, in lowest
+terms.  Each ring operation works on the integers and reduces once, by one
+gcd; .coords is the rational view.  Norm and inverse come from one
+fraction-free determinant (polyops.mat_det) of the integer multiplication
+matrix, the inverse by Cramer's rule.  Zero tests are numerator tests.
+Every sign, floor and float value is decided in integers: for K bits the
+field keeps integers L_i with L_i <= 2^K beta^i <= L_i + w (i < m), rounded
+outward from the certified dominant-root interval, so the value is
+enclosed by sum(n_i L_i) +- w * sum(|n_i|) over den * 2^K.  An answer is
+returned only when that enclosure settles it, with K grown until it does;
+rational values are decided directly, so every comparison this module
+reports is exact.
 """
 
 from __future__ import annotations
@@ -101,14 +106,46 @@ class Box:
         return f"[{c[0]:.6g}{c[1]:+.6g}j +- {float(self.width()):.3g}]"
 
 
-class FieldElement:
-    """Element of Q(beta) with exact rational power-basis coordinates."""
+def _binary(op):
+    """A binary operator that coerces ints and Fractions into the field and
+    returns NotImplemented for any other operand, so Python raises its own
+    TypeError."""
 
-    __slots__ = ("field", "coords")
+    def method(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else op(self, o)
+
+    return method
+
+
+def _sum(a, b, sign):
+    """(numerators, denominator) of a + sign * b."""
+    if a.den == b.den:
+        return [x + sign * y for x, y in zip(a.nums, b.nums)], a.den
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, sign * (den // b.den)
+    return [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den
+
+
+class FieldElement:
+    """Element sum(nums[i] beta^i) / den of Q(beta): integer numerators over
+    one positive denominator in lowest terms, gcd(nums, den) = 1.  The
+    constructor takes rational coordinates; .coords gives them back as
+    Fractions."""
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, coords):
+        fracs = [Fraction(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in fracs))
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den = den
+
+    @property
+    def coords(self):
+        """Rational power-basis coordinates."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- ring structure ----------------------------------------------------
 
@@ -121,42 +158,15 @@ class FieldElement:
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, [a - b for a, b in zip(self.coords, o.coords)])
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __add__ = __radd__ = _binary(lambda a, b: a.field._from_nums(*_sum(a, b, 1)))
+    __sub__ = _binary(lambda a, b: a.field._from_nums(*_sum(a, b, -1)))
+    __rsub__ = _binary(lambda a, b: a.field._from_nums(*_sum(b, a, -1)))
+    __mul__ = __rmul__ = _binary(lambda a, b: a.field.mul(a, b))
+    __truediv__ = _binary(lambda a, b: a.field.mul(a, a.field.invert(b)))
+    __rtruediv__ = _binary(lambda a, b: a.field.mul(b, a.field.invert(a)))
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.field.mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.field.mul(self, self.field.invert(o))
-
-    def __rtruediv__(self, other):
-        return self.field.mul(self._coerce(other), self.field.invert(self))
+        return self.field._from_nums([-n for n in self.nums], self.den)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -176,53 +186,47 @@ class FieldElement:
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field.min_poly == other.field.min_poly and self.coords == other.coords
+        return (
+            self.field.min_poly == other.field.min_poly
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.coords, self.field.min_poly.k))
+        return hash((self.nums, self.den, self.field.min_poly.k))
 
     # -- order structure (exact, via the real embedding) --------------------
 
-    def __lt__(self, other):
-        return self.field.compare(self, self._coerce(other)) == LESS
-
-    def __le__(self, other):
-        return self.field.compare(self, self._coerce(other)) != GREATER
-
-    def __gt__(self, other):
-        return self.field.compare(self, self._coerce(other)) == GREATER
-
-    def __ge__(self, other):
-        return self.field.compare(self, self._coerce(other)) != LESS
+    __lt__ = _binary(lambda a, b: a.field.compare(a, b) == LESS)
+    __le__ = _binary(lambda a, b: a.field.compare(a, b) != GREATER)
+    __gt__ = _binary(lambda a, b: a.field.compare(a, b) == GREATER)
+    __ge__ = _binary(lambda a, b: a.field.compare(a, b) != LESS)
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     @property
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def __float__(self):
         return self.field.float_value(self)
 
     def __repr__(self):
-        return f"<{format_element(self)} ~ {float(self):.10g}>"
-
-
-def _common_denominator(fracs):
-    """The least common denominator of some Fractions (1 for none)."""
-    return math.lcm(*(c.denominator for c in fracs))
-
-
-def _scaled(coords):
-    """(integer numerators, common denominator) of rational coordinates."""
-    den = _common_denominator(coords)
-    return [c.numerator * (den // c.denominator) for c in coords], den
+        try:
+            body = format_element(self)
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            body = f"integers up to {max(map(abs, (*self.nums, self.den))).bit_length()} bits"
+        try:
+            approx = f" ~ {float(self):.10g}"
+        except (OverflowError, PrecisionCapExceeded):
+            approx = ""  # beyond float range, or too close to 0 to resolve
+        return f"<{body}{approx}>"
 
 
 def _floor_rule(lo, hi, scale):
@@ -234,9 +238,17 @@ def _sign_rule(lo, hi, scale):
     return GREATER if lo > 0 else LESS if hi < 0 else None
 
 
+def _float_rule(lo, hi, scale):
+    # the midpoint once the relative width is <= 2^-52; int / int rounds
+    # correctly and raises OverflowError beyond float range
+    if (hi - lo) << 52 <= min(abs(lo), abs(hi)):
+        return (lo + hi) / (2 * scale)
+    return None
+
+
 def format_element(a, var="b"):
     """Pretty form with a common denominator, e.g. (-1 + 2*b)/5."""
-    nums, den = _scaled(a.coords)
+    nums, den = a.nums, a.den
     terms = []
     for i, n in enumerate(nums):
         if n == 0:
@@ -278,16 +290,11 @@ class NumberField:
         self._pow_cache = {}
         self._fixed = {}  # K -> (L_0..L_(m-1), w), see _fixed_table
         self._derived = {}  # key -> value built once by derived()
-        m = min_poly.m
-        # reduction rows: coords of beta^(m+j) for j = 0..m-2
-        rows = []
-        cur = [Fraction(c) for c in reversed(min_poly.k)]  # beta^m
-        rows.append(tuple(cur))
-        for _ in range(m - 2):
-            cur = self._shift_reduce(cur)
-            rows.append(tuple(cur))
-        self._red_rows = rows
-        self._pow_f = [float(self._float_roots[0].real) ** i for i in range(m)]
+        self._krev = tuple(reversed(min_poly.k))  # beta^m = sum(_krev[i] beta^i)
+        # reduction rows: numerators of beta^(m+j) for j = 0..m-2
+        self._red_rows = [list(self._krev)]
+        for _ in range(min_poly.m - 2):
+            self._red_rows.append(self._shift_reduce(self._red_rows[-1]))
         self.xi0 = self.invert(self.g_prime_beta())
         D = self.norm(self.g_prime_beta())
         if D.denominator != 1:
@@ -306,8 +313,20 @@ class NumberField:
             raise ValueError(f"expected {self.m} coordinates")
         return FieldElement(self, coords)
 
+    def _from_nums(self, nums, den=1):
+        """sum(nums[i] beta^i) / den in lowest terms (integers, den != 0)."""
+        g = 1 if den == 1 else math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        out = object.__new__(FieldElement)
+        out.field = self
+        out.nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        out.den = den // g
+        return out
+
     def from_rational(self, q):
-        return FieldElement(self, [Fraction(q)] + [Fraction(0)] * (self.m - 1))
+        q = Fraction(q)
+        return self._from_nums((q.numerator,) + (0,) * (self.m - 1), q.denominator)
 
     @property
     def zero(self):
@@ -319,11 +338,11 @@ class NumberField:
 
     @property
     def beta(self):
-        return FieldElement(self, [0, 1] + [0] * (self.m - 2))
+        return self._from_nums([0, 1] + [0] * (self.m - 2))
 
     def g_prime_beta(self):
         dcoeffs = self.min_poly.g_derivative()
-        return FieldElement(self, list(dcoeffs) + [0] * (self.m - len(dcoeffs)))
+        return self._from_nums(list(dcoeffs) + [0] * (self.m - len(dcoeffs)))
 
     def pow_beta(self, n):
         """beta^n as an element, any integer n (negative uses exact inversion)."""
@@ -339,58 +358,57 @@ class NumberField:
 
     # -- exact ring operations ----------------------------------------------
 
-    def _shift_reduce(self, coords):
-        # multiply by beta, reduce beta^m via g
-        top = coords[-1]
-        out = [Fraction(0)] + list(coords[:-1])
-        if top:
-            for i, kc in enumerate(reversed(self.min_poly.k)):
-                out[i] += top * kc
+    def _shift_reduce(self, nums):
+        """Numerators of beta * x over the same denominator as x: multiply
+        by beta and reduce beta^m via g."""
+        krev, top = self._krev, nums[-1]
+        out = [top * krev[0]]
+        for i in range(1, len(nums)):
+            out.append(nums[i - 1] + top * krev[i])
         return out
 
     def mul(self, a, b):
         m = self.m
-        conv = [Fraction(0)] * (2 * m - 1)
-        for i, ai in enumerate(a.coords):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.coords):
-                if bj:
+        conv = [0] * (2 * m - 1)
+        for i, ai in enumerate(a.nums):
+            if ai:
+                for j, bj in enumerate(b.nums):
                     conv[i + j] += ai * bj
-        out = list(conv[:m])
-        for j in range(m, 2 * m - 1):
-            c = conv[j]
+        out = conv[:m]
+        for c, row in zip(conv[m:], self._red_rows):
             if c:
-                row = self._red_rows[j - m]
-                for i in range(m):
-                    out[i] += c * row[i]
-        return FieldElement(self, out)
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return self._from_nums(out, a.den * b.den)
 
     def mul_by_beta(self, a):
-        return FieldElement(self, self._shift_reduce(list(a.coords)))
+        return self._from_nums(self._shift_reduce(a.nums), a.den)
+
+    def _num_matrix(self, nums):
+        """Integer multiplication matrix of sum(nums[i] beta^i): column j
+        holds the numerators of that element times beta^j."""
+        cols = [list(nums)]
+        for _ in range(self.m - 1):
+            cols.append(self._shift_reduce(cols[-1]))
+        return list(zip(*cols))
 
     def invert(self, a):
+        """Cramer's rule on the integer multiplication matrix M of a.nums:
+        M y = e_0 gives y_i = (-1)^i det(M without row 0 and column i) /
+        det(M), and 1/a = a.den * y."""
         if a.is_zero:
             raise ZeroDivisionError("inversion of zero element")
-        inv = polyops.poly_xgcd_inverse(list(a.coords), self._g)
-        inv = list(inv) + [Fraction(0)] * (self.m - len(inv))
-        return FieldElement(self, inv)
-
-    def mult_matrix(self, a):
-        """Columns are the coordinates of a * beta^j."""
-        cols = []
-        cur = a
-        for _ in range(self.m):
-            cols.append(cur.coords)
-            cur = self.mul_by_beta(cur)
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
+        rows = self._num_matrix(a.nums)
+        minors = [polyops.mat_det([r[:i] + r[i + 1:] for r in rows[1:]]) for i in range(self.m)]
+        nums = [(-1) ** i * a.den * d for i, d in enumerate(minors)]
+        return self._from_nums(nums, polyops.mat_det(rows))
 
     def norm(self, a):
-        return _det_fraction(self.mult_matrix(a))
+        return Fraction(polyops.mat_det(self._num_matrix(a.nums)), a.den ** self.m)
 
     def trace(self, a):
-        mat = self.mult_matrix(a)
-        return sum(mat[i][i] for i in range(self.m))
+        rows = self._num_matrix(a.nums)
+        return Fraction(sum(rows[i][i] for i in range(self.m)), a.den)
 
     def is_unit(self, a):
         return a.is_integral and abs(self.norm(a)) == 1
@@ -421,20 +439,22 @@ class NumberField:
 
     def real_interval(self, a, prec):
         """Interval of width <= 2^-prec around the real embedding of a."""
-        target = Fraction(1, 2 ** prec)
+        target = Fraction(a.den, 2 ** prec)
         rp = max(prec + 8, 32)
         while True:
             lo, hi = self.beta_interval(rp)
-            vlo, vhi = _horner_interval(a.coords, lo, hi)
+            vlo, vhi = _horner_interval(a.nums, lo, hi)
             if vhi - vlo <= target:
-                return vlo, vhi
+                return vlo / a.den, vhi / a.den
             rp *= 2
             if rp > _PRECISION_CAP:
                 raise PrecisionCapExceeded("real_interval refinement cap hit")
 
     def float_value(self, a):
-        b = self._pow_f
-        return float(sum(float(c) * b[i] for i, c in enumerate(a.coords)))
+        """The real embedding of a as a float: the midpoint of the integer
+        enclosure of the module docstring once its relative width is at
+        most 2^-52.  A value beyond float range raises OverflowError."""
+        return self._decide(a.nums, a.den, _float_rule)
 
     def compare(self, a, b):
         """Exact sign of a - b in the real embedding: LESS, EQUAL or GREATER.
@@ -444,8 +464,7 @@ class NumberField:
         d = a - b
         if d.is_zero:
             return EQUAL
-        nums, _ = _scaled(d.coords)  # a positive denominator keeps the sign
-        return self._decide(nums, 1, _sign_rule)
+        return self._decide(d.nums, 1, _sign_rule)  # den > 0 keeps the sign
 
     def sign(self, a):
         return self.compare(a, self.zero)
@@ -453,9 +472,9 @@ class NumberField:
     def floor(self, a):
         """Exact floor of the real embedding, decided by the integer
         enclosure of the module docstring (rational values directly)."""
-        return self._floor_scaled(*_scaled(a.coords))
+        return self._floor_nums(a.nums, a.den)
 
-    def _floor_scaled(self, nums, den):
+    def _floor_nums(self, nums, den):
         """Exact floor of sum(nums[i] * beta^i) / den, integer nums, den > 0."""
         return self._decide(nums, den, _floor_rule)
 
@@ -530,13 +549,14 @@ class NumberField:
         prec = prec or self.precision
         if not 1 <= j <= self.m:
             raise ValueError("root index out of range")
-        target = Fraction(1, 2 ** prec)
+        target = Fraction(a.den, 2 ** prec)
         rp = max(prec + 8, 32)
         while True:
             box = self.roots(rp)[j - 1]
-            out = _horner_box(a.coords, box)
+            out = _horner_box(a.nums, box)
             if out.width() <= target:
-                return out
+                d = a.den
+                return Box(out.re_lo / d, out.re_hi / d, out.im_lo / d, out.im_hi / d)
             rp *= 2
             if rp > _PRECISION_CAP:
                 raise PrecisionCapExceeded("embed refinement cap hit")
@@ -762,7 +782,6 @@ def _weierstrass_radii(g, pts):
 def _horner_interval(coeffs, lo, hi):
     alo, ahi = Fraction(0), Fraction(0)
     for c in reversed(coeffs):
-        c = Fraction(c)
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(cands) + c, max(cands) + c
     return alo, ahi
@@ -779,7 +798,6 @@ def _horner_box(coeffs, box):
     bre = (box.re_lo, box.re_hi)
     bim = (box.im_lo, box.im_hi)
     for c in reversed(coeffs):
-        c = Fraction(c)
         t1 = _iv_mul(re, bre)
         t2 = _iv_mul(im, bim)
         t3 = _iv_mul(re, bim)
@@ -788,27 +806,3 @@ def _horner_box(coeffs, box):
         im = (t3[0] + t4[0], t3[1] + t4[1])
     return Box(re[0], re[1], im[0], im[1])
 
-
-def _det_fraction(mat):
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det

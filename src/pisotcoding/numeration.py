@@ -22,7 +22,7 @@ from operator import mul
 import numpy as np
 
 from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange
-from .numberfield import FieldElement, _common_denominator, _scaled
+from .numberfield import FieldElement
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
@@ -138,7 +138,7 @@ def d_sequence(field, orbit_cap=DEFAULT_ORBIT_CAP):
 
 def _d_sequence(field, orbit_cap):
     one = (1,) + (0,) * (field.m - 1)
-    d_prime = _expand_unit_scaled(field, one, 1, orbit_cap, "d-sequence orbit exceeded the cap")
+    d_prime = _expand_orbit(field, one, 1, orbit_cap, "d-sequence orbit exceeded the cap")
     if d_prime.is_finite:
         k = d_prime.support_depth()
         body = list(d_prime.pre[:k])
@@ -231,39 +231,33 @@ def _admissible_words(dseq, max_len, first=0):
 
 
 def value_of(field, word, offset=0):
-    """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word)."""
-    word = tuple(word)
-    if field.is_unit_field and all(isinstance(e, int) for e in word):
-        out = field.element(_word_nums(field, word))
-    else:
-        binv = field.pow_beta(-1)
-        out = field.zero
-        for e in reversed(word):
-            out = (out + e) * binv
+    """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word),
+    for integer digits: Horner from the last digit, one _div_beta each."""
+    nums, den = [0] * field.m, 1
+    for e in reversed(tuple(word)):
+        nums[0] += e * den
+        nums, den = _div_beta(field, nums, den)
+    out = field._from_nums(nums, den)
     if offset:
         out = out * field.pow_beta(offset)
     return out
 
 
-def _word_nums(field, word):
-    """Integer coordinates of value_of(field, word) for a unit field."""
-    krev = _krev(field)
-    acc = [0] * field.m
-    for e in reversed(word):
-        acc[0] += e
-        acc = _div_beta_int(krev, acc)
-    return acc
+def _div_beta(field, nums, den):
+    """(numerators, denominator) of x / beta for x = sum(nums[i] beta^i) / den.
 
-
-def _div_beta_int(krev, coords):
-    # y with y * beta = x over integer coordinates; krev[0] = k_m = +-1
-    m = len(coords)
-    y_top = coords[0] * krev[0]
-    y = [0] * m
-    y[m - 1] = y_top
-    for i in range(1, m):
-        y[i - 1] = coords[i] - y_top * krev[i]
-    return y
+    y = x / beta solves x_0 = k_m y_(m-1) and x_i = y_(i-1) + krev[i] y_(m-1)
+    (beta^m = sum(krev[i] beta^i)), so over den * |k_m| the top numerator
+    is sign(k_m) n_0 and the others n_i |k_m| - krev[i] times it.  A unit
+    field keeps den."""
+    krev = field._krev
+    km = abs(krev[0])
+    top = nums[0] if krev[0] > 0 else -nums[0]
+    out = []
+    for i in range(1, len(nums)):
+        out.append(nums[i] * km - top * krev[i])
+    out.append(top)
+    return out, den * km
 
 
 def expansion_value(field, exp):
@@ -285,28 +279,17 @@ def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
     field = x.field
     if field.sign(x) < 0 or not (x < field.one):
         raise OutOfRange("beta_expand requires 0 <= x < 1")
-    return _expand_unit(x, orbit_cap)
+    return _expand_orbit(field, x.nums, x.den, orbit_cap)
 
 
-def _expand_unit(x, orbit_cap):
-    nums, den = _scaled(x.coords)
-    return _expand_unit_scaled(x.field, tuple(nums), den, orbit_cap)
-
-
-def _krev(field):
-    """k_m, ..., k_1 as ints: beta^m = sum(krev[i] * beta^i)."""
-    return tuple(int(c) for c in reversed(field.min_poly.k))
-
-
-def _expand_unit_scaled(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
+def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
     """Greedy orbit of nums / den in [0, 1) followed for at most orbit_cap
     steps, with a fixed denominator (invariant under the greedy map)."""
-    krev = _krev(field)
     digits = []
-    seen = {nums: 0}
-    state = nums
+    state = tuple(nums)
+    seen = {state: 0}
     for n in range(1, orbit_cap + 1):
-        dig, state = _greedy_step(field, krev, state, den)
+        dig, state = _greedy_step(field, state, den)
         digits.append(dig)
         if not any(state):
             return canonical_expansion(tuple(digits), ())
@@ -317,16 +300,13 @@ def _expand_unit_scaled(field, nums, den, orbit_cap, cap_message="expansion orbi
     raise OrbitCapExceeded(cap_message)
 
 
-def _greedy_step(field, krev, state, den):
+def _greedy_step(field, state, den):
     """One step x -> beta x - floor(beta x) of the greedy map on integer
     numerators over den, the floor decided exactly by the field: the one
     step behind every expansion, the d-sequence, both Z_beta oracles and
     the carry length.  Returns (digit, next state)."""
-    top = state[-1]
-    new = [top * krev[0]]
-    for i in range(1, len(state)):
-        new.append(state[i - 1] + top * krev[i])
-    dig = field._floor_scaled(new, den)
+    new = field._shift_reduce(state)
+    dig = field._floor_nums(new, den)
     new[0] -= dig * den
     return dig, tuple(new)
 
@@ -339,21 +319,12 @@ def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
         return 0, ZERO_EXPANSION
     if field.sign(x) < 0:
         raise OutOfRange("expand_nonneg requires x >= 0")
-    if field.is_unit_field:
-        nums, den = _scaled(x.coords)
-        krev = _krev(field)
-        nu = 0
-        while field._floor_scaled(nums, den):  # x >= 0: floor 0 means x < 1
-            nums = _div_beta_int(krev, nums)
-            nu += 1
-        return nu, _expand_unit_scaled(field, tuple(nums), den, orbit_cap)
-    binv = field.pow_beta(-1)
+    nums, den = x.nums, x.den
     nu = 0
-    one = field.one
-    while not (x < one):
-        x = x * binv
+    while field._floor_nums(nums, den):  # x >= 0: floor 0 means x < 1
+        nums, den = _div_beta(field, nums, den)
         nu += 1
-    return nu, _expand_unit(x, orbit_cap)
+    return nu, _expand_orbit(field, nums, den, orbit_cap)
 
 
 def is_finite(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -367,7 +338,7 @@ def add_expansions(field, a_word, b_word, orbit_cap=DEFAULT_ORBIT_CAP):
     s = value_of(field, a_word) + value_of(field, b_word)
     carry = field.floor(s)
     frac = s - carry
-    return _expand_unit(frac, orbit_cap), carry
+    return _expand_orbit(field, frac.nums, frac.den, orbit_cap), carry
 
 
 def enumerate_admissible_words(field, max_len, include_empty=False):
@@ -378,6 +349,12 @@ def enumerate_admissible_words(field, max_len, include_empty=False):
 
 
 # -- periodic points: Z_beta and the coding kernels ----------------------------
+
+
+def _over_one_den(elements):
+    """Integer numerators of some elements over their least common denominator."""
+    den = math.lcm(*(x.den for x in elements))
+    return [[n * (den // x.den) for n in x.nums] for x in elements], den
 
 
 def _periodic_conjugate_radii(field, pad=1.15):
@@ -479,8 +456,7 @@ def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
 def _enumerate_z_beta(field, orbit_cap, period_cap):
     if not field.is_unit_field:
         raise NotUnit("Z_beta enumeration requires a unit Pisot field")
-    q = _common_denominator(field.xi0.coords)
-    return _periodic_points(field, field.one, orbit_cap, period_cap, coord_cap=q)
+    return _periodic_points(field, field.one, orbit_cap, period_cap, coord_cap=field.xi0.den)
 
 
 def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
@@ -498,15 +474,13 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
     (_cycle_oracle) cross-checks the box, and the set must be closed under
     the greedy map."""
     m = field.m
-    flat, den = _scaled([c for j in range(m) for c in (mu * field.pow_beta(j)).coords])
-    basis = [flat[j * m:(j + 1) * m] for j in range(m)]
+    basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(m)])
     A, c = _embedding_rows(field, basis, den)
     cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6, coord_cap=coord_cap)
     columns = list(zip(*basis))
     states = [tuple(sum(map(mul, y, col)) for col in columns) for y in cands]
-    in_unit = [s for s in states if field._floor_scaled(s, den) == 0]
+    in_unit = [s for s in states if field._floor_nums(s, den) == 0]
 
-    krev = _krev(field)
     succ = {}  # state -> (digit, next state)
     orbit = {}  # state -> (steps to its cycle, cycle length; 0 for the cycle at 0)
     for start in in_unit:
@@ -525,7 +499,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
                 raise OrbitCapExceeded("expansion orbit exceeded the cap")
             index[cur] = len(path)
             path.append(cur)
-            succ[cur] = _greedy_step(field, krev, cur, den)
+            succ[cur] = _greedy_step(field, cur, den)
             cur = succ[cur][1]
         k, p = orbit[cur]
         for st in reversed(path):
@@ -536,7 +510,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
             raise OrbitCapExceeded("expansion orbit exceeded the cap")
     members = {s for s in in_unit if orbit[s][0] == 0}
 
-    dual = _cycle_oracle(field, krev, in_unit, den, period_cap)
+    dual = _cycle_oracle(field, in_unit, den, period_cap)
     if members != dual:
         raise OracleMismatch(
             f"periodic-point oracles disagree: primary {sorted(members)} vs dual {sorted(dual)}"
@@ -551,7 +525,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
             for _ in range(orbit[s][1] or 1):
                 dig, cur = succ[cur]
                 digits.append(dig)
-            out.append((field.element([Fraction(n, den) for n in s]), canonical_expansion((), digits)))
+            out.append((field._from_nums(s, den), canonical_expansion((), digits)))
     out.sort(key=lambda t: field.float_value(t[0]))
     # floats separate distinct candidates here by construction; confirm order exactly
     for (a, _), (b, _) in zip(out, out[1:]):
@@ -560,7 +534,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
     return tuple(out)
 
 
-def _cycle_oracle(field, krev, in_unit, den, period_cap):
+def _cycle_oracle(field, in_unit, den, period_cap):
     """Cycle membership of the greedy map on the boxed lattice points; a
     cycle longer than period_cap (None: no cap) raises OrbitCapExceeded."""
     nodes = set(in_unit)
@@ -585,7 +559,7 @@ def _cycle_oracle(field, krev, in_unit, den, period_cap):
             index[cur] = len(path)
             path.append(cur)
             color[cur] = 1
-            cur = _greedy_step(field, krev, cur, den)[1]
+            cur = _greedy_step(field, cur, den)[1]
         for node in path:
             color[node] = 2
     return cyclic
@@ -786,9 +760,7 @@ def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
 
 def _carry_length(field, length_cap, orbit_cap):
     words = enumerate_admissible_words(field, length_cap)  # sorted by length
-    flat, den = _scaled([c for w in words for c in value_of(field, w).coords])
-    nums = [flat[i:i + field.m] for i in range(0, len(flat), field.m)]
-    krev = _krev(field)
+    nums, den = _over_one_den([value_of(field, w) for w in words])
     depth = {(0,) * field.m: 0}
 
     def digits_to_zero(state):
@@ -802,7 +774,7 @@ def _carry_length(field, length_cap, orbit_cap):
                 raise OrbitCapExceeded("carry orbit exceeded the cap")
             index[state] = len(path)
             path.append(state)
-            _, state = _greedy_step(field, krev, state, den)
+            _, state = _greedy_step(field, state, den)
         else:
             tail = depth[state]
         for k, st in enumerate(reversed(path), start=1):
@@ -813,7 +785,7 @@ def _carry_length(field, length_cap, orbit_cap):
     for i, u in enumerate(nums):
         for j in range(i, len(nums)):
             s = [a + b for a, b in zip(u, nums[j])]
-            s[0] -= field._floor_scaled(s, den) * den
+            s[0] -= field._floor_nums(s, den) * den
             n = digits_to_zero(tuple(s))
             if n is not None and n - len(words[j]) > best:
                 best = n - len(words[j])

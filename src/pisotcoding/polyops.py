@@ -1,4 +1,4 @@
-"""Polynomial utilities over exact rationals.
+"""Polynomial utilities over exact rationals, and the integer determinant.
 
 Coefficient lists are ascending: coeffs[i] is the coefficient of x^i.
 Everything here is exact; floats only appear as seeds supplied by callers.
@@ -72,18 +72,27 @@ def poly_divmod(a, b):
     return strip(q), r
 
 
-def poly_xgcd_inverse(a, g):
-    """u with u*a == 1 modulo g, for g irreducible and a nonzero mod g."""
-    r0, r1 = [Fraction(c) for c in strip(g)], [Fraction(c) for c in strip(a)]
-    s0, s1 = [], [Fraction(1)]
-    while degree(r1) > 0:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, strip(poly_sub(s0, poly_mul(q, s1)))
-    if not r1:
-        raise ZeroDivisionError("element shares a factor with the modulus")
-    c = r1[0]
-    return [s / c for s in s1]
+def mat_det(a):
+    """Fraction-free Bareiss determinant of a square integer matrix (Bareiss,
+    Math. Comp. 22, 1968): every division is exact."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def sign_at(coeffs, x):

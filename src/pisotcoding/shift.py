@@ -18,13 +18,13 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .numeration import (
     DEFAULT_ORBIT_CAP,
-    _expand_unit_scaled,
+    _expand_orbit,
     _parry_walk,
-    _word_nums,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
     estimate_L1,
+    value_of,
 )
 
 
@@ -231,7 +231,11 @@ def sample(chain, n, seed):
     The generator is Python's Mersenne Twister (random.Random) driven only
     through random(), so output is reproducible across platforms.
     """
-    rng = random.Random(seed)
+    return _sample_path(random.Random(seed), chain, n)
+
+
+def _sample_path(rng, chain, n):
+    """n digits of the chain from a stationary start, drawn from rng."""
     word = []
     state = _pick(rng, chain.stationary)
     for _ in range(n):
@@ -273,15 +277,11 @@ def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap
     acoords = [int(c) for c in alpha_coords]
     unchanged = 0
     for _ in range(trials):
-        word = []
-        state = _pick(rng, chain.stationary)
-        for _ in range(n):
-            e = _pick(rng, chain.edge_probs[state])
-            word.append(e)
-            state = chain.automaton.transitions[state][e]
-        s = [a + b for a, b in zip(_word_nums(field, word), acoords)]
-        s[0] -= field._floor_scaled(s, 1)  # the carry
-        exp = _expand_unit_scaled(field, tuple(s), 1, orbit_cap)
+        word = _sample_path(rng, chain, n)
+        # Z_beta needs a unit field, so word values are integral
+        s = [a + b for a, b in zip(value_of(field, word).nums, acoords)]
+        s[0] -= field._floor_nums(s, 1)  # the carry
+        exp = _expand_orbit(field, s, 1, orbit_cap)
         if exp.is_finite and exp.support_depth() <= n + window:
             unchanged += 1
     return (n, label, unchanged / trials if trials else 1.0, trials)

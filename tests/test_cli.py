@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,16 @@ def test_coding_n_coord(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["fundamental"] is True
     assert doc["result"]["predicted_preimage_count"] == 1
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["--json", "field", "1,1"]) == EXIT_OK
+    want = capsys.readouterr().out
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run(
+        [sys.executable, "-m", "pisotcoding", "--json", "field", "1,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert got.returncode == EXIT_OK
+    assert got.stdout == want

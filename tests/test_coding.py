@@ -166,9 +166,7 @@ class TestPhiEval:
         v2 = phi_eval(spec, w2, 1e-12)
         s = w1.value(golden) + w2.value(golden)
         fl = golden.floor(s)
-        from pisotcoding.numeration import _expand_unit
-
-        exp = _expand_unit(s - fl, 10 ** 5)
+        exp = beta_expand(s - fl, 10 ** 5)
         digits = (fl,) + exp.digits(40)
         ws = Window(0, digits)
         vs = phi_eval(spec, ws, 1e-10)

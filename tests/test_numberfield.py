@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pisotcoding.numberfield as nf
-from oracles import exact_floor, sylvester_resultant
+from oracles import _det, exact_floor, poly_inverse_mod, poly_mul_mod, sylvester_resultant
 from pisotcoding import (
     EQUAL,
     GREATER,
@@ -347,7 +348,7 @@ def decider_cases(draw):
     e = draw(st.sampled_from((30, 60, 200)))
     sign = draw(st.sampled_from((1, -1)))
     x = field.from_rational(draw(st.integers(-(10 ** 6), 10 ** 6))) + sign * field.pow_beta(-e)
-    nums, xden = nf._scaled(x.coords)
+    nums, xden = x.nums, x.den
     return k, [n * den for n in nums], xden * den
 
 
@@ -379,3 +380,80 @@ def test_fixed_tables_enclose_beta_powers(k):
         for i, li in enumerate(low):
             assert li <= lo ** i * 2 ** bits
             assert hi ** i * 2 ** bits <= li + width
+
+
+# -- ring operations against library-free oracles ---------------------------
+
+RING_KS = ((1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2), (1,) * 8)  # (2, 2): non-unit
+
+
+@st.composite
+def ring_cases(draw):
+    """(k, a, b) with a, b given as (integer numerators, den)."""
+    k = draw(st.sampled_from(RING_KS))
+    coord = st.one_of(st.integers(-(2 ** 200), 2 ** 200), st.integers(-3, 3))
+    nums = st.lists(coord, min_size=len(k), max_size=len(k))
+    elem = st.tuples(nums, st.integers(1, 10 ** 6))
+    return k, draw(elem), draw(elem)
+
+
+def _lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=100)
+@given(ring_cases())
+def test_ring_matches_oracle(case):
+    k, (an, ad), (bn, bd) = case
+    field = _decider_field(k)
+    g = field.min_poly.g_coeffs()
+    a = field.element([Fraction(n, ad) for n in an])
+    b = field.element([Fraction(n, bd) for n in bn])
+    assert a.coords == tuple(Fraction(n, ad) for n in an)
+    assert field.element(a.coords) == a
+    prod = a * b
+    assert prod.coords == poly_mul_mod(a.coords, b.coords, g)
+    results = [a, b, prod, a + b, a - b, -a, field.mul_by_beta(a)]
+    cols = [poly_mul_mod(a.coords, [0] * j + [1], g) for j in range(field.m)]
+    assert field.norm(a) == _det([[col[i] for col in cols] for i in range(field.m)])
+    if not a.is_zero:
+        inv = field.invert(a)
+        assert inv.coords == poly_inverse_mod(a.coords, g)
+        results += [inv, b / a]
+    assert all(_lowest_terms(x) for x in results)
+
+
+@pytest.mark.parametrize("e", (20, 40, 2000))
+def test_float_value_of_small_powers(golden, e):
+    # summing float(c) * beta^i cancels: beta^-40 came out 0.0 and
+    # beta^-2000 raised OverflowError
+    x = golden.pow_beta(-e)
+    lo, hi = golden.real_interval(x, e + 64)
+    mid = float((lo + hi) / 2)
+    assert abs(float(x) - mid) <= math.ulp(mid)
+    assert "~" in repr(x)
+    if e == 40:
+        assert float(x) == pytest.approx(4.370130339181067e-09, rel=1e-15)
+
+
+def test_float_value_beyond_float_range(golden):
+    x = golden.pow_beta(1600)  # about 2^1111
+    with pytest.raises(OverflowError):
+        float(x)
+    assert repr(x).startswith("<") and "~" not in repr(x)
+    for huge in (10 ** 5000, Fraction(1, 10 ** 5000)):  # too many digits for str()
+        assert repr(golden.from_rational(huge)).startswith("<integers up to 16610 bits")
+
+
+def test_non_number_operands_raise_type_error(golden):
+    x = golden.beta
+    for op in (
+        operator.add, operator.sub, operator.mul, operator.truediv,
+        operator.lt, operator.le, operator.gt, operator.ge,
+    ):
+        for left, right in ((x, "a"), ("a", x)):
+            with pytest.raises(TypeError) as err:
+                op(left, right)
+            assert "NotImplementedType" not in str(err.value)
+    assert x.__rtruediv__("a") is NotImplemented
+    assert x.__lt__("a") is NotImplemented

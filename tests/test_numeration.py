@@ -32,7 +32,6 @@ from pisotcoding import (
 from pisotcoding.errors import OrbitCapExceeded
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
-    _expand_unit,
     _in_unit_interval,
     canonical_expansion,
 )
@@ -472,7 +471,7 @@ def _all_pairs_carry_length(field, length_cap):
         vu = value_of(field, u)
         for v in words[i:]:
             s = vu + value_of(field, v)
-            exp = _expand_unit(s - field.floor(s), 10 ** 6)
+            exp = beta_expand(s - field.floor(s), 10 ** 6)
             if exp.is_finite:
                 best = max(best, exp.support_depth() - max(len(u), len(v)))
     return best
@@ -492,7 +491,7 @@ def test_overflowing_coordinates_take_the_exact_path(golden):
     # the coordinates of beta^-1600 do not fit a float
     x = golden.pow_beta(-1600) + Fraction(1, 2)
     assert _in_unit_interval(golden, x)
-    assert golden._floor_scaled([int(2 * c) for c in x.coords], 2) == 0
+    assert golden._floor_nums([int(2 * c) for c in x.coords], 2) == 0
 
 
 def test_large_negative_power_expands_exactly(golden):

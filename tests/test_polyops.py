@@ -10,12 +10,9 @@ from pisotcoding.errors import SchurCohnDegenerate
 
 def test_divmod_and_xgcd_inverse():
     g = [-1, -1, 1]  # x^2 - x - 1
-    a = [0, 1]  # x
-    inv = polyops.poly_xgcd_inverse(a, g)
-    # x * inv = 1 mod g
-    prod = polyops.poly_mul(a, inv)
-    _, r = polyops.poly_divmod(prod, g)
-    assert r == [Fraction(1)]
+    # x * (x - 1) = g + 1: x - 1 inverts x modulo g (inversion: test_ring_matches_oracle)
+    q, r = polyops.poly_divmod(polyops.poly_mul([0, 1], [-1, 1]), g)
+    assert q == [Fraction(1)] and r == [Fraction(1)]
 
 
 def test_sturm_counts_golden():
