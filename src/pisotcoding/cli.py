@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import coding as coding_mod
@@ -29,7 +29,9 @@ from .errors import (
     NotUnimodular,
     NotUnit,
     OracleMismatch,
+    OrbitCapExceeded,
     OutOfRange,
+    PrecisionCapExceeded,
     Reducible,
     ZeroHomoclinicPoint,
 )
@@ -51,6 +53,8 @@ _MATH_ERRORS = (
     OutOfRange,
     ZeroHomoclinicPoint,
     OracleMismatch,
+    OrbitCapExceeded,
+    PrecisionCapExceeded,
     ZeroDivisionError,
 )
 
@@ -442,7 +446,10 @@ def _build_parser():
     p.add_argument("--precision", type=int, default=None)
     p.add_argument("--orbit-cap", type=int, default=None)
     p.add_argument("--wf-depth", type=int, default=None)
-    p.add_argument("--height", type=int, default=None, help="default unimodular search height")
+    p.add_argument(
+        "--height", dest="unimodular_height", metavar="HEIGHT", type=int, default=None,
+        help="default unimodular search height",
+    )
     p.add_argument("--period-cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", type=str, default=None, help="key=value config file")
@@ -509,30 +516,12 @@ def _build_parser():
 def _make_config(args):
     file_values = _load_config_file(args.config) if args.config else {}
     cfg = Config()
-    casts = {
-        "precision": int,
-        "orbit_cap": int,
-        "wf_depth": int,
-        "unimodular_height": int,
-        "period_cap": int,
-        "seed": int,
-        "output": str,
-    }
-    for key, cast in casts.items():
-        if key in file_values:
-            setattr(cfg, key, cast(file_values[key]))
-    if args.precision is not None:
-        cfg.precision = args.precision
-    if args.orbit_cap is not None:
-        cfg.orbit_cap = args.orbit_cap
-    if args.wf_depth is not None:
-        cfg.wf_depth = args.wf_depth
-    if args.height is not None:
-        cfg.unimodular_height = args.height
-    if args.period_cap is not None:
-        cfg.period_cap = args.period_cap
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for f in fields(Config):
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = file_values.get(f.name)
+        if value is not None:
+            setattr(cfg, f.name, type(f.default)(value))
     if os.environ.get(SEED_ENV):
         cfg.seed = int(os.environ[SEED_ENV])
     if args.json:

@@ -34,7 +34,7 @@ from .numeration import (
     is_admissible,
     value_of,
 )
-from .shift import _parry_chain, sample
+from .shift import _map_jobs, _parry_chain, sample
 
 
 @dataclass(frozen=True)
@@ -352,25 +352,18 @@ def injectivity_experiment(
                 diffs.append((d, field.float_value(d)))
     tol = resolution / 4
     kernel_coords = [a.coords for a, _ in nonzero_kernel]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [(i * trials) // jobs for i in range(jobs + 1)]
-        tasks = [
-            (spec, range(bounds[i], bounds[i + 1]), seed, n_digits, tol, resolution, orbit_cap, kernel_coords)
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        entries = []
-        sample_points = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk_entries, chunk_pts in pool.map(_experiment_chunk, tasks):
-                entries.extend(chunk_entries)
-                sample_points.extend(chunk_pts)
-    else:
-        entries, sample_points = _experiment_chunk(
-            (spec, range(trials), seed, n_digits, tol, resolution, orbit_cap, kernel_coords)
-        )
+    parts = max(jobs, 1)
+    bounds = [(i * trials) // parts for i in range(parts + 1)]
+    tasks = [
+        (spec, range(bounds[i], bounds[i + 1]), seed, n_digits, tol, resolution, orbit_cap, kernel_coords)
+        for i in range(parts)
+        if bounds[i] < bounds[i + 1]
+    ]
+    entries = []
+    sample_points = []
+    for chunk_entries, chunk_pts in _map_jobs(_experiment_chunk, tasks, jobs):
+        entries.extend(chunk_entries)
+        sample_points.extend(chunk_pts)
     clusters = {}
     for bucket, vt, vu in entries:
         clusters.setdefault(bucket, []).append((vt, vu))

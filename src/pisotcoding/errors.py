@@ -26,7 +26,7 @@ class NotUnit(PisotCodingError):
 
 
 class PrecisionCapExceeded(PisotCodingError):
-    """Interval refinement hit the safety cap; indicates a bug, not a data condition."""
+    """Refinement hit the precision cap: the input needs more bits than the cap allows."""
 
 
 class OrbitCapExceeded(PisotCodingError):

@@ -2,20 +2,26 @@
 
 Matrices are tuples of tuples of Python ints, so all determinants and
 products are arbitrary precision.  The associated form of M is
-f_M(n) = det B_M(n), reported exactly with no sign normalization.
+f_M(n) = det B_M(n), reported exactly with no sign normalization.  B_M(n)
+is linear in n: one Faddeev-LeVerrier pass per matrix gives the integer
+matrices U_l = B_M(e_l) with B_M(n) = sum_l n_l U_l, and from them
+
+- the expansion (m <= 4) is the exact Leibniz expansion of det(sum n_l U_l);
+- the covariance check compares both sides exactly on a unisolvent point
+  set, for every m;
+- the unimodular search holds one slab of the box at a time, so its memory
+  grows with (2h+1)^(m-1) at height h.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import polyops
 from .errors import CharPolyMismatch, NotConjugatePair, NotUnimodular
-from .numberfield import MinimalPolynomial, make_field
+from .numberfield import make_field
 from .polyops import mat_det
 
 
@@ -63,43 +69,27 @@ def mat_pow(a, n):
     return acc
 
 
-def char_poly_k(M):
-    """k-vector of det(xI - M) = x^m - k1 x^(m-1) - ... - km, by exact
-    cofactor expansion with memoized minors (fine for m <= 8)."""
-    M = mat(M)
+def _leverrier(M):
+    """k-vector of det(xI - M) = x^m - k1 x^(m-1) - ... - km and the matrices
+    P_j = M^(j+1) - k1 M^j - ... - kj M, j = 0..m-1, by the Faddeev-LeVerrier
+    recursion on integers: P_j = M (P_(j-1) - kj I) and k_(j+1) = tr(P_j)/(j+1),
+    every division exact (Newton's identities)."""
     m = len(M)
-    entries = [
-        [([-M[i][j], 1] if i == j else [-M[i][j]]) for j in range(m)] for i in range(m)
-    ]
+    k, products = [], []
+    N = identity(m)
+    for j in range(1, m + 1):
+        P = mat_mul(M, N)
+        k.append(sum(P[i][i] for i in range(m)) // j)
+        products.append(P)
+        N = mat_add(P, mat_scale(identity(m), -k[-1]))
+    if any(any(row) for row in N):
+        raise AssertionError("Cayley-Hamilton check failed")
+    return tuple(k), products
 
-    memo = {}
 
-    def minor(rows, cols):
-        if not rows:
-            return [1]
-        key = (rows, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        i = rows[0]
-        rest = rows[1:]
-        acc = []
-        for pos, j in enumerate(cols):
-            e = entries[i][j]
-            if e == [0]:
-                continue
-            sub = minor(rest, cols[:pos] + cols[pos + 1:])
-            term = polyops.poly_mul(e, sub)
-            if pos % 2:
-                term = [-t for t in term]
-            acc = polyops.poly_sub(acc, [-t for t in term])
-        memo[key] = acc
-        return acc
-
-    cp = minor(tuple(range(m)), tuple(range(m)))
-    cp = [int(c) for c in cp] + [0] * (m + 1 - len(cp))
-    # cp ascending with leading 1; k_i = -cp[m-i]
-    return tuple(-cp[m - i] for i in range(1, m + 1))
+def char_poly_k(M):
+    """k-vector of det(xI - M) = x^m - k1 x^(m-1) - ... - km, exact."""
+    return _leverrier(mat(M))[0]
 
 
 def companion_matrix(field_or_k):
@@ -111,30 +101,29 @@ def companion_matrix(field_or_k):
     return tuple(rows)
 
 
-def _k_for(M, field=None):
-    k = char_poly_k(M)
+def _units(M, field=None):
+    """k and the unit matrices U_l = B_M(e_l), so that B_M(n) = sum_l n_l U_l:
+    column j of B_M(n) is P_j n, hence U_l[i][j] = P_j[i][l]."""
+    k, products = _leverrier(M)
     if field is not None and tuple(field.min_poly.k) != k:
         raise CharPolyMismatch(f"char poly k={k} does not match the field {field.min_poly.k}")
-    return k
+    m = len(M)
+    return k, [tuple(tuple(products[j][i][l] for j in range(m)) for i in range(m)) for l in range(m)]
+
+
+def _combine(units, n):
+    """sum_l n_l U_l."""
+    m = len(units)
+    return tuple(tuple(sum(x * u[i][j] for x, u in zip(n, units)) for j in range(m)) for i in range(m))
 
 
 def b_matrix(M, n, field=None):
     """Columns M n, (M^2 - k1 M) n, ..., k_m n of the semiconjugation family."""
     M = mat(M)
-    k = _k_for(M, field)
-    m = len(M)
     n = tuple(int(x) for x in n)
-    if len(n) != m:
+    if len(n) != len(M):
         raise ValueError("vector length mismatch")
-    cols = [mat_vec(M, n)]
-    for j in range(1, m):
-        nxt = mat_vec(M, cols[-1])
-        nxt = tuple(x - k[j - 1] * c1 for x, c1 in zip(nxt, cols[0]))
-        cols.append(nxt)
-    expected_last = tuple(k[m - 1] * x for x in n)
-    if cols[-1] != expected_last:
-        raise AssertionError("Cayley-Hamilton check failed in b_matrix")
-    return tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
+    return _combine(_units(M, field)[1], n)
 
 
 def form_eval(M, n, field=None):
@@ -142,71 +131,32 @@ def form_eval(M, n, field=None):
     return mat_det(b_matrix(M, n, field))
 
 
-def _monomials(m):
-    out = [e for e in itertools.product(range(m + 1), repeat=m) if sum(e) == m]
-    out.sort(reverse=True)
-    return out
-
-
-def _solve_coefficients(points_values, monos, m):
-    # incremental exact Gaussian elimination over the evaluation rows
-    ncols = len(monos)
-    rows = []
-    rhs = []
-    pivots = {}
-    for pt, val in points_values:
-        row = [Fraction(1)] * ncols
-        for ci, e in enumerate(monos):
-            acc = Fraction(1)
-            for x, p in zip(pt, e):
-                acc *= Fraction(x) ** p
-            row[ci] = acc
-        b = Fraction(val)
-        for col, (prow, pb) in pivots.items():
-            f = row[col]
-            if f:
-                row = [x - f * y for x, y in zip(row, prow)]
-                b -= f * pb
-        lead = next((i for i, x in enumerate(row) if x != 0), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        row = [x * inv for x in row]
-        b *= inv
-        pivots[lead] = (row, b)
-        if len(pivots) == ncols:
-            break
-    if len(pivots) != ncols:
-        raise AssertionError("interpolation system is rank deficient")
-    coeffs = [Fraction(0)] * ncols
-    for col in sorted(pivots, reverse=True):
-        row, b = pivots[col]
-        s = b - sum(row[j] * coeffs[j] for j in range(col + 1, ncols))
-        coeffs[col] = s
-    return coeffs
+def _leibniz(units):
+    """Monomial coefficients of det(sum_l n_l U_l) by the Leibniz formula, each
+    entry a linear form in n; exponent tuples in descending order, zeros dropped."""
+    m = len(units)
+    total = {}
+    for perm in itertools.permutations(range(m)):
+        terms = {(0,) * m: (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))}
+        for i, j in enumerate(perm):
+            nxt = {}
+            for e, c in terms.items():
+                for l, u in enumerate(units):
+                    if u[i][j]:
+                        e2 = e[:l] + (e[l] + 1,) + e[l + 1:]
+                        nxt[e2] = nxt.get(e2, 0) + c * u[i][j]
+            terms = nxt
+        for e, c in terms.items():
+            total[e] = total.get(e, 0) + c
+    return [(e, c) for e, c in sorted(total.items(), reverse=True) if c]
 
 
 def form_expand(M, field=None):
-    """Monomial expansion of f_M for m <= 4: list of (exponent tuple, int coeff)."""
+    """Exact monomial expansion of f_M for m <= 4: list of (exponent tuple, int coeff)."""
     M = mat(M)
-    m = len(M)
-    if m > 4:
+    if len(M) > 4:
         raise ValueError("symbolic expansion supported for m <= 4 only")
-    k = _k_for(M, field)
-    monos = _monomials(m)
-
-    def values():
-        for pt in itertools.product(range(m + 1), repeat=m):
-            yield pt, form_eval(M, pt)
-
-    coeffs = _solve_coefficients(values(), monos, m)
-    out = []
-    for e, c in zip(monos, coeffs):
-        if c.denominator != 1:
-            raise AssertionError("form coefficients must be integers")
-        if c != 0:
-            out.append((e, int(c)))
-    return out
+    return _leibniz(_units(M, field)[1])
 
 
 def evaluate_expansion(expansion, v):
@@ -223,63 +173,55 @@ def search_unimodular(M, height, field=None, first_only=False):
     """All n with max-norm <= height and |f_M(n)| = 1, in lexicographic order.
 
     Exhaustive enumeration of the box; complexity (2*height+1)^m.  For
-    m <= 4 a vectorized path evaluates the expanded form when the values
-    provably fit in int64.
-    """
+    m <= 4, when the values provably fit in int64, numpy evaluates the
+    expansion on one slab of fixed first coordinate at a time, so memory
+    grows with (2*height+1)^(m-1); otherwise each point's det(sum n_l U_l)
+    is computed exactly."""
     M = mat(M)
     m = len(M)
-    _k_for(M, field)
+    _, units = _units(M, field)
     if m <= 4:
-        expansion = form_expand(M, field)
-        count = (2 * height + 1) ** m
-        maxval = sum(abs(c) * (height ** m if height else 1) for _, c in expansion)
-        if count > 200000 and maxval < 2 ** 62 and not first_only:
-            return _search_vectorized(expansion, m, height)
-        out = []
-        for n in itertools.product(range(-height, height + 1), repeat=m):
-            if not any(n):
-                continue
-            if abs(evaluate_expansion(expansion, n)) == 1:
-                out.append((n, evaluate_expansion(expansion, n)))
-                if first_only:
-                    return out
-        return out
+        expansion = _leibniz(units)
+        if sum(abs(c) for _, c in expansion) * max(height, 1) ** m < 2 ** 62:
+            return _search_slabs(expansion, m, height, first_only)
     out = []
     for n in itertools.product(range(-height, height + 1), repeat=m):
-        if not any(n):
-            continue
-        val = form_eval(M, n)
+        val = mat_det(_combine(units, n))
         if abs(val) == 1:
             out.append((n, val))
             if first_only:
-                return out
+                break
     return out
 
 
-def _search_vectorized(expansion, m, height):
-    rng = np.arange(-height, height + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * m), indexing="ij")
-    total = np.zeros(grids[0].shape, dtype=np.int64)
-    for e, c in expansion:
-        term = np.full(grids[0].shape, int(c), dtype=np.int64)
-        for g, p in zip(grids, e):
-            for _ in range(p):
-                term = term * g
-        total += term
-    hits = np.argwhere(np.abs(total) == 1)
+def _search_slabs(expansion, m, height, first_only):
+    side = np.arange(-height, height + 1, dtype=np.int64)
+    # powers[a][p] is side ** p laid along axis a of a slab of the last m - 1 coordinates
+    powers = [
+        [(side ** p).reshape([-1 if b == a else 1 for b in range(m - 1)]) for p in range(m + 1)]
+        for a in range(m - 1)
+    ]
     out = []
-    for idx in hits:
-        n = tuple(int(rng[i]) for i in idx)
-        if any(n):
-            out.append((n, int(total[tuple(idx)])))
-    out.sort()
+    for x in range(-height, height + 1):
+        total = np.zeros((2 * height + 1,) * (m - 1), dtype=np.int64)
+        for e, c in expansion:
+            term = c * x ** e[0]
+            if term:
+                for a, p in enumerate(e[1:]):
+                    if p:
+                        term = term * powers[a][p]
+                total += term
+        for idx in np.argwhere(np.abs(total) == 1):
+            out.append(((x, *(int(side[i]) for i in idx)), int(total[tuple(idx)])))
+        if first_only and out:
+            return out[:1]
     return out
 
 
 def conjugacy_certificate(M, n, field=None):
     """B = B_M(n) with B M_beta = M B and |det B| = 1; NotUnimodular otherwise."""
     M = mat(M)
-    k = _k_for(M, field)
+    k, _ = _units(M, field)
     B = b_matrix(M, n, field)
     det = mat_det(B)
     if abs(det) != 1:
@@ -336,7 +278,7 @@ def classify_power_conjugacy(M, n, base_height=20, field=None):
     value 1.  The base status comes from a bounded unimodular search, so a
     negative base answer is qualified by the height."""
     M = mat(M)
-    k = _k_for(M, field)
+    k, _ = _units(M, field)
     fld = field or make_field(k)
     nn = nn_sequence(fld, n)[n - 1]
     base = search_unimodular(M, base_height, first_only=True)
@@ -353,32 +295,30 @@ def classify_power_conjugacy(M, n, base_height=20, field=None):
     return PowerConjugacyResult("conjugate", nn, base[0][0], base_height, "base conjugate and unit power factor")
 
 
+def _simplex_points(m):
+    """The C(2m-1, m) points v >= 0 with sum(v) = m, by stars and bars."""
+    for bars in itertools.combinations(range(2 * m - 1), m - 1):
+        edges = (-1, *bars, 2 * m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
 def conjugation_covariance_check(M1, M2, A, seed=0):
-    """Verify f_M2(A v) = det(A) * f_M1(v), given A M1 = M2 A unimodular."""
+    """Verify f_M2(A v) = det(A) * f_M1(v), given A M1 = M2 A unimodular.
+
+    Exact for every m: both sides are forms of degree m, and the points
+    v >= 0 with sum(v) = m are unisolvent for such forms (Chung-Yao, SIAM
+    J. Numer. Anal. 14, 1977), so agreeing there is agreeing everywhere.
+    `seed` is unused."""
     M1, M2, A = mat(M1), mat(M2), mat(A)
-    if mat_mul(A, M1) != mat_mul(M2, A) or abs(mat_det(A)) != 1:
-        raise NotConjugatePair("A does not unimodularly intertwine M1 and M2")
-    m = len(M1)
     det_a = mat_det(A)
-    if m <= 4:
-        monos = _monomials(m)
-
-        def lhs_values():
-            for pt in itertools.product(range(m + 1), repeat=m):
-                yield pt, form_eval(M2, mat_vec(A, pt))
-
-        lhs = _solve_coefficients(lhs_values(), monos, m)
-        rhs = dict(form_expand(M1))
-        for e, c in zip(monos, lhs):
-            if c != det_a * rhs.get(e, 0):
-                return False
-        return True
-    import random
-
-    rng = random.Random(seed)
-    vecs = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
-    vecs += [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(40)]
-    return all(form_eval(M2, mat_vec(A, v)) == det_a * form_eval(M1, v) for v in vecs)
+    if mat_mul(A, M1) != mat_mul(M2, A) or abs(det_a) != 1:
+        raise NotConjugatePair("A does not unimodularly intertwine M1 and M2")
+    _, units1 = _units(M1)
+    _, units2 = _units(M2)
+    return all(
+        mat_det(_combine(units2, mat_vec(A, v))) == det_a * mat_det(_combine(units1, v))
+        for v in _simplex_points(len(M1))
+    )
 
 
 @dataclass(frozen=True)
@@ -405,7 +345,7 @@ class FormReport:
 
 def build_form_report(M, search_height, field=None, max_solutions=64):
     M = mat(M)
-    k = _k_for(M, field)
+    k, _ = _units(M, field)
     fld = field or make_field(k)  # validates Pisot irreducible input
     m = len(M)
     expansion = tuple(form_expand(M)) if m <= 4 else ()

@@ -316,17 +316,22 @@ def tail_invariance_experiment(
         for n in n_list
         for ai, (alpha, aexp) in enumerate(zb)
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one chunk per worker: each chunk unpickles the field (make_field) once
-        chunk = max(1, math.ceil(len(tasks) / jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_tail_row_star, tasks, chunksize=chunk))
-    else:
-        rows = [_tail_row(*t) for t in tasks]
+    rows = _map_jobs(_tail_row_star, tasks, jobs)
     return TailReport(L=window, L1=l1, L2_ceil=l2, rows=tuple(rows))
 
 
 def _tail_row_star(args):
     return _tail_row(*args)
+
+
+def _map_jobs(fn, tasks, jobs):
+    """[fn(t) for t in tasks], in jobs worker processes when jobs > 1.
+
+    One chunk per worker, so each worker unpickles the field (make_field)
+    once."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, math.ceil(len(tasks) / jobs))))

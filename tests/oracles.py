@@ -1,5 +1,7 @@
 """Independent reference computations used only by the tests."""
 
+import functools
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -283,3 +285,97 @@ def exact_floor(k, nums, den):
                 lo = mid
             else:
                 hi = mid
+
+
+# -- associated forms: the cofactor / interpolation route ----------------------
+
+
+def cofactor_char_poly_k(M):
+    """k-vector of det(xI - M) = x^m - k1 x^(m-1) - ... - km, by cofactor
+    expansion along the first row with memoized polynomial minors."""
+    m = len(M)
+
+    def entry(i, j):  # ascending coefficients of (xI - M)[i][j]
+        return [-M[i][j], 1] if i == j else [-M[i][j]]
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    memo = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return [1]
+        if (rows, cols) not in memo:
+            acc = [0] * (len(rows) + 1)
+            for pos, j in enumerate(cols):
+                term = poly_mul(entry(rows[0], j), minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                for d, c in enumerate(term):
+                    acc[d] += -c if pos % 2 else c
+            memo[rows, cols] = acc
+        return memo[rows, cols]
+
+    cp = minor(tuple(range(m)), tuple(range(m)))
+    return tuple(-cp[m - i] for i in range(1, m + 1))
+
+
+def interpolated_form_expansion(M):
+    """Monomial expansion of det B_M(n) as [(exponents, coeff)] in descending
+    exponent order: the form's values at grid points, each from a
+    Horner-built B_M(n) and a Fraction determinant, interpolated exactly."""
+    m = len(M)
+    k = cofactor_char_poly_k(M)
+    monos, points, weights = _grid_interpolation(m)
+
+    def value(n):
+        cols = [[sum(M[i][t] * n[t] for t in range(m)) for i in range(m)]]
+        for j in range(1, m):
+            cols.append([sum(M[i][t] * cols[-1][t] for t in range(m)) - k[j - 1] * cols[0][i] for i in range(m)])
+        return _det([[Fraction(cols[j][i]) for j in range(m)] for i in range(m)])
+
+    values = [value(pt) for pt in points]
+    coeffs = [sum(w * v for w, v in zip(row, values)) for row in weights]
+    assert all(c.denominator == 1 for c in coeffs)
+    return [(e, int(c)) for e, c in zip(monos, coeffs) if c]
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_interpolation(m):
+    """Interpolation of degree-m forms on the grid {0..m}^m, solved once per m.
+
+    Walks the grid in product order, keeps each point whose monomial row is
+    independent of those kept (incremental exact elimination), and returns
+    the monomials, the kept points and the matrix W with coefficients =
+    W * (values at the kept points)."""
+    monos = sorted((e for e in itertools.product(range(m + 1), repeat=m) if sum(e) == m), reverse=True)
+    size = len(monos)
+    points = []
+    pivots = {}  # leading column -> (normalized row, rhs as weights on the kept points)
+    for pt in itertools.product(range(m + 1), repeat=m):
+        row = [Fraction(math.prod(x ** p for x, p in zip(pt, e))) for e in monos]
+        rhs = [Fraction(int(i == len(points))) for i in range(size)]
+        for col, (prow, prhs) in pivots.items():
+            f = row[col]
+            if f:
+                row = [x - f * y for x, y in zip(row, prow)]
+                rhs = [x - f * y for x, y in zip(rhs, prhs)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        points.append(pt)
+        pivots[lead] = ([x / row[lead] for x in row], [x / row[lead] for x in rhs])
+        if len(points) == size:
+            break
+    assert len(points) == size, "the grid is unisolvent"
+    weights = [None] * size
+    for col in sorted(pivots, reverse=True):
+        row, rhs = pivots[col]
+        for j in range(col + 1, size):
+            if row[j]:
+                rhs = [x - row[j] * y for x, y in zip(rhs, weights[j])]
+        weights[col] = rhs
+    return monos, tuple(points), weights

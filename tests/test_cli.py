@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -123,6 +125,26 @@ class TestExitCodes:
     def test_bad_element_is_usage(self, capsys):
         assert main(["expand", "1,1", "nonsense^^"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--orbit-cap", "3", "expand", "1,1", "1/7"],
+            ["--period-cap", "1", "zbeta", "1,0,0,1"],
+            ["--orbit-cap", "2", "wf-check", "1,0,0,1"],
+            ["--orbit-cap", "2", "dseq", "1,1,1"],
+        ],
+    )
+    def test_exceeded_orbit_cap_is_math_rejection(self, argv, capsys):
+        assert main(argv) == EXIT_MATH
+        assert capsys.readouterr().err.startswith("rejected: ")
+
+    def test_exceeded_precision_cap_is_math_rejection(self, monkeypatch, capsys):
+        from pisotcoding import numberfield
+
+        monkeypatch.setattr(numberfield, "_PRECISION_CAP", 64)
+        assert main(["expand", "1,1", "b^-200"]) == EXIT_MATH
+        assert capsys.readouterr().err.startswith("rejected: ")
+
 
 class TestConfig:
     def test_json_reports_identical(self, capsys):
@@ -139,6 +161,16 @@ class TestConfig:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["seed"] == 77
         assert doc["config"]["precision"] == 96
+
+    def test_flag_overrides_config_file(self, tmp_path, capsys):
+        cfile = tmp_path / "conf"
+        cfile.write_text("seed=77\nunimodular_height=3\nwf_depth=12\n")
+        argv = ["--json", "--config", str(cfile), "--seed", "5", "--height", "4", "form", "1,1/1,0"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["config"]["seed"], doc["config"]["unimodular_height"]) == (5, 4)
+        assert doc["config"]["wf_depth"] == 12
+        assert doc["result"]["search_height"] == 4
 
     def test_env_seed_override(self, monkeypatch, capsys):
         monkeypatch.setenv("PISOTCODING_SEED", "1234")
@@ -199,3 +231,14 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert got.returncode == EXIT_OK
     assert got.stdout == want
+
+
+def test_readme_tour_runs(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"## CLI quick tour\n.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("pisotcoding ")]
+    assert len(lines) >= 10
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK, line

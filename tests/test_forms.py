@@ -23,6 +23,8 @@ from pisotcoding import (
 )
 from pisotcoding.forms import evaluate_expansion, mat, mat_det, mat_mul, mat_vec
 
+from oracles import cofactor_char_poly_k, interpolated_form_expansion
+
 M5 = mat([[1, 1, 0], [2, 3, 1], [1, 1, 1]])  # char poly x^3 = 5x^2 - 4x + 1
 
 # the printed source value for B_M5(1,0,0), a recorded erratum: it fails
@@ -60,6 +62,18 @@ class TestCompanion:
 class TestCharPoly:
     def test_m5(self):
         assert char_poly_k(M5) == (5, -4, 1)
+
+    def test_matches_cofactor_and_interpolation_references(self):
+        rng = random.Random(9)
+        expanded = 0
+        for i in range(320):
+            m = 1 + i % 8
+            M = tuple(tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(m))
+            assert char_poly_k(M) == cofactor_char_poly_k(M), M
+            if 2 <= m <= 4:
+                assert form_expand(M) == interpolated_form_expansion(M), M
+                expanded += 1
+        assert expanded == 120
 
     def test_companion_roundtrip(self, golden, tribonacci, quartic):
         for f in (golden, tribonacci, quartic):
@@ -156,10 +170,56 @@ class TestSearch:
         assert search_unimodular(M, 40) == []
 
     def test_vectorized_matches_exact(self):
+        # f(x, y) = y^2 + xy - x^2 = (y + phi x)(y - x/phi): where |f| = 1 one
+        # factor has size at most 1, so every solution lies within 1 of the
+        # line y = -phi x or y = x/phi.  The brute force runs form_eval on
+        # every point of the box within 2 of them; elsewhere |f| > 1.
         M = companion_matrix((1, 1))
-        small = search_unimodular(M, 11)  # exact loop
-        big = search_unimodular(M, 260)  # vectorized path
-        assert [s for s in big if max(map(abs, s[0])) <= 11] == small
+        assert form_expand(M) == [((2, 0), -1), ((1, 1), 1), ((0, 2), 1)]
+        h = 260
+        phi = (1 + 5 ** 0.5) / 2
+        near = {
+            (x, round(y) + d)
+            for x in range(-h, h + 1)
+            for y in (-phi * x, x / phi)
+            for d in range(-2, 3)
+            if abs(round(y) + d) <= h
+        }
+        brute = sorted((n, form_eval(M, n)) for n in near if abs(form_eval(M, n)) == 1)
+        assert search_unimodular(M, h) == brute  # numpy path
+        assert len(brute) > 40
+
+    def test_coefficients_beyond_int64_take_the_exact_path(self):
+        M = companion_matrix((2 ** 64, 1))  # f = -x^2 + 2^64 xy + y^2
+        box = itertools.product(range(-2, 3), repeat=2)
+        brute = [(n, form_eval(M, n)) for n in box if abs(form_eval(M, n)) == 1]
+        assert brute == [((-1, 0), -1), ((0, -1), 1), ((0, 1), 1), ((1, 0), -1)]
+        assert search_unimodular(M, 2) == brute
+
+    def test_vectorized_memory_grows_with_one_slab(self):
+        import tracemalloc
+
+        M = companion_matrix((1, 0, 0, 1))
+        tracemalloc.start()
+        try:
+            sols = search_unimodular(M, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert sols[:1] == search_unimodular(M, 20, first_only=True)
+
+    def test_exact_path_builds_char_poly_once(self, monkeypatch):
+        # the m > 4 path evaluates det(sum n_l U_l), not the char poly per point
+        from pisotcoding import forms
+
+        calls = []
+        leverrier = forms._leverrier
+        monkeypatch.setattr(forms, "_leverrier", lambda M: calls.append(1) or leverrier(M))
+        M = companion_matrix((1,) * 8)
+        sols = search_unimodular(M, 1)
+        assert len(calls) <= 2
+        assert sols and all(abs(form_eval(M, n)) == 1 == abs(v) for n, v in sols[:5])
 
     def test_first_only_prefix(self):
         full = search_unimodular(M5, 2)
@@ -279,6 +339,16 @@ class TestCovariance:
         A = ((1, 1), (0, 1))
         # M2 = A M1 A^-1 stays integral since det A = 1
         Ainv = ((1, -1), (0, 1))
+        M2 = mat_mul(mat_mul(A, M1), Ainv)
+        assert conjugation_covariance_check(M1, M2, A)
+
+    @pytest.mark.parametrize("k", [(1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 1), (1,) * 8])
+    def test_shear_conjugated_companions(self, k):
+        # exact on the C(2m-1, m) points v >= 0 with sum m, for every m
+        M1 = companion_matrix(k)
+        m = len(k)
+        A = tuple(tuple(int(i == j) + 2 * (i == 0 and j == m - 1) for j in range(m)) for i in range(m))
+        Ainv = tuple(tuple(int(i == j) - 2 * (i == 0 and j == m - 1) for j in range(m)) for i in range(m))
         M2 = mat_mul(mat_mul(A, M1), Ainv)
         assert conjugation_covariance_check(M1, M2, A)
 
