@@ -3,9 +3,10 @@
 An element is sum(n_i beta^i) / den over the power basis 1, beta, ...,
 beta^(m-1): integer numerators n_i over one positive denominator, in lowest
 terms.  Each ring operation works on the integers and reduces once, by one
-gcd; .coords is the rational view.  Norm and inverse come from one
-fraction-free determinant (polyops.mat_det) of the integer multiplication
-matrix, the inverse by Cramer's rule.  Zero tests are numerator tests.
+gcd; .coords is the rational view.  The norm is the fraction-free
+determinant (polyops.mat_det) of the integer multiplication matrix; the
+inverse is Cramer's rule on the cofactors of its first row, whose Laplace
+sum is that determinant.  Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
 field keeps integers L_i with L_i <= 2^K beta^i <= L_i + w (i < m), rounded
 outward from the certified dominant-root interval, so the value is
@@ -345,10 +346,19 @@ class NumberField:
         return self._from_nums(list(dcoeffs) + [0] * (self.m - len(dcoeffs)))
 
     def pow_beta(self, n):
-        """beta^n as an element, any integer n (negative uses exact inversion)."""
+        """beta^n as an element, any integer n: beta^(n // 2) squared, times
+        beta for odd n, with every power on the way cached, so powers that
+        halve to a common one (beta^(64 * 2^j), say) share their squarings.
+        beta^-1 is the one inversion."""
         got = self._pow_cache.get(n)
         if got is None:
-            got = self.beta ** n
+            if n in (-1, 0, 1):
+                got = self.invert(self.beta) if n < 0 else self.beta if n else self.one
+            else:
+                half = self.pow_beta(n // 2)
+                got = half * half
+                if n & 1:
+                    got = self.mul_by_beta(got)
             self._pow_cache[n] = got
         return got
 
@@ -368,18 +378,23 @@ class NumberField:
         return out
 
     def mul(self, a, b):
+        return self._from_nums(self._mul_nums(a.nums, b.nums), a.den * b.den)
+
+    def _mul_nums(self, a, b):
+        """Numerators of the product of sum(a_i beta^i) and sum(b_i beta^i):
+        the convolution, with beta^(m+j) reduced by the rows of g."""
         m = self.m
         conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a.nums):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b.nums):
+                for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
         out = conv[:m]
         for c, row in zip(conv[m:], self._red_rows):
             if c:
                 for i, r in enumerate(row):
                     out[i] += c * r
-        return self._from_nums(out, a.den * b.den)
+        return out
 
     def mul_by_beta(self, a):
         return self._from_nums(self._shift_reduce(a.nums), a.den)
@@ -395,13 +410,16 @@ class NumberField:
     def invert(self, a):
         """Cramer's rule on the integer multiplication matrix M of a.nums:
         M y = e_0 gives y_i = (-1)^i det(M without row 0 and column i) /
-        det(M), and 1/a = a.den * y."""
+        det(M), and 1/a = a.den * y.  det(M) is the Laplace expansion of
+        those m minors along row 0, so the cost is m Bareiss determinants of
+        size m - 1 (polyops.mat_det) and one gcd."""
         if a.is_zero:
             raise ZeroDivisionError("inversion of zero element")
         rows = self._num_matrix(a.nums)
-        minors = [polyops.mat_det([r[:i] + r[i + 1:] for r in rows[1:]]) for i in range(self.m)]
-        nums = [(-1) ** i * a.den * d for i, d in enumerate(minors)]
-        return self._from_nums(nums, polyops.mat_det(rows))
+        cof = [(-1) ** i * polyops.mat_det([r[:i] + r[i + 1:] for r in rows[1:]])
+               for i in range(self.m)]
+        det = sum(map(mul, rows[0], cof))
+        return self._from_nums([a.den * c for c in cof], det)
 
     def norm(self, a):
         return Fraction(polyops.mat_det(self._num_matrix(a.nums)), a.den ** self.m)

@@ -231,16 +231,50 @@ def _admissible_words(dseq, max_len, first=0):
 
 
 def value_of(field, word, offset=0):
-    """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word),
-    for integer digits: Horner from the last digit, one _div_beta each."""
-    nums, den = [0] * field.m, 1
-    for e in reversed(tuple(word)):
-        nums[0] += e * den
-        nums, den = _div_beta(field, nums, den)
-    out = field._from_nums(nums, den)
-    if offset:
-        out = out * field.pow_beta(offset)
-    return out
+    """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word), for
+    integer digits: the integer numerators of the word read as a number in
+    base beta (_word_nums, binary splitting), times beta^(offset - len(word)).
+    O(M(n) log n) for n digits, M the cost of one n-bit multiplication."""
+    word = tuple(word)
+    if not word:
+        return field.zero
+    out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_powers(field)))
+    shift = offset - len(word)
+    return out * field.pow_beta(shift) if shift else out
+
+
+_LEAF = 64  # digits summed directly from the table of beta^0 .. beta^(_LEAF-1)
+
+
+def _leaf_powers(field):
+    """Numerators of beta^0, ..., beta^(_LEAF - 1), built once per field."""
+
+    def build():
+        rows = [[1] + [0] * (field.m - 1)]
+        for _ in range(_LEAF - 1):
+            rows.append(field._shift_reduce(rows[-1]))
+        return tuple(map(tuple, rows))
+
+    return field.derived(("beta_powers", _LEAF), build)
+
+
+def _word_nums(field, word, lo, hi, pows):
+    """Integer numerators of sum(word[i] * beta^(hi - 1 - i)) over lo <= i < hi,
+    by binary splitting: nums(uv) = nums(u) * beta^|v| + nums(v), where v
+    is the largest power-of-two number of _LEAF-digit blocks shorter than
+    uv, so every beta^|v| is some beta^(_LEAF * 2^j), shared by all words
+    through the field's power cache.  A leaf of at most _LEAF digits sums
+    the rows of pows (_leaf_powers) at its nonzero digits."""
+    if hi - lo <= _LEAF:
+        acc = [0] * field.m
+        for i in range(lo, hi):
+            d = word[i]
+            if d:
+                acc = [a + d * r for a, r in zip(acc, pows[hi - 1 - i])]
+        return acc
+    mid = hi - (_LEAF << ((-((lo - hi) // _LEAF) - 1).bit_length() - 1))
+    left = field._mul_nums(_word_nums(field, word, lo, mid, pows), field.pow_beta(hi - mid).nums)
+    return [a + b for a, b in zip(left, _word_nums(field, word, mid, hi, pows))]
 
 
 def _div_beta(field, nums, den):
@@ -261,14 +295,25 @@ def _div_beta(field, nums, den):
 
 
 def expansion_value(field, exp):
-    """Exact value of an eventually periodic expansion."""
-    v = value_of(field, exp.pre)
-    if exp.per:
-        p = len(exp.per)
-        perv = value_of(field, exp.per)
-        geom = field.invert(field.one - field.pow_beta(-p))
-        v = v + field.pow_beta(-len(exp.pre)) * perv * geom
-    return v
+    """Exact value of an eventually periodic expansion: with P = nums(pre)
+    and Q = nums(per) from _word_nums and p = len(per),
+
+        value = beta^-|pre| * (P + Q / (beta^p - 1))
+              = (P * (beta^p - 1) + Q) / ((beta^p - 1) * beta^|pre|),
+
+    one inversion in all.  O(M(n) log n) for n = len(pre) + len(per)."""
+    pre, per = exp.pre, exp.per
+    if not per:
+        return value_of(field, pre)
+    pows = _leaf_powers(field)
+    den = list(field.pow_beta(len(per)).nums)
+    den[0] -= 1
+    num = _word_nums(field, per, 0, len(per), pows)
+    if pre:
+        shifted = field._mul_nums(_word_nums(field, pre, 0, len(pre), pows), den)
+        num = [a + b for a, b in zip(shifted, num)]
+        den = field._mul_nums(den, field.pow_beta(len(pre)).nums)
+    return field._from_nums(num) * field.invert(field._from_nums(den))
 
 
 # -- greedy expansion ---------------------------------------------------------
@@ -600,7 +645,7 @@ class AlphaCertificate:
 class WeakFinitaryCertificate:
     records: tuple
     eta: Fraction  # rational lower bound for the uniform repair ratio
-    L2: Fraction  # rational upper bound on log(1/eta)/log(beta)
+    L2: Fraction  # multiple of 1/4096, beta^L2 >= 1/eta checked (_grid_log_bound)
     status: str  # 'proven' | 'unknown'
     unresolved: tuple
 
@@ -709,12 +754,55 @@ def check_weak_finitarity(
     lo, _ = field.real_interval(eta_elem, 64)
     eta = max(lo, Fraction(1, 2 ** 64))
     blo, _ = field.beta_interval(64)
-    l2 = math.log(1 / float(eta)) / math.log(float(blo)) + 1e-6
-    L2 = Fraction(math.ceil(l2 * 4096), 4096)
+    l2 = math.log(1 / float(eta)) / math.log(float(blo)) + 1e-6  # the guess
+    L2 = _grid_log_bound(blo, eta, math.ceil(l2 * _L2_GRID))
     status = "proven" if not unresolved else "unknown"
     return WeakFinitaryCertificate(
         records=tuple(records), eta=eta, L2=L2, status=status, unresolved=tuple(unresolved)
     )
+
+
+_L2_GRID = 4096  # L2 is a multiple of 1 / _L2_GRID
+_POW_BITS = 128  # mantissa bits of the directed-rounding powers
+
+
+def _grid_log_bound(blo, eta, a):
+    """Fraction(a', _L2_GRID) for the least a' >= a with blo^a' >= (1/eta)^_L2_GRID,
+    an upper bound on log(1/eta)/log(beta) for any beta >= blo > 1.  Both
+    powers are fixed-point (_pow_bound), blo^a' rounded down and
+    (1/eta)^_L2_GRID up, so a rounding error can only step a' up."""
+    rhs_man, rhs_exp = _pow_bound(1 / eta, _L2_GRID, up=True)
+    while True:
+        man, exp = _pow_bound(blo, a, up=False)
+        shift = exp - rhs_exp
+        if (man << shift >= rhs_man) if shift >= 0 else (man >= rhs_man << -shift):
+            return Fraction(a, _L2_GRID)
+        a += 1
+
+
+def _pow_bound(q, n, up):
+    """(man, exp) with man * 2^exp <= q^n (>= when up) for a positive
+    Fraction q and n >= 0: square-and-multiply on mantissas cut to _POW_BITS
+    bits, every cut rounding the same way, O(log n) multiplications."""
+
+    def cut(man, exp):
+        s = man.bit_length() - _POW_BITS
+        if s <= 0:
+            return man, exp
+        return (-(-man >> s) if up else man >> s), exp + s
+
+    num, den = q.numerator, q.denominator
+    k = _POW_BITS + den.bit_length() - num.bit_length()  # q * 2^k >= 2^(_POW_BITS - 1)
+    num, den = (num << k, den) if k >= 0 else (num, den << -k)
+    base = cut(-(-num // den) if up else num // den, -k)
+    acc = (1, 0)
+    while n:
+        if n & 1:
+            acc = cut(acc[0] * base[0], acc[1] + base[1])
+        n >>= 1
+        if n:
+            base = cut(base[0] * base[0], 2 * base[1])
+    return acc
 
 
 def validate_weak_finitarity(field, cert, orbit_cap=DEFAULT_ORBIT_CAP):

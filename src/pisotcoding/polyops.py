@@ -7,7 +7,7 @@ Everything here is exact; floats only appear as seeds supplied by callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import SchurCohnDegenerate
 
@@ -207,20 +207,27 @@ def _sign_homogeneous(ints, c, d):
 def count_roots_in_disk(coeffs, radius):
     """Exact number of complex roots with |z| < radius (rational radius).
 
+    The Schur-Cohn recursion on integers: for radius a/b, b^n g(a z / b) has
+    the integer coefficients c_i a^i b^(n-i) (the c_i cleared of
+    denominators), and each Schur transform is divided by the gcd of its
+    coefficients.  Positive scalings move no root and keep the sign of
+    a0^2 - an^2, so the count is that of the rational recursion, at O(n^2)
+    integer operations on coefficients that the gcds keep short.
+
     Raises SchurCohnDegenerate on singular cases (some root modulus equal to
     the radius, or a vanishing transform); callers retry with a nudged radius.
     """
     radius = Fraction(radius)
     c = [Fraction(x) for x in strip(coeffs)]
-    scaled = []
-    p = Fraction(1)
-    for x in c:
-        scaled.append(x * p)
-        p *= radius
-    return _count_unit_disk(scaled)
+    den = lcm(*(x.denominator for x in c))
+    a, b, n = radius.numerator, radius.denominator, len(c) - 1
+    return _count_unit_disk(
+        [x.numerator * (den // x.denominator) * a ** i * b ** (n - i) for i, x in enumerate(c)]
+    )
 
 
 def _count_unit_disk(c):
+    """Roots of the integer polynomial c inside the unit circle."""
     c = strip(c)
     n = len(c) - 1
     if n <= 0:
@@ -240,7 +247,8 @@ def _count_unit_disk(c):
     q = strip([a0 * c[i] - an * c[n - i] for i in range(n + 1)])
     if not q:
         raise SchurCohnDegenerate("schur transform vanished")
-    inner = _count_unit_disk(q)
+    g = gcd(*q)
+    inner = _count_unit_disk([x // g for x in q])
     return inside + (inner if delta > 0 else n - inner)
 
 

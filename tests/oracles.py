@@ -379,3 +379,60 @@ def _grid_interpolation(m):
                 rhs = [x - row[j] * y for x, y in zip(rhs, weights[j])]
         weights[col] = rhs
     return monos, tuple(points), weights
+
+
+def horner_value(k, word, offset=0):
+    """Power-basis coordinates of sum(word[i-1] * beta^(offset - i)) over
+    i = 1..len(word), beta^m = k_1 beta^(m-1) + ... + k_m: Horner from the
+    last digit with one division by beta per digit, then |offset|
+    multiplications or divisions by beta, all on Fractions."""
+    krev = tuple(reversed(k))  # beta^m = sum(krev[i] beta^i)
+    m = len(k)
+
+    def times_beta(x):
+        return [x[-1] * krev[0]] + [x[i - 1] + x[-1] * krev[i] for i in range(1, m)]
+
+    def over_beta(x):
+        top = x[0] / krev[0]  # x = beta y: x_0 = krev[0] y_(m-1)
+        return [x[i] - krev[i] * top for i in range(1, m)] + [top]
+
+    x = [Fraction(0)] * m
+    for e in reversed(tuple(word)):
+        x[0] += e
+        x = over_beta(x)
+    for _ in range(max(offset, 0)):
+        x = times_beta(x)
+    for _ in range(max(-offset, 0)):
+        x = over_beta(x)
+    return tuple(x)
+
+
+def fraction_roots_in_disk(coeffs, radius):
+    """Roots of the polynomial (ascending coefficients) with |z| < radius, by
+    the Schur-Cohn recursion on Fractions of g(radius * z); None where the
+    recursion is singular (a root of modulus radius, or a vanishing
+    transform)."""
+    r = Fraction(radius)
+    return _fraction_unit_disk([Fraction(x) * r ** i for i, x in enumerate(coeffs)])
+
+
+def _fraction_unit_disk(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    inside = 0
+    while c and c[0] == 0:
+        inside += 1
+        c = c[1:]
+    n = len(c) - 1
+    if n <= 0:
+        return inside
+    a0, an = c[0], c[-1]
+    delta = a0 * a0 - an * an
+    q = [a0 * c[i] - an * c[n - i] for i in range(n + 1)]
+    if delta == 0 or not any(q):
+        return None
+    inner = _fraction_unit_disk(q)
+    if inner is None:
+        return None
+    return inside + (inner if delta > 0 else n - inner)

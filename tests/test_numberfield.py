@@ -141,6 +141,18 @@ class TestRingOps:
         with pytest.raises(ZeroDivisionError):
             golden.invert(golden.zero)
 
+    @pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2), (5, 3)])
+    def test_invert_large_coordinates(self, k):
+        # about 10^3-bit numerators and denominators; non-unit fields included
+        field = make_field(k)
+        rng = random.Random(f"invert/{k}")
+        for _ in range(6):
+            a = field._from_nums(
+                [rng.randrange(-(2 ** 1000), 2 ** 1000) for _ in range(field.m)],
+                rng.randrange(1, 2 ** 1000),
+            )
+            assert field.invert(a) * a == field.one
+
     def test_pow_negative(self, golden):
         b = golden.beta
         assert b ** -1 == b - 1

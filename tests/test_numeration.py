@@ -1,14 +1,15 @@
 import functools
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_admissible, suffix_scan_admissible, word_compare
+from oracles import horner_value, naive_admissible, suffix_scan_admissible, word_compare
 from pisotcoding import numeration
 from pisotcoding import (
     Expansion,
@@ -30,6 +31,7 @@ from pisotcoding import (
     value_of,
 )
 from pisotcoding.errors import OrbitCapExceeded
+from pisotcoding.numberfield import NumberField
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
     _in_unit_interval,
@@ -279,6 +281,98 @@ class TestValues:
     def test_offset(self, golden):
         assert value_of(golden, (1,), offset=1) == golden.one
         assert value_of(golden, (1, 0, 1), offset=2) == golden.beta + golden.pow_beta(-1)
+
+
+# unit fields of degree 2-4, a large-coefficient cubic and two non-unit fields
+VALUE_FIELDS = [(1, 1), (1, 1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("kvec", VALUE_FIELDS)
+class TestSplitValues:
+    """value_of and expansion_value (binary splitting over 64-digit blocks)
+    against the per-digit Horner reference."""
+
+    def test_value_of_matches_horner(self, kvec):
+        field = _field(kvec)
+        rng = random.Random(f"value_of/{kvec}")
+        edges = {0, 1, 63, 64, 65, 127, 128, 129, 192, 300}
+        for n in range(301):
+            word = tuple(rng.randint(-2, 4) for _ in range(n))
+            for offset in range(-5, 6) if n in edges else (n % 11 - 5,):
+                assert value_of(field, word, offset).coords == horner_value(kvec, word, offset), (
+                    n,
+                    offset,
+                )
+
+    def test_expansion_value_matches_horner(self, kvec):
+        # value = beta^-|pre| (P + Q / (beta^p - 1)), P and Q the words read in base beta
+        field = _field(kvec)
+        rng = random.Random(f"expansion_value/{kvec}")
+        shapes = [(0, 0), (7, 0), (130, 0), (0, 1), (0, 64), (0, 200), (3, 65), (70, 129), (64, 300)]
+        for lp, lq in shapes:
+            pre = tuple(rng.randint(0, 3) for _ in range(lp))
+            per = tuple(rng.randint(0, 3) for _ in range(lq))
+            v = expansion_value(field, Expansion(pre, per))
+            if not per:
+                assert v.coords == horner_value(kvec, pre), (lp, lq)
+                continue
+            P = field.element(horner_value(kvec, pre, lp))
+            Q = field.element(horner_value(kvec, per, lq))
+            assert (v * field.pow_beta(lp) - P) * (field.pow_beta(lq) - 1) == Q, (lp, lq)
+
+
+def test_long_period_value_splits_without_digit_steps(monkeypatch):
+    # the quartic's 88,920-digit period (common denominator 70): the per-digit
+    # Horner value made 88,958 divisions by beta here
+    field = make_field((1, 0, 0, 1))  # fresh: its power cache and leaf table are empty
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    exp = beta_expand(x)
+    assert len(exp.per) == 88920
+    calls = {"_div_beta": 0, "_shift_reduce": 0}
+    div_beta, shift_reduce = numeration._div_beta, NumberField._shift_reduce
+
+    def counted_div_beta(*args):
+        calls["_div_beta"] += 1
+        return div_beta(*args)
+
+    def counted_shift_reduce(*args):
+        calls["_shift_reduce"] += 1
+        return shift_reduce(*args)
+
+    monkeypatch.setattr(numeration, "_div_beta", counted_div_beta)
+    monkeypatch.setattr(NumberField, "_shift_reduce", counted_shift_reduce)
+    assert expansion_value(field, exp) == x
+    assert calls["_div_beta"] == 0
+    assert calls["_shift_reduce"] <= 100, calls
+
+
+@settings(max_examples=60)
+@given(
+    blo=st.fractions(Fraction(13, 10), 3, max_denominator=2 ** 20),
+    eta=st.fractions(Fraction(1, 2), 1, max_denominator=2 ** 20),
+    back=st.integers(0, 3),
+)
+def test_grid_log_bound_matches_exact_powers(blo, eta, back):
+    # the least a with blo^a >= (1/eta)^4096 in exact integers; the
+    # directed-rounding check may only step one past it, on equality
+    assume(eta > 0)
+
+    def holds(a):
+        return blo ** a >= (1 / eta) ** 4096
+
+    least = math.ceil(math.log(1 / eta) / math.log(blo) * 4096)
+    while least > 0 and holds(least - 1):
+        least -= 1
+    while not holds(least):
+        least += 1
+    got = numeration._grid_log_bound(blo, eta, max(least - back, 0)) * 4096
+    assert got.denominator == 1
+    assert holds(int(got))
+    assert least <= got <= least + 1
+    # each fixed-point power is rounded the way its docstring says
+    for q, n in ((blo, least), (1 / eta, 4096)):
+        (lo_man, lo_exp), (hi_man, hi_exp) = (numeration._pow_bound(q, n, up) for up in (False, True))
+        assert lo_man * Fraction(2) ** lo_exp <= q ** n <= hi_man * Fraction(2) ** hi_exp
 
 
 class TestAddExpansions:

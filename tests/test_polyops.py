@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import fraction_roots_in_disk
 from pisotcoding import polyops
 from pisotcoding.errors import SchurCohnDegenerate
 
@@ -51,6 +54,25 @@ def test_disk_count_matches_numpy(trial):
         except SchurCohnDegenerate:
             continue
         assert got == expected
+
+
+@settings(max_examples=500)
+@given(
+    coeffs=st.lists(st.fractions(-9, 9, max_denominator=4), min_size=1, max_size=9),
+    radius=st.fractions(-3, 7, max_denominator=6),
+    planted=st.sampled_from([None, "r", "-r", "ir"]),
+)
+def test_disk_count_matches_fraction_recursion(coeffs, radius, planted):
+    # integer recursion against the Fraction one: the same count, or both
+    # singular; a root planted at modulus |radius| makes singular cases
+    factor = {"r": [-radius, 1], "-r": [radius, 1], "ir": [radius * radius, 0, 1]}.get(planted)
+    if factor:
+        coeffs = polyops.poly_mul(coeffs, factor)
+    try:
+        got = polyops.count_roots_in_disk(coeffs, radius)
+    except SchurCohnDegenerate:
+        got = None
+    assert got == fraction_roots_in_disk(coeffs, radius)
 
 
 def test_schur_cohn_degenerate_raises():
