@@ -41,6 +41,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_MATH = 2
 EXIT_USAGE = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 _MATH_ERRORS = (
     Reducible,
@@ -344,9 +345,8 @@ def cmd_sample(cfg, args):
 
 def cmd_tails(cfg, args):
     field = make_field(parse_poly(args.poly), cfg.precision, require_unit=True)
-    n_list = [int(x) for x in args.n_list.split(",")]
     rep = shift.tail_invariance_experiment(
-        field, n_list, args.trials, cfg.seed, orbit_cap=cfg.orbit_cap, jobs=args.jobs
+        field, args.n_list, args.trials, cfg.seed, orbit_cap=cfg.orbit_cap, jobs=args.jobs
     )
     lines = [f"L = {rep.L} (L1 = {rep.L1}, ceil(L2) = {rep.L2_ceil})"]
     for n, alpha, frac, trials in rep.rows:
@@ -433,6 +433,28 @@ def cmd_form(cfg, args):
 # -- driver ----------------------------------------------------------------------
 
 
+def _int_in(lo, hi=None):
+    """argparse type for an integer count in lo ... hi (no upper end when hi
+    is None); a value outside is a usage error."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be an integer {span}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+def _positive_list(text):
+    return [_int_in(1)(t) for t in text.split(",")]
+
+
+_positive_list.__name__ = "comma-separated int"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -483,14 +505,14 @@ def _build_parser():
 
     sp = sub.add_parser("sample", help="sample an admissible word from the Parry chain")
     sp.add_argument("poly")
-    sp.add_argument("-n", "--length", type=int, required=True)
+    sp.add_argument("-n", "--length", type=_int_in(0), required=True)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("tails", help="tail invariance experiment")
     sp.add_argument("poly")
-    sp.add_argument("--n-list", default="20,40,60")
-    sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    sp.add_argument("--n-list", type=_positive_list, default="20,40,60")
+    sp.add_argument("--trials", type=_int_in(0), default=500)
+    sp.add_argument("--jobs", type=_int_in(1), default=1, help="parallelism degree")
     sp.set_defaults(func=cmd_tails)
 
     sp = sub.add_parser("coding", help="homoclinic coding summary and experiment")
@@ -498,17 +520,18 @@ def _build_parser():
     sp.add_argument("--xi", default=None, help="coding parameter (element expression)")
     sp.add_argument("--n-coord", default=None, help="integer coordinate vector for the parameter")
     sp.add_argument("--simulate", action="store_true")
-    sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--n-digits", type=int, default=36)
-    sp.add_argument("--resolution-bits", type=int, default=20)
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    sp.add_argument("--trials", type=_int_in(0), default=500)
+    sp.add_argument("--n-digits", type=_int_in(1), default=36)
+    # a bucket index, coordinate * 2^bits, stays a finite float
+    sp.add_argument("--resolution-bits", type=_int_in(1, 1023), default=20)
+    sp.add_argument("--jobs", type=_int_in(1), default=1, help="parallelism degree")
     sp.set_defaults(func=cmd_coding)
 
     sp = sub.add_parser("form", help="associated form report for an integer matrix")
     sp.add_argument("matrix")
-    sp.add_argument("--search", type=int, default=None)
-    sp.add_argument("--nn", type=int, default=None)
-    sp.add_argument("--classify", type=int, default=None)
+    sp.add_argument("--search", type=_int_in(0), default=None)
+    sp.add_argument("--nn", type=_int_in(0), default=None, help="0 or absent: off")
+    sp.add_argument("--classify", type=_int_in(0), default=None, help="0 or absent: off")
     sp.set_defaults(func=cmd_form)
     return p
 
@@ -540,7 +563,14 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         args.func(cfg, args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
         return EXIT_OK
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except _MATH_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH

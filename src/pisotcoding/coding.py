@@ -3,10 +3,9 @@
 A homoclinic parameter is an exact field element xi in the dual module
 xi0 * Z[beta]; the coding sends a two-sided digit window to the torus point
 with coordinates (value * xi * beta^-i mod 1).  Finite windows are evaluated
-exactly and rounded with a certified radius; purely periodic sequences are
-truncated where a float two-sided tail bound (geometric, with a safety
-factor of 2) drops below the tolerance, and that bound is added to the
-reported radius.
+exactly and rounded with a certified radius.  A purely periodic two-sided
+sequence has an exact rational image, the trace formula of phi_eval, which
+is rounded once.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .numeration import (
     d_sequence,
     enumerate_z_beta,
     expand_nonneg,
+    expansion_value,
     is_admissible,
     value_of,
 )
@@ -55,7 +55,7 @@ class TorusPoint:
 
 
 class HomoclinicSpec:
-    """Coding parameter xi with its membership certificate and tail constants."""
+    """Coding parameter xi with its membership certificate."""
 
     def __init__(self, field, xi, z_coordinate=None):
         if not field.is_unit_field:
@@ -70,11 +70,6 @@ class HomoclinicSpec:
             raise NotInHomoclinicGroup("xi / xi0 must have integer coordinates")
         self.ratio = ratio
         self.is_zero = xi.is_zero
-        if not self.is_zero:
-            # conjugate magnitude bound for the left tail, boxed once
-            conj = field.conjugate_abs_upper(xi)
-            self._conj_sum = float(sum(conj)) if conj else 0.0
-            self._xi_abs = abs(field.float_value(xi))
 
     @property
     def is_fundamental(self):
@@ -145,28 +140,39 @@ def phi_eval(spec, window, tolerance=1e-9):
     """Torus image of a finite window or of a purely periodic sequence.
 
     Finite windows are exact up to the requested rounding radius.  A purely
-    periodic Expansion denotes the two-sided periodic sequence; it is
-    truncated once the two-sided tail bound drops below tolerance / 2, and
-    the radius is that bound plus a rounding radius of at most tolerance / 2.
+    periodic Expansion with period w denotes the two-sided sequence with
+    eps_k = w[(k - 1) % |w|], accepted iff Parry's walk rejects no digit of
+    w repeated forever (checked on ell + p + 1 copies of w, ell + p the
+    walk's state count).  Its image is exact: with R = expansion_value(|w),
+    the right half tends to R in the real embedding and the left half to -R
+    in every other one, and the trace of xi * beta^-i times any finite
+    window is an integer, so coordinate i is Tr(R * xi * beta^-i) mod 1, a
+    rational.  It is rounded to the nearest float below 1, with radius
+    2^-53; tolerance is not read.
     """
     if spec.is_zero:
         raise ZeroHomoclinicPoint("coding with xi = 0 is degenerate")
     field = spec.field
-    tail = 0.0
+    ds = d_sequence(field)
     if isinstance(window, Expansion):
         if window.is_finite:
             window = Window(1, window.pre)
         elif window.is_purely_periodic:
-            tolerance /= 2
-            window, tail = _periodic_window(spec, window, tolerance)
+            if not is_admissible(window.per * (len(ds.d.pre) + len(ds.d.per) + 1), ds):
+                raise ValueError("periodic sequence is not admissible")
+            return _phi_periodic(spec, window.per)
         else:
             raise ValueError("phi_eval accepts finite windows or purely periodic sequences")
-    if not is_admissible(window.digits, d_sequence(field)):
+    if not is_admissible(window.digits, ds):
         raise ValueError("window is not admissible")
-    return _phi_window(spec, window, tolerance, extra_error=tail)
+    return _phi_window(spec, window, tolerance)
 
 
-def _phi_window(spec, window, tolerance, extra_error=0.0):
+def _below_one(x):
+    return min(max(x, 0.0), math.nextafter(1.0, 0.0))
+
+
+def _phi_window(spec, window, tolerance):
     field = spec.field
     v = window.value(field)
     prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
@@ -178,35 +184,25 @@ def _phi_window(spec, window, tolerance, extra_error=0.0):
         fl = field.floor(x)
         frac = x - fl
         lo, hi = field.real_interval(frac, prec)
-        mid = float((lo + hi) / 2)
-        coords.append(min(max(mid, 0.0), math.nextafter(1.0, 0.0)))
+        coords.append(_below_one(float((lo + hi) / 2)))
         width = max(width, hi - lo)
         if i + 1 < field.m:
             x = x * binv
-    return TorusPoint(tuple(coords), float(width / 2) + extra_error)
+    return TorusPoint(tuple(coords), float(width / 2))
 
 
-def _periodic_window(spec, exp, tolerance):
-    """The truncation of a purely periodic sequence to whole periods on both
-    sides, and the bound on the image error the truncation makes."""
+def _phi_periodic(spec, period):
+    """The exact image of the two-sided sequence with this period (see
+    phi_eval), each coordinate correctly rounded, then kept below 1."""
     field = spec.field
-    p = len(exp.per)
-    theta = float(field.theta)
-    fb = field.floor_beta
-    beta_f = field._float_roots[0].real
-    # safety factor 2 on top of the geometric tail bounds, evaluated in floats
-    c_left = 2.0 * fb * spec._conj_sum * theta ** (-(field.m - 1)) / (1 - theta)
-    c_right = 2.0 * fb * spec._xi_abs * theta ** (-(field.m - 1)) / (1 - 1 / beta_f)
-    reps = 1
-    while reps < 10000:
-        k = reps * p
-        bound = c_left * theta ** k + c_right * beta_f ** (-k)
-        if bound <= tolerance:
-            break
-        reps += 1
-    k = reps * p
-    digits = tuple(exp.digit(((i - 1) % p) + 1) for i in range(1 - k, k + 1))
-    return Window(1 - k, digits), bound
+    x = expansion_value(field, Expansion((), period)) * spec.xi
+    binv = field.pow_beta(-1)
+    coords = []
+    for _ in range(field.m):
+        t = field.trace(x)
+        coords.append(_below_one(float(t - math.floor(t))))
+        x = x * binv
+    return TorusPoint(tuple(coords), 2.0 ** -53)
 
 
 def kernel_sequences(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):

@@ -287,7 +287,6 @@ class NumberField:
         self._g = min_poly.g_coeffs()
         self._lock = threading.Lock()
         self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
-        self._boxes = {precision: root_boxes}
         self._pow_cache = {}
         self._fixed = {}  # K -> (L_0..L_(m-1), w), see _fixed_table
         self._derived = {}  # key -> value built once by derived()
@@ -548,44 +547,6 @@ class NumberField:
         with self._lock:
             return self._derived.setdefault(key, value)
 
-    # -- certified boxes for all conjugates -----------------------------------
-
-    def roots(self, prec=None):
-        """Certified boxes for all m roots, dominant first, width <= 2^-prec."""
-        prec = prec or self.precision
-        with self._lock:
-            for p, boxes in self._boxes.items():
-                if p >= prec:
-                    return boxes
-        boxes = _certified_root_boxes(self._g, prec)
-        with self._lock:
-            self._boxes[prec] = boxes
-        return boxes
-
-    def embed(self, a, j, prec=None):
-        """Box of width <= 2^-prec containing the j-th conjugate image of a (j is 1-based)."""
-        prec = prec or self.precision
-        if not 1 <= j <= self.m:
-            raise ValueError("root index out of range")
-        target = Fraction(a.den, 2 ** prec)
-        rp = max(prec + 8, 32)
-        while True:
-            box = self.roots(rp)[j - 1]
-            out = _horner_box(a.nums, box)
-            if out.width() <= target:
-                d = a.den
-                return Box(out.re_lo / d, out.re_hi / d, out.im_lo / d, out.im_hi / d)
-            rp *= 2
-            if rp > _PRECISION_CAP:
-                raise PrecisionCapExceeded("embed refinement cap hit")
-
-    def conjugate_abs_upper(self, a, pad=Fraction(11, 10)):
-        """Rational upper bounds on |sigma_j(a)| for the subdominant embeddings."""
-        out = []
-        for j in range(2, self.m + 1):
-            out.append(self.embed(a, j, 16).abs_upper() * pad)
-        return out
-
     def __repr__(self):
         return f"NumberField({self.min_poly}, beta~{float(self._float_roots[0].real):.6f})"
 
@@ -803,24 +764,3 @@ def _horner_interval(coeffs, lo, hi):
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(cands) + c, max(cands) + c
     return alo, ahi
-
-
-def _iv_mul(a, b):
-    cands = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(cands), max(cands)
-
-
-def _horner_box(coeffs, box):
-    re = (Fraction(0), Fraction(0))
-    im = (Fraction(0), Fraction(0))
-    bre = (box.re_lo, box.re_hi)
-    bim = (box.im_lo, box.im_hi)
-    for c in reversed(coeffs):
-        t1 = _iv_mul(re, bre)
-        t2 = _iv_mul(im, bim)
-        t3 = _iv_mul(re, bim)
-        t4 = _iv_mul(im, bre)
-        re = (t1[0] - t2[1] + c, t1[1] - t2[0] + c)
-        im = (t3[0] + t4[0], t3[1] + t4[1])
-    return Box(re[0], re[1], im[0], im[1])
-

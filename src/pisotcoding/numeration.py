@@ -152,7 +152,7 @@ def _d_sequence(field, orbit_cap):
 def _parry_walk(dseq, digits, state=0):
     """Parry's single-track automaton on the quasi-greedy d = d_1 d_2 ...,
     the one admissibility rule (Parry, Acta Math. Acad. Sci. Hungar. 11,
-    1960); build_automaton minimizes the same table.
+    1960); build_automaton tabulates it.
 
     States are 0 ... ell + p - 1 for ell = |d.pre| and p = |d.per|: state i
     means the last i digits equal d_1 ... d_i.  Digit e in state i steps
@@ -478,10 +478,6 @@ def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
 
     rec(m - 1, [0] * m, radius_sq)
     return out
-
-
-def _in_unit_interval(field, elem):
-    return field.floor(elem) == 0
 
 
 def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):

@@ -47,13 +47,6 @@ def poly_mul(a, b):
     return out
 
 
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def poly_divmod(a, b):
     """Quotient and remainder over the rationals; b need not be monic."""
     a = [Fraction(c) for c in strip(a)]

@@ -1,8 +1,9 @@
 """Sofic presentation of the beta-shift, Parry chain, and sampling.
 
-The automaton tabulates the admissibility rule owned by numeration
+The automaton is the table of the admissibility rule owned by numeration
 (_parry_walk, Parry's single-track automaton over the quasi-greedy
-expansion of 1) and minimizes it here, so state counts are canonical.
+expansion of 1).  That table is already minimal: the tails of the
+quasi-greedy d are distinct, so no two states are equivalent.
 The maximal-entropy measure is realized as the Markov chain with edge
 weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
 """
@@ -83,59 +84,17 @@ class SoficAutomaton:
 
 
 def build_automaton(dseq):
-    """Admissibility automaton, minimized and canonically numbered: the
-    table of Parry's single-track rule (numeration._parry_walk), state i
-    and digit e going to the walk's next state, None where it rejects."""
-    d = dseq.d
+    """Admissibility automaton: the table of Parry's single-track rule
+    (numeration._parry_walk), state i and digit e going to the walk's next
+    state, None where it rejects.  Minimal, and numbered in breadth-first
+    digit order from state 0, since the walk's states are the distinct
+    tails of d and digit d_(i+1) leads from state i to i + 1."""
     alphabet = dseq.alphabet
     trans = tuple(
         tuple(_parry_walk(dseq, (e,), i)[0] for e in alphabet)
-        for i in range(len(d.pre) + len(d.per))
+        for i in range(len(dseq.d.pre) + len(dseq.d.per))
     )
-    return _minimize(SoficAutomaton(len(trans), len(alphabet), trans))
-
-
-def _minimize(auto):
-    n, alpha = auto.n_states, auto.alphabet_size
-    # Moore partition refinement; None targets form an implicit sink class
-    ids = {}
-    cls = {}
-    for s in range(n):
-        sig = tuple(auto.transitions[s][e] is not None for e in range(alpha))
-        cls[s] = ids.setdefault(sig, len(ids))
-    while True:
-        ids = {}
-        new = {}
-        for s in range(n):
-            sig = (cls[s], tuple(None if auto.transitions[s][e] is None else cls[auto.transitions[s][e]] for e in range(alpha)))
-            new[s] = ids.setdefault(sig, len(ids))
-        if len(set(new.values())) == len(set(cls.values())):
-            cls = new  # refinement with equal class count is stable
-            break
-        cls = new
-    # canonical renumbering: BFS from the class of state 0 in digit order
-    order = {cls[0]: 0}
-    queue = [0]
-    rep = {cls[0]: 0}
-    while queue:
-        s = queue.pop(0)
-        for e in range(alpha):
-            t = auto.transitions[s][e]
-            if t is None:
-                continue
-            c = cls[t]
-            if c not in order:
-                order[c] = len(order)
-                rep[c] = t
-                queue.append(t)
-    m = len(order)
-    trans = [[None] * alpha for _ in range(m)]
-    for c, idx in order.items():
-        s = rep[c]
-        for e in range(alpha):
-            t = auto.transitions[s][e]
-            trans[idx][e] = None if t is None else order[cls[t]]
-    return SoficAutomaton(m, alpha, tuple(tuple(r) for r in trans))
+    return SoficAutomaton(len(trans), len(alphabet), trans)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,23 @@ def suffix_scan_admissible(pre, per, d):
     return all(word_compare(s, d) < 0 for s in suffixes)
 
 
+def periodic_two_sided_admissible(per, d):
+    """Whether the two-sided sequence with period per lies in the closure
+    of the beta-shift: every rotation of per, repeated forever, is at most
+    the quasi-greedy d (equality allowed), compared by word_compare."""
+    per = tuple(per)
+    return all(word_compare(_Seq((), per[i:] + per[:i]), d) <= 0 for i in range(len(per)))
+
+
+def periodic_window(per, n):
+    """(start, digits) of the finite window at positions 1 - n ... n of the
+    two-sided sequence whose digit at position k is per[(k - 1) % len(per)].
+    Its torus image tends to that of the whole sequence as n grows, the
+    left tail geometrically in theta and the right one in 1 / beta."""
+    p = len(per)
+    return 1 - n, tuple(per[(k - 1) % p] for k in range(1 - n, n + 1))
+
+
 class AdmissibilityTracker:
     """Incremental admissibility: tracks every suffix still matching a prefix of d.
 
@@ -184,6 +201,38 @@ def languages_agree(automaton, tracker, max_len=None):
                 seen.add(nxt)
                 todo.append((nxt, word + (e,)))
     return None
+
+
+def moore_minimize(transitions):
+    """The minimal partial automaton equivalent to the table transitions
+    (transitions[s][e] -> state or None, state 0 initial), by Moore's
+    partition refinement with None as an implicit sink class, renumbered
+    breadth first from state 0 in digit order."""
+    n = len(transitions)
+    ids = {}
+    cls = [ids.setdefault(tuple(t is not None for t in row), len(ids)) for row in transitions]
+    while True:
+        ids = {}
+        new = [
+            ids.setdefault((cls[s], tuple(None if t is None else cls[t] for t in transitions[s])), len(ids))
+            for s in range(n)
+        ]
+        stable = len(ids) == len(set(cls))  # a refinement with equal class count is stable
+        cls = new
+        if stable:
+            break
+    order, rep, queue = {cls[0]: 0}, {cls[0]: 0}, [0]
+    while queue:
+        s = queue.pop(0)
+        for t in transitions[s]:
+            if t is not None and cls[t] not in order:
+                order[cls[t]] = len(order)
+                rep[cls[t]] = t
+                queue.append(t)
+    out = [None] * len(order)
+    for c, idx in order.items():
+        out[idx] = tuple(None if t is None else order[cls[t]] for t in transitions[rep[c]])
+    return tuple(out)
 
 
 def poly_mul_mod(a, b, g):

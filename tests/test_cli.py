@@ -10,6 +10,7 @@ import pytest
 from pisotcoding.cli import (
     EXIT_MATH,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     main,
     parse_element,
@@ -138,6 +139,29 @@ class TestExitCodes:
         assert main(argv) == EXIT_MATH
         assert capsys.readouterr().err.startswith("rejected: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["form", "1,1/1,0", "--search", "1", "--classify", "-1"],
+            ["form", "1,1/1,0", "--search", "-1"],
+            ["form", "1,1/1,0", "--nn", "-1"],
+            ["tails", "1,1", "--trials", "-1", "--n-list", "5"],
+            ["tails", "1,1", "--n-list", "5,0"],
+            ["tails", "1,1", "--jobs", "0"],
+            ["coding", "1,1", "--simulate", "--trials", "5", "--n-digits", "-2"],
+            ["coding", "1,1", "--simulate", "--trials", "-5"],
+            ["coding", "1,1", "--simulate", "--resolution-bits", "1024"],
+            ["coding", "1,1", "--simulate", "--resolution-bits", "0"],
+            ["coding", "1,1", "--jobs", "0"],
+            ["sample", "1,1", "-n", "-1"],
+        ],
+    )
+    def test_bad_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_USAGE
+        assert "error: argument " in capsys.readouterr().err
+
     def test_exceeded_precision_cap_is_math_rejection(self, monkeypatch, capsys):
         from pisotcoding import numberfield
 
@@ -231,6 +255,22 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert got.returncode == EXIT_OK
     assert got.stdout == want
+
+
+def test_closed_stdout_exits_141_silently():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)  # no reader exists before the child writes
+    try:
+        got = subprocess.run(
+            [sys.executable, "-m", "pisotcoding", "field", "1,1"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert got.returncode == EXIT_PIPE
+    assert got.stderr == b""
 
 
 def test_readme_tour_runs(capsys):

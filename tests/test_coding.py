@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import periodic_two_sided_admissible, periodic_window
 from pisotcoding import (
     HomoclinicSpec,
     NotAUnit,
@@ -12,6 +13,7 @@ from pisotcoding import (
     Window,
     ZeroHomoclinicPoint,
     companion_matrix,
+    d_sequence,
     enumerate_z_beta,
     injectivity_experiment,
     kernel_sequences,
@@ -123,6 +125,46 @@ class TestPhiEval:
         for tol in (1e-2, 1e-4, 1e-8):
             pt = phi_eval(spec, Expansion.parse("|100"), tol)
             assert abs(pt.coords[0] - 0.5) <= pt.error_radius <= tol
+
+    def test_periodic_image_is_exact(self, golden):
+        spec = HomoclinicSpec(golden, 3 * golden.xi0)
+        for tol in (1e-2, 1e-4, 1e-8):
+            pt = phi_eval(spec, Expansion.parse("|100"), tol)
+            assert pt.coords == (0.5, 0.0) and pt.error_radius <= 2.0 ** -53
+        # |10 is d itself: in the closure of the beta-shift, a Z_beta class
+        spec = HomoclinicSpec(golden, golden.xi0)
+        assert phi_eval(spec, Expansion.parse("|10")).coords == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            phi_eval(spec, Expansion.parse("|11"))
+
+    def test_kernel_values_map_exactly_to_zero(self, golden, tribonacci, plastic, quartic, cubic341):
+        cases = [(f, f.xi0) for f in (golden, tribonacci, plastic, quartic, cubic341)]
+        cases += [(f, f.one) for f in (golden, tribonacci, plastic)]
+        for field, xi in cases:
+            spec = HomoclinicSpec(field, xi)
+            for _, exp in kernel_values(spec):
+                assert phi_eval(spec, exp).coords == (0.0,) * field.m, (field, exp)
+
+    def test_periodic_matches_long_windows(self, golden, tribonacci, plastic, quartic, cubic341):
+        # seeded periods: accepted iff every rotation is at most d, and the
+        # exact image agrees with the +-400-digit window through the finite path
+        rng = random.Random(23)
+        for field in (golden, tribonacci, plastic, quartic, cubic341):
+            ds = d_sequence(field)
+            for xi in (field.xi0, field.one, field.xi0 * (field.beta + 2)):
+                spec = HomoclinicSpec(field, xi)
+                accepted = 0
+                while accepted < 2:
+                    per = tuple(rng.randint(0, ds.floor_beta) for _ in range(rng.randint(1, 7)))
+                    if not periodic_two_sided_admissible(per, ds.d):
+                        with pytest.raises(ValueError):
+                            phi_eval(spec, Expansion((), per))
+                        continue
+                    accepted += 1
+                    pt = phi_eval(spec, Expansion((), per))
+                    ref = phi_eval(spec, Window(*periodic_window(per, 400)), 1e-12)
+                    for a, b in zip(pt.coords, ref.coords):
+                        assert min(abs(a - b), 1 - abs(a - b)) <= 1e-8, (field, xi, per)
 
     def test_periodic_geometric_decay(self, quartic):
         # repeating a kernel period longer drives the window image to 0 at

@@ -218,30 +218,6 @@ class TestCompareFloor:
         assert quartic.sign(quartic.pow_beta(5000) - quartic.pow_beta(4999)) == GREATER
 
 
-class TestEmbed:
-    def test_embed_one(self, golden):
-        for j in (1, 2):
-            box = golden.embed(golden.one, j, 30)
-            assert box.re_lo <= 1 <= box.re_hi and box.is_real
-
-    def test_embed_conjugate(self, golden):
-        box = golden.embed(golden.beta, 2, 40)
-        c = box.center()
-        assert abs(c[0] + 0.6180339887) < 1e-9
-        assert float(box.width()) <= 2 ** -40
-
-    def test_embed_dominant_width(self, golden):
-        box = golden.embed(golden.beta, 1, 50)
-        assert float(box.width()) <= 2 ** -50
-        assert box.re_lo <= Fraction(16180339887, 10 ** 10) + Fraction(1, 10 ** 8)
-
-    def test_complex_conjugates(self, tribonacci):
-        b2 = tribonacci.embed(tribonacci.beta, 2, 30)
-        b3 = tribonacci.embed(tribonacci.beta, 3, 30)
-        assert not b2.is_real
-        assert b2.im_lo == -b3.im_hi  # conjugate pair mirrored
-
-
 def _random_integral(field, rng, height=6):
     return field.element([rng.randint(-height, height) for _ in range(field.m)])
 
@@ -292,7 +268,7 @@ def test_pisot_certificate_product(golden, tribonacci, cubic341, quartic, plasti
     for field in (golden, tribonacci, cubic341, quartic, plastic):
         lo = Fraction(1)
         hi = Fraction(1)
-        for box in field.roots(40):
+        for box in field.root_intervals:
             lo *= box.abs_lower()
             hi *= box.abs_upper()
         assert lo <= abs(field.min_poly.k[-1]) <= hi
@@ -300,7 +276,7 @@ def test_pisot_certificate_product(golden, tribonacci, cubic341, quartic, plasti
 
 
 def test_root_boxes_isolate(quartic):
-    boxes = quartic.roots(40)
+    boxes = quartic.root_intervals
     assert len(boxes) == 4
     assert boxes[0].is_real and boxes[0].re_lo > 1
     assert sum(1 for b in boxes if not b.is_real) == 2

@@ -7,9 +7,11 @@ import pytest
 import pisotcoding.coding as coding
 import pisotcoding.numeration as numeration
 import pisotcoding.shift as shift
-from oracles import AdmissibilityTracker, languages_agree, naive_admissible
+from oracles import AdmissibilityTracker, languages_agree, moore_minimize, naive_admissible
 from pisotcoding import (
     HomoclinicSpec,
+    NotPisot,
+    Reducible,
     SoficAutomaton,
     build_automaton,
     check_finitarity,
@@ -70,6 +72,24 @@ class TestAutomaton:
                 for word in itertools.product(range(ds.floor_beta + 1), repeat=n):
                     assert auto.accepts(word) == is_admissible(word, ds)
                     assert auto.accepts(word) == naive_admissible(word, ds.d.pre, ds.d.per)
+
+    def test_parry_table_is_minimal(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
+        # Moore refinement merges no state of Parry's table and its
+        # breadth-first renumbering is the identity, on the fixtures and on
+        # the Pisot fields among seeded k-vectors of degree 2-5
+        assert moore_minimize(((1, 2), (0, None), (0, None))) == ((1, 1), (0, None))
+        fields = [golden, tribonacci, quartic, phi_squared, cubic341, plastic]
+        rng = random.Random(12)
+        for _ in range(200):
+            k = [rng.randint(-2, 3) for _ in range(rng.randint(2, 5))]
+            try:
+                fields.append(make_field(k))
+            except (NotPisot, Reducible, ValueError):
+                continue
+        assert len(fields) > 30
+        for field in fields:
+            auto = build_automaton(d_sequence(field))
+            assert moore_minimize(auto.transitions) == auto.transitions, field
 
     def test_irreducible(self, golden, quartic, phi_squared):
         for field in (golden, quartic, phi_squared):
