@@ -398,7 +398,8 @@ def cmd_coding(cfg, args):
 def cmd_form(cfg, args):
     M = parse_matrix(args.matrix)
     height = args.search if args.search is not None else cfg.unimodular_height
-    report = forms_mod.build_form_report(M, height)
+    field = make_field(forms_mod.char_poly_k(M), cfg.precision)  # certified once, shared below
+    report = forms_mod.build_form_report(M, height, field=field)
     result = report.to_jsonable()
     lines = [f"k = {','.join(str(k) for k in report.k)}"]
     if report.expansion:
@@ -414,12 +415,11 @@ def cmd_form(cfg, args):
     else:
         lines.append("certificate: absent at this height")
     if args.nn:
-        field = make_field(report.k, cfg.precision)
         seq = forms_mod.nn_sequence(field, args.nn)
         result["nn_sequence"] = seq
         lines.append(f"power factors 1..{args.nn}: {seq}")
     if args.classify:
-        res = forms_mod.classify_power_conjugacy(M, args.classify, base_height=min(height, 30))
+        res = forms_mod.classify_power_conjugacy(M, args.classify, min(height, 30), field)
         result["classification"] = {
             "n": args.classify,
             "status": res.status,

@@ -302,13 +302,12 @@ def _simplex_points(m):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def conjugation_covariance_check(M1, M2, A, seed=0):
+def conjugation_covariance_check(M1, M2, A):
     """Verify f_M2(A v) = det(A) * f_M1(v), given A M1 = M2 A unimodular.
 
     Exact for every m: both sides are forms of degree m, and the points
     v >= 0 with sum(v) = m are unisolvent for such forms (Chung-Yao, SIAM
-    J. Numer. Anal. 14, 1977), so agreeing there is agreeing everywhere.
-    `seed` is unused."""
+    J. Numer. Anal. 14, 1977), so agreeing there is agreeing everywhere."""
     M1, M2, A = mat(M1), mat(M2), mat(A)
     det_a = mat_det(A)
     if mat_mul(A, M1) != mat_mul(M2, A) or abs(det_a) != 1:

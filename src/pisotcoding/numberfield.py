@@ -281,7 +281,6 @@ class NumberField:
         self.precision = precision
         self.theta = theta  # rational upper bound on subdominant root moduli
         self.root_intervals = root_boxes  # dominant first
-        self.dominant_index = 0
         self.is_unit_field = abs(min_poly.k[-1]) == 1
         self._float_roots = float_roots  # same order as root_intervals
         self._g = min_poly.g_coeffs()
@@ -433,18 +432,15 @@ class NumberField:
     # -- certified real embedding -------------------------------------------
 
     def beta_interval(self, prec):
-        """Dominant-root interval of width <= 2^-prec (exact endpoints).
-
-        Bisection is deterministic, so resuming it from the finest cached
-        interval gives the same endpoints as bisecting the root box."""
+        """Dominant-root interval of width <= 2^-prec (exact endpoints): the
+        root box bisected to that width, so a function of prec alone.  The
+        cached intervals lie on that one bisection tree, so resuming from
+        the finest one coarser than prec gives the same endpoints."""
         with self._lock:
-            best = None
-            for p, iv in self._beta_iv.items():
-                if p >= prec and (best is None or p < best[0]):
-                    best = (p, iv)
-            if best is not None:
-                return best[1]
-            lo, hi = self._beta_iv[max(self._beta_iv)] if self._beta_iv else self._dominant_seed()
+            if prec in self._beta_iv:
+                return self._beta_iv[prec]
+            coarser = [p for p in self._beta_iv if p < prec]
+            lo, hi = self._beta_iv[max(coarser)] if coarser else self._dominant_seed()
         lo, hi = polyops.refine_root_interval(self._g, lo, hi, Fraction(1, 2 ** prec))
         with self._lock:
             self._beta_iv[prec] = (lo, hi)

@@ -6,6 +6,8 @@ means the expansion is finite (tail of zeros).  All decisions here are
 exact: digits come from exact floors, periodicity from exact state
 repetition.  Every digit comes from one greedy step on integer numerators
 (_greedy_step), whose floor the field decides exactly (NumberField._decide).
+Where a greedy orbit ends (Z_beta, the coding kernels, the carry length,
+the tail rows of shift) is asked of one memoised orbit walk (_orbit_class).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -277,23 +279,6 @@ def _word_nums(field, word, lo, hi, pows):
     return [a + b for a, b in zip(left, _word_nums(field, word, mid, hi, pows))]
 
 
-def _div_beta(field, nums, den):
-    """(numerators, denominator) of x / beta for x = sum(nums[i] beta^i) / den.
-
-    y = x / beta solves x_0 = k_m y_(m-1) and x_i = y_(i-1) + krev[i] y_(m-1)
-    (beta^m = sum(krev[i] beta^i)), so over den * |k_m| the top numerator
-    is sign(k_m) n_0 and the others n_i |k_m| - krev[i] times it.  A unit
-    field keeps den."""
-    krev = field._krev
-    km = abs(krev[0])
-    top = nums[0] if krev[0] > 0 else -nums[0]
-    out = []
-    for i in range(1, len(nums)):
-        out.append(nums[i] * km - top * krev[i])
-    out.append(top)
-    return out, den * km
-
-
 def expansion_value(field, exp):
     """Exact value of an eventually periodic expansion: with P = nums(pre)
     and Q = nums(per) from _word_nums and p = len(per),
@@ -348,28 +333,66 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
 def _greedy_step(field, state, den):
     """One step x -> beta x - floor(beta x) of the greedy map on integer
     numerators over den, the floor decided exactly by the field: the one
-    step behind every expansion, the d-sequence, both Z_beta oracles and
-    the carry length.  Returns (digit, next state)."""
+    step behind every expansion, the d-sequence, every orbit walk
+    (_orbit_class) and the dual Z_beta oracle.  Returns (digit, next state)."""
     new = field._shift_reduce(state)
     dig = field._floor_nums(new, den)
     new[0] -= dig * den
     return dig, tuple(new)
 
 
+def _orbit_class(field, state, den, memo, orbit_cap):
+    """(k, p) for the greedy orbit of state / den in [0, 1): k steps reach
+    its cycle, of length p (0 for the cycle at 0, so a finite expansion has
+    k = support_depth).  memo, state -> (k, p), is shared by all walks of
+    one caller over one den, so each state is stepped once.  Raises OrbitCapExceeded iff
+    max(1, k + p) > orbit_cap, as _expand_orbit does; an orbit has at most
+    k + p + 1 states, so a path of orbit_cap + 2 new ones stops the walk."""
+    path, index = [], {}
+    cur = state
+    while cur not in memo:
+        if cur in index:  # the walk closed its own cycle
+            cycle = path[index[cur]:]
+            for st in cycle:
+                memo[st] = (0, len(cycle) if any(cur) else 0)
+            del path[index[cur]:]
+            break
+        if len(path) > orbit_cap:
+            raise OrbitCapExceeded("expansion orbit exceeded the cap")
+        index[cur] = len(path)
+        path.append(cur)
+        cur = _greedy_step(field, cur, den)[1]
+    k, p = memo[cur]
+    for st in reversed(path):
+        k += 1
+        memo[st] = (k, p)
+    if max(1, k + p) > orbit_cap:
+        raise OrbitCapExceeded("expansion orbit exceeded the cap")
+    return k, p
+
+
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
     """Two-sided expansion of x >= 0 as (shift, Expansion) with
-    x = beta^shift * value(Expansion) and value(Expansion) in [0, 1)."""
+    x = beta^shift * value(Expansion) and value(Expansion) in [0, 1).
+
+    shift is the least nu >= 0 with x < beta^nu: doubling, then bisection,
+    on the cached powers, O(log nu) exact compares and one product."""
     field = x.field
     if x.is_zero:
         return 0, ZERO_EXPANSION
     if field.sign(x) < 0:
         raise OutOfRange("expand_nonneg requires x >= 0")
-    nums, den = x.nums, x.den
-    nu = 0
-    while field._floor_nums(nums, den):  # x >= 0: floor 0 means x < 1
-        nums, den = _div_beta(field, nums, den)
-        nu += 1
-    return nu, _expand_orbit(field, nums, den, orbit_cap)
+    lo, hi = -1, 0  # beta^lo <= x unless lo = -1; x < beta^hi once doubling stops
+    while not (x < field.pow_beta(hi)):
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x < field.pow_beta(mid):
+            hi = mid
+        else:
+            lo = mid
+    y = x * field.pow_beta(-hi)
+    return hi, _expand_orbit(field, y.nums, y.den, orbit_cap)
 
 
 def is_finite(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -441,12 +464,11 @@ def _embedding_rows(field, basis, den):
     return W @ np.array(rows), W @ np.array(centers)
 
 
-def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
+def _sphere_candidates(A, c, radius_sq, hard_cap=5 * 10 ** 6):
     """Integer vectors y with ||A y - c||^2 <= radius_sq, up to float error.
 
     Plain QR-based sphere decoding with padded bounds (the slacks are float,
-    not derived, so the search is exhaustive only up to them); coord_cap
-    clips every coordinate to [-cap, cap].
+    not derived, so the search is exhaustive only up to them).
     """
     m = A.shape[1]
     q, r = np.linalg.qr(A)
@@ -467,9 +489,6 @@ def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
         room = math.sqrt(max(0.0, residual)) + 1e-9
         lo = math.ceil((rest - room) / diag - 1e-9)
         hi = math.floor((rest + room) / diag + 1e-9)
-        if coord_cap is not None:
-            lo = max(lo, -coord_cap)
-            hi = min(hi, coord_cap)
         for v in range(lo, hi + 1):
             partial[level] = v
             d = rest - diag * v
@@ -483,12 +502,12 @@ def _sphere_candidates(A, c, radius_sq, coord_cap=None, hard_cap=5 * 10 ** 6):
 def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):
     """All alpha in Z[beta] inside [0, 1) with purely periodic expansion.
 
-    Found by _periodic_points among integer coordinate vectors bounded by
-    the denominator q of xi0, inside a float-padded box for the conjugates
-    (the box is not derived exactly).  Two independent oracles cross-check
-    every point of that box; disagreement is a hard error.  A cycle longer
-    than period_cap raises OrbitCapExceeded.  The set is computed once per
-    field and caps; each call returns a fresh list.
+    Found by _periodic_points among the lattice points in a float-padded
+    box for the conjugates (the box is not derived exactly).  Two
+    independent oracles cross-check every point of that box; disagreement
+    is a hard error.  A cycle longer than period_cap raises
+    OrbitCapExceeded.  Computed once per field and caps; each call returns
+    a fresh list.
     """
     key = ("z_beta", orbit_cap, period_cap)
     return list(field.derived(key, lambda: _enumerate_z_beta(field, orbit_cap, period_cap)))
@@ -497,76 +516,49 @@ def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERI
 def _enumerate_z_beta(field, orbit_cap, period_cap):
     if not field.is_unit_field:
         raise NotUnit("Z_beta enumeration requires a unit Pisot field")
-    return _periodic_points(field, field.one, orbit_cap, period_cap, coord_cap=field.xi0.den)
+    return _periodic_points(field, field.one, orbit_cap, period_cap)
 
 
-def _periodic_points(field, mu, orbit_cap, period_cap=None, coord_cap=None):
+def _periodic_points(field, mu, orbit_cap, period_cap=None):
     """(alpha, Expansion) for every alpha in mu * Z[beta] inside [0, 1) with
     purely periodic expansion, sorted by value; 1 must lie in the lattice,
     so that the greedy map keeps it.
 
     A lattice point is sum(y_j * mu * beta^j), held as integer numerators
-    over one den.  Candidates lie in the padded box of the sphere decoder
-    (coord_cap clips each y_j).  Primary oracle: one memo over states, each
-    stepped once and followed past the box until its orbit closes; a point
-    is periodic iff it lies on its own cycle, whose digits give its
-    expansion.  A candidate whose orbit needs more than orbit_cap steps to
+    over one den.  Candidates lie in the padded box of the sphere decoder.
+    Primary oracle: _orbit_class, with one memo for all candidates, so each
+    state is stepped once, followed past the box until its orbit closes; a
+    point is periodic iff it lies on its cycle (k = 0), and stepping that
+    cycle once gives its digits and checks that the set is closed under the
+    greedy map.  A candidate whose orbit needs more than orbit_cap steps to
     repeat or reach 0 raises OrbitCapExceeded.  The dual colour walk
-    (_cycle_oracle) cross-checks the box, and the set must be closed under
-    the greedy map."""
+    (_cycle_oracle) cross-checks the box."""
     m = field.m
     basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(m)])
     A, c = _embedding_rows(field, basis, den)
-    cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6, coord_cap=coord_cap)
+    cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6)
     columns = list(zip(*basis))
     states = [tuple(sum(map(mul, y, col)) for col in columns) for y in cands]
     in_unit = [s for s in states if field._floor_nums(s, den) == 0]
 
-    succ = {}  # state -> (digit, next state)
-    orbit = {}  # state -> (steps to its cycle, cycle length; 0 for the cycle at 0)
-    for start in in_unit:
-        path = []
-        index = {}
-        cur = start
-        while cur not in orbit:
-            if cur in index:
-                cycle = path[index[cur]:]
-                p = 0 if not any(cur) else len(cycle)
-                for st in cycle:
-                    orbit[st] = (0, p)
-                del path[index[cur]:]
-                break
-            if len(path) > orbit_cap:
-                raise OrbitCapExceeded("expansion orbit exceeded the cap")
-            index[cur] = len(path)
-            path.append(cur)
-            succ[cur] = _greedy_step(field, cur, den)
-            cur = succ[cur][1]
-        k, p = orbit[cur]
-        for st in reversed(path):
-            k += 1
-            orbit[st] = (k, p)
-        # steps until the orbit of start repeats a state or reaches 0
-        if max(1, sum(orbit[start])) > orbit_cap:
-            raise OrbitCapExceeded("expansion orbit exceeded the cap")
-    members = {s for s in in_unit if orbit[s][0] == 0}
+    memo = {}
+    members = {s for s in in_unit if _orbit_class(field, s, den, memo, orbit_cap)[0] == 0}
 
     dual = _cycle_oracle(field, in_unit, den, period_cap)
     if members != dual:
         raise OracleMismatch(
             f"periodic-point oracles disagree: primary {sorted(members)} vs dual {sorted(dual)}"
         )
-    if any(succ[s][1] not in members for s in members):
-        raise AssertionError("periodic points are not closed under the greedy map")
     out = []
-    for s in in_unit:
-        if s in members:
-            digits = []
-            cur = s
-            for _ in range(orbit[s][1] or 1):
-                dig, cur = succ[cur]
-                digits.append(dig)
-            out.append((field._from_nums(s, den), canonical_expansion((), digits)))
+    for s in members:
+        digits = []
+        cur = s
+        for _ in range(memo[s][1] or 1):
+            dig, cur = _greedy_step(field, cur, den)
+            if cur not in members:
+                raise AssertionError("periodic points are not closed under the greedy map")
+            digits.append(dig)
+        out.append((field._from_nums(s, den), canonical_expansion((), digits)))
     out.sort(key=lambda t: field.float_value(t[0]))
     # floats separate distinct candidates here by construction; confirm order exactly
     for (a, _), (b, _) in zip(out, out[1:]):
@@ -834,8 +826,8 @@ def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
     Exact for the pairs it sees, and a lower bound for the true constant.
     Word values are integer numerators over one common denominator, which
     the greedy map keeps (beta is an algebraic integer); each fractional sum
-    is followed through one memo, state -> digits until zero (None once the
-    orbit cycles), shared by every pair, so every state is stepped once.
+    is walked by _orbit_class through one memo shared by every pair, so
+    every state is stepped once, and counts iff its cycle is the one at 0.
     Computed once per field and caps.
     """
     key = ("estimate_L1", length_cap, orbit_cap)
@@ -845,32 +837,13 @@ def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
 def _carry_length(field, length_cap, orbit_cap):
     words = enumerate_admissible_words(field, length_cap)  # sorted by length
     nums, den = _over_one_den([value_of(field, w) for w in words])
-    depth = {(0,) * field.m: 0}
-
-    def digits_to_zero(state):
-        path = []
-        index = {}
-        while state not in depth:
-            if state in index:  # a cycle that misses zero
-                tail = None
-                break
-            if len(path) == orbit_cap:
-                raise OrbitCapExceeded("carry orbit exceeded the cap")
-            index[state] = len(path)
-            path.append(state)
-            _, state = _greedy_step(field, state, den)
-        else:
-            tail = depth[state]
-        for k, st in enumerate(reversed(path), start=1):
-            depth[st] = None if tail is None else tail + k
-        return depth[path[0]] if path else tail
-
+    memo = {}
     best = 0
     for i, u in enumerate(nums):
         for j in range(i, len(nums)):
             s = [a + b for a, b in zip(u, nums[j])]
             s[0] -= field._floor_nums(s, den) * den
-            n = digits_to_zero(tuple(s))
-            if n is not None and n - len(words[j]) > best:
-                best = n - len(words[j])
+            k, p = _orbit_class(field, tuple(s), den, memo, orbit_cap)
+            if p == 0 and k - len(words[j]) > best:
+                best = k - len(words[j])
     return best

@@ -6,6 +6,8 @@ expansion of 1).  That table is already minimal: the tails of the
 quasi-greedy d are distinct, so no two states are equivalent.
 The maximal-entropy measure is realized as the Markov chain with edge
 weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
+A tail row asks where each sampled sum's greedy orbit ends, of the one
+orbit walk in numeration (_orbit_class), with one memo per row.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .numeration import (
     DEFAULT_ORBIT_CAP,
-    _expand_orbit,
+    _orbit_class,
     _parry_walk,
     check_weak_finitarity,
     d_sequence,
@@ -234,14 +236,16 @@ def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap
     chain = _parry_chain(field)
     rng = random.Random(_child_seed(seed, n, ai))
     acoords = [int(c) for c in alpha_coords]
+    memo = {}
     unchanged = 0
     for _ in range(trials):
         word = _sample_path(rng, chain, n)
         # Z_beta needs a unit field, so word values are integral
         s = [a + b for a, b in zip(value_of(field, word).nums, acoords)]
         s[0] -= field._floor_nums(s, 1)  # the carry
-        exp = _expand_orbit(field, s, 1, orbit_cap)
-        if exp.is_finite and exp.support_depth() <= n + window:
+        # unchanged iff the expansion is finite and ends by digit n + window
+        k, p = _orbit_class(field, tuple(s), 1, memo, orbit_cap)
+        if p == 0 and k <= n + window:
             unchanged += 1
     return (n, label, unchanged / trials if trials else 1.0, trials)
 

@@ -485,3 +485,22 @@ def _fraction_unit_disk(c):
     if inner is None:
         return None
     return inside + (inner if delta > 0 else n - inner)
+
+
+# -- tail rows: the full-expansion rule ------------------------------------------
+
+
+def tail_unchanged_count(field, words, alpha, limit):
+    """How many words w leave alpha's tail unchanged: value(w) + alpha, taken
+    mod 1, has a finite greedy expansion whose last nonzero digit lies at
+    position <= limit.  Each sum is expanded in full by beta_expand and read
+    off by support_depth, independently of any orbit memo."""
+    from pisotcoding import beta_expand
+
+    count = 0
+    for w in words:
+        s = sum((d * field.pow_beta(-i) for i, d in enumerate(w, 1)), alpha)
+        exp = beta_expand(s - field.floor(s))
+        if exp.is_finite and exp.support_depth() <= limit:
+            count += 1
+    return count

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import os
 import re
@@ -17,6 +19,8 @@ from pisotcoding.cli import (
     parse_matrix,
     parse_poly,
 )
+import pisotcoding.cli as cli
+import pisotcoding.forms as forms
 from pisotcoding.numberfield import make_field
 
 
@@ -282,3 +286,41 @@ def test_readme_tour_runs(capsys):
     assert len(lines) >= 10
     for line in lines:
         assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK, line
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tour_entries():
+    """The benchmark tour's seed-independent commands, with their pinned
+    result digests (perfbench/cli_tour.py and perfbench/reference.json)."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        tour = importlib.import_module("cli_tour").TOUR
+    finally:
+        sys.path.pop(0)
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        pinned = json.load(fh)["cli-tour"]["result_sha256"]
+    return [pytest.param(argv, pinned[label], id=label) for label, argv, seeded in tour if not seeded]
+
+
+@pytest.mark.parametrize("argv, want", _tour_entries())
+def test_tour_result_bytes_match_reference(argv, want, capsys):
+    # a report whose bytes drift from the benchmark reference fails here too
+    assert main(["--json", *argv]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest() == want
+
+
+def test_form_certifies_its_field_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_field(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_field", counting)
+    monkeypatch.setattr(forms, "make_field", counting)
+    argv = ["form", "1,1,0/2,3,1/1,1,1", "--search", "2", "--nn", "5", "--classify", "2"]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1

@@ -15,6 +15,7 @@ from pisotcoding import (
     LESS,
     NotPisot,
     Reducible,
+    check_weak_finitarity,
     format_element,
     is_irreducible,
     make_field,
@@ -445,3 +446,23 @@ def test_non_number_operands_raise_type_error(golden):
             assert "NotImplementedType" not in str(err.value)
     assert x.__rtruediv__("a") is NotImplemented
     assert x.__lt__("a") is NotImplemented
+
+
+@pytest.mark.parametrize("k", [(1, 0, 0, 1), (3, -1), (0, 1, 1)])
+def test_enclosures_do_not_depend_on_cache_history(k):
+    # a finer interval cached first must not leak into a coarser request
+    fresh, warmed = make_field(k), make_field(k)
+    warmed.beta_interval(4096)
+    for prec in (300, 64, 2000, 128):
+        want = polyops.refine_root_interval(
+            fresh._g, *fresh._dominant_seed(), Fraction(1, 2 ** prec)
+        )
+        assert fresh.beta_interval(prec) == warmed.beta_interval(prec) == want, prec
+    fresh, warmed = make_field(k), make_field(k)
+    warmed.beta_interval(4096)
+
+    def x(f):
+        return f.pow_beta(-3) + Fraction(1, 7)
+
+    assert fresh.real_interval(x(fresh), 64) == warmed.real_interval(x(warmed), 64)
+    assert check_weak_finitarity(fresh).eta == check_weak_finitarity(warmed).eta

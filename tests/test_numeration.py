@@ -34,6 +34,8 @@ from pisotcoding.errors import OrbitCapExceeded
 from pisotcoding.numberfield import NumberField
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
+    _expand_orbit,
+    _orbit_class,
     canonical_expansion,
 )
 
@@ -327,21 +329,15 @@ def test_long_period_value_splits_without_digit_steps(monkeypatch):
     x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
     exp = beta_expand(x)
     assert len(exp.per) == 88920
-    calls = {"_div_beta": 0, "_shift_reduce": 0}
-    div_beta, shift_reduce = numeration._div_beta, NumberField._shift_reduce
-
-    def counted_div_beta(*args):
-        calls["_div_beta"] += 1
-        return div_beta(*args)
+    calls = {"_shift_reduce": 0}
+    shift_reduce = NumberField._shift_reduce
 
     def counted_shift_reduce(*args):
         calls["_shift_reduce"] += 1
         return shift_reduce(*args)
 
-    monkeypatch.setattr(numeration, "_div_beta", counted_div_beta)
     monkeypatch.setattr(NumberField, "_shift_reduce", counted_shift_reduce)
     assert expansion_value(field, exp) == x
-    assert calls["_div_beta"] == 0
     assert calls["_shift_reduce"] <= 100, calls
 
 
@@ -611,3 +607,104 @@ def test_expand_nonneg_shift(quartic):
     nu, exp = expand_nonneg(x)
     assert expansion_value(quartic, exp) * quartic.pow_beta(nu) == x
     assert exp.is_finite
+
+
+def _seeded_states(field, rng, count, orbit_cap=4000):
+    """(state, den, Expansion) for count seeded x in [0, 1), denominators
+    1 to 4, keeping those whose orbit closes within orbit_cap steps."""
+    out = []
+    while len(out) < count:
+        den = rng.randint(1, 4)
+        x = field._from_nums([rng.randint(-40, 40) for _ in range(field.m)], den)
+        x = x - field.floor(x)
+        try:
+            exp = _expand_orbit(field, x.nums, x.den, orbit_cap)
+        except OrbitCapExceeded:
+            continue
+        out.append((x.nums, x.den, exp))
+    return out
+
+
+class TestOrbitClass:
+    FIELDS = ("golden", "tribonacci", "cubic341", "quartic", "phi_squared", "plastic")
+
+    @pytest.fixture(params=FIELDS)
+    def field(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def _expected(exp):
+        return (exp.support_depth(), 0) if exp.is_finite else (len(exp.pre), len(exp.per))
+
+    def test_matches_expand_orbit(self, field):
+        rng = random.Random(f"orbit_class/{field.min_poly.k}")
+        cases = _seeded_states(field, rng, 40)
+        for w in enumerate_admissible_words(field, 7)[-5:]:  # finite expansions
+            cases.append((value_of(field, w).nums, 1, canonical_expansion(w, ())))
+        assert any(den > 1 for _, den, _ in cases)
+        assert any(not e.is_finite for *_, e in cases)
+        warm = {}  # den -> one memo for its cases, warmed by the walks before
+        for state, den, exp in cases:
+            want = self._expected(exp)
+            assert _orbit_class(field, state, den, {}, 10 ** 6) == want, exp
+            assert _orbit_class(field, state, den, warm.setdefault(den, {}), 10 ** 6) == want, exp
+
+    def test_cap_is_memo_independent(self, field):
+        rng = random.Random(f"orbit_class_cap/{field.min_poly.k}")
+        cases = _seeded_states(field, rng, 12)
+        for state, den, exp in cases:
+            k, p = self._expected(exp)
+            need = max(1, k + p)
+            warm = {}
+            for other, oden, _ in cases:
+                if oden == den:
+                    _orbit_class(field, other, den, warm, 10 ** 6)
+            for memo in ({}, warm):
+                assert _orbit_class(field, state, den, dict(memo), need) == (k, p)
+                with pytest.raises(OrbitCapExceeded):
+                    _orbit_class(field, state, den, dict(memo), need - 1)
+            assert _expand_orbit(field, state, den, need) == exp  # the same cap rule
+            with pytest.raises(OrbitCapExceeded):
+                _expand_orbit(field, state, den, need - 1)
+
+    def test_zero_state(self, golden):
+        memo = {}
+        assert _orbit_class(golden, (0, 0), 1, memo, 1) == (0, 0)
+        with pytest.raises(OrbitCapExceeded):
+            _orbit_class(golden, (0, 0), 1, memo, 0)
+
+
+def _check_shift(field, x):
+    nu, exp = expand_nonneg(x)
+    assert x < field.pow_beta(nu)
+    assert nu == 0 or not (x < field.pow_beta(nu - 1))
+    assert expansion_value(field, exp) * field.pow_beta(nu) == x
+    return nu
+
+
+@settings(max_examples=60)
+@given(
+    kvec=st.sampled_from([(1, 1), (1, 1, 1), (1, 0, 0, 1), (3, -1), (2, 2)]),
+    nums=st.lists(st.integers(0, 10 ** 6), min_size=4, max_size=4),
+    den=st.integers(1, 12),
+    power=st.integers(-40, 60),
+)
+def test_expand_nonneg_shift_is_least(kvec, nums, den, power):
+    # nu is the least n >= 0 with x < beta^n, on x < 1, x >= 1 and non-unit (2, 2)
+    field = _field(kvec)
+    x = field.one
+    for c in nums[: field.m]:
+        x = x * field.beta + Fraction(c, den)
+    x = x * field.pow_beta(power)
+    if field.sign(x) > 0:
+        _check_shift(field, x)
+
+
+@pytest.mark.parametrize("kvec", [(1, 1), (1, 0, 0, 1), (2, 2)])
+def test_expand_nonneg_shift_edges(kvec):
+    field = _field(kvec)
+    assert _check_shift(field, field.pow_beta(-3) / 2) == 0
+    for k in (0, 1, 2, 7, 64, 65):
+        assert _check_shift(field, field.pow_beta(k)) == k + 1  # beta^k exactly
+        assert _check_shift(field, field.pow_beta(k) - field.pow_beta(-k - 9)) == k
+    assert _check_shift(field, field.pow_beta(5000) + Fraction(1, 3)) == 5001

@@ -7,7 +7,13 @@ import pytest
 import pisotcoding.coding as coding
 import pisotcoding.numeration as numeration
 import pisotcoding.shift as shift
-from oracles import AdmissibilityTracker, languages_agree, moore_minimize, naive_admissible
+from oracles import (
+    AdmissibilityTracker,
+    languages_agree,
+    moore_minimize,
+    naive_admissible,
+    tail_unchanged_count,
+)
 from pisotcoding import (
     HomoclinicSpec,
     NotPisot,
@@ -17,6 +23,7 @@ from pisotcoding import (
     check_finitarity,
     check_weak_finitarity,
     d_sequence,
+    enumerate_z_beta,
     injectivity_experiment,
     is_admissible,
     make_field,
@@ -205,6 +212,30 @@ class TestTailExperiment:
         assert cert.status == "proven"
         assert len(cert.records) == 1
         assert validate_weak_finitarity(phi_squared, cert) == []
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic"])
+def test_tail_rows_match_full_expansion(name, request):
+    # each row against tests/oracles: expand every sum in full, then compare
+    # its last nonzero digit with n + L
+    field = request.getfixturevalue(name)
+    cert = check_weak_finitarity(field)
+    zb = enumerate_z_beta(field)
+    chain = shift._parry_chain(field)
+    trials, seed, n_list = 60, 11, (6, 15)
+    fractions = set()
+    for L in (None, 0, 3):
+        rep = tail_invariance_experiment(field, n_list, trials, seed, L=L, certificate=cert)
+        rows = iter(rep.rows)
+        for n in n_list:
+            for ai, (alpha, aexp) in enumerate(zb):
+                rng = random.Random(shift._child_seed(seed, n, ai))
+                words = [shift._sample_path(rng, chain, n) for _ in range(trials)]
+                want = tail_unchanged_count(field, words, alpha, n + rep.L)
+                assert next(rows) == (n, aexp.serialize(), want / trials, trials), (L, n, ai)
+                fractions.add(want / trials)
+    if name == "quartic":
+        assert any(0 < f < 1 for f in fractions)  # the window decides some trials
 
 
 def test_tail_experiment_jobs_deterministic(quartic, quartic_cert):
