@@ -36,6 +36,7 @@ from .errors import (
     PisotCodingError,
     PrecisionCapExceeded,
     Reducible,
+    SearchBudgetExceeded,
     ZeroHomoclinicPoint,
 )
 from .forms import (

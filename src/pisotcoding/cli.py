@@ -33,6 +33,7 @@ from .errors import (
     OutOfRange,
     PrecisionCapExceeded,
     Reducible,
+    SearchBudgetExceeded,
     ZeroHomoclinicPoint,
 )
 from .numberfield import format_element, make_field
@@ -56,6 +57,7 @@ _MATH_ERRORS = (
     OracleMismatch,
     OrbitCapExceeded,
     PrecisionCapExceeded,
+    SearchBudgetExceeded,
     ZeroDivisionError,
 )
 

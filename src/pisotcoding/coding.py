@@ -18,6 +18,7 @@ from .errors import (
     CounterexampleFound,
     NotAUnit,
     NotInHomoclinicGroup,
+    OrbitCapExceeded,
     ZeroHomoclinicPoint,
 )
 from .forms import char_poly_k, identity, mat, mat_add, mat_det, mat_mul, mat_pow, mat_scale
@@ -25,11 +26,12 @@ from .numeration import (
     DEFAULT_ORBIT_CAP,
     DEFAULT_PERIOD_CAP,
     Expansion,
+    _beta_exponent,
+    _greedy_step,
     _periodic_points,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
-    expand_nonneg,
     expansion_value,
     is_admissible,
     value_of,
@@ -165,30 +167,29 @@ def phi_eval(spec, window, tolerance=1e-9):
             raise ValueError("phi_eval accepts finite windows or purely periodic sequences")
     if not is_admissible(window.digits, ds):
         raise ValueError("window is not admissible")
-    return _phi_window(spec, window, tolerance)
+    return _phi_window(spec, window.value(field), tolerance)
 
 
 def _below_one(x):
     return min(max(x, 0.0), math.nextafter(1.0, 0.0))
 
 
-def _phi_window(spec, window, tolerance):
+def _phi_window(spec, value, tolerance):
+    """Torus image of a finite window from its value: frac(value * xi * beta^-i) on numerators
+    over one denominator, enclosed by _real_enclosure, rounded by int / int as by float(Fraction)."""
     field = spec.field
-    v = window.value(field)
     prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
-    coords = []
-    width = Fraction(0)
     binv = field.pow_beta(-1)
-    x = v * spec.xi
+    nums, den = field._mul_nums(value.nums, spec.xi.nums), value.den * spec.xi.den
+    coords, radius = [], 0.0
     for i in range(field.m):
-        fl = field.floor(x)
-        frac = x - fl
-        lo, hi = field.real_interval(frac, prec)
-        coords.append(_below_one(float((lo + hi) / 2)))
-        width = max(width, hi - lo)
+        frac = [nums[0] - field._floor_nums(nums, den) * den, *nums[1:]]
+        lo, hi, scale = field._real_enclosure(frac, den, prec)
+        coords.append(_below_one((lo + hi) / (2 * scale)))
+        radius = max(radius, (hi - lo) / (2 * scale))
         if i + 1 < field.m:
-            x = x * binv
-    return TorusPoint(tuple(coords), float(width / 2))
+            nums, den = field._mul_nums(nums, binv.nums), den * binv.den
+    return TorusPoint(tuple(coords), radius)
 
 
 def _phi_periodic(spec, period):
@@ -271,17 +272,16 @@ def _experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resol
     field = spec.field
     n_left = n_digits - 1
     word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
-    win = Window(-n_left, word)
-    v = win.value(field)
-    pt = _phi_window(spec, win, tol)
+    v = Window(-n_left, word).value(field)
+    pt = _phi_window(spec, v, tol)
     bucket = tuple(int(math.floor(c / resolution)) for c in pt.coords)
     entries = [(bucket, v, v)]
     for alpha in nonzero_kernel:
         v2 = v + field.pow_beta(n_left) * alpha
-        win2 = _truncate_to_window(field, v2, n_digits, orbit_cap)
-        pt2 = _phi_window(spec, win2, tol)
+        vt = _truncate_to_window(field, v2, n_digits, orbit_cap).value(field)
+        pt2 = _phi_window(spec, vt, tol)
         bucket2 = tuple(int(math.floor(c / resolution)) for c in pt2.coords)
-        entries.append((bucket2, win2.value(field), v2))
+        entries.append((bucket2, vt, v2))
     return entries, pt.coords
 
 
@@ -338,14 +338,12 @@ def injectivity_experiment(
     nonzero_kernel = [(a, e) for a, e in kern if not a.is_zero]
     # signed difference lattice of kernel classes: mates of one fiber differ
     # by these, scaled by a beta power
-    diffs = []
-    seen_diff = set()
+    diffs = {}  # difference -> its float value, in first-seen order
     for a, _ in kern:
         for b, _ in kern:
             d = a - b
-            if not d.is_zero and d.coords not in seen_diff:
-                seen_diff.add(d.coords)
-                diffs.append((d, field.float_value(d)))
+            if not d.is_zero and d not in diffs:
+                diffs[d] = field.float_value(d)
     tol = resolution / 4
     kernel_coords = [a.coords for a, _ in nonzero_kernel]
     parts = max(jobs, 1)
@@ -383,7 +381,7 @@ def injectivity_experiment(
             # candidate beta power from float magnitudes, confirmed exactly
             fd = field.float_value(delta)
             matched = False
-            for kd, fkd in diffs:
+            for kd, fkd in diffs.items():
                 if fd * fkd <= 0:
                     continue
                 j = round(math.log(abs(fd) / abs(fkd)) / log_beta)
@@ -409,9 +407,7 @@ def injectivity_experiment(
                 )
             else:
                 near_misses += 1
-    mode = 0
-    if histogram:
-        mode = max(histogram, key=lambda s: (histogram[s], s))
+    mode = max(histogram, key=lambda s: (histogram[s], s), default=0)
     max_z, ok = _entropy_sanity(sample_points, field.m, trials)
     report = InjectivityReport(
         params=params,
@@ -433,9 +429,19 @@ def _mix(seed, t):
 
 
 def _truncate_to_window(field, value, right_edge, orbit_cap):
-    nu, exp = expand_nonneg(value, orbit_cap)
-    digits = exp.digits(nu + right_edge)
-    return Window(1 - nu, digits)
+    """The window of the expansion of value >= 0 that ends at right_edge: the
+    nu + right_edge greedy digits of value * beta^-nu, nu = _beta_exponent(value),
+    padded with zeros once the state is 0; orbit_cap bounds those steps."""
+    nu = _beta_exponent(value)
+    n = nu + right_edge
+    if n > orbit_cap:
+        raise OrbitCapExceeded("window truncation exceeded the cap")
+    y = value * field.pow_beta(-nu)
+    state, digits = y.nums, []
+    while len(digits) < n and any(state):
+        dig, state = _greedy_step(field, state, y.den)
+        digits.append(dig)
+    return Window(1 - nu, tuple(digits) + (0,) * (n - len(digits)))
 
 
 def _entropy_sanity(points, m, trials, cells_per_dim=8):
@@ -449,12 +455,7 @@ def _entropy_sanity(points, m, trials, cells_per_dim=8):
     exp = trials / n_cells
     if exp <= 0:
         return 0.0, True
-    max_z = 0.0
-    seen = 0
-    for cell, cnt in counts.items():
-        seen += 1
-        max_z = max(max_z, abs(cnt - exp) / math.sqrt(exp))
-    # cells never hit
-    if seen < n_cells:
+    max_z = max(abs(cnt - exp) / math.sqrt(exp) for cnt in counts.values())
+    if len(counts) < n_cells:  # cells never hit
         max_z = max(max_z, exp / math.sqrt(exp))
     return max_z, max_z <= 6.0 + math.sqrt(2 * math.log(max(2, n_cells)))

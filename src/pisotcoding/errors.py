@@ -57,6 +57,10 @@ class NotUnimodular(PisotCodingError):
     """Associated form value is not +-1 at the given integer vector."""
 
 
+class SearchBudgetExceeded(PisotCodingError):
+    """An exhaustive search box holds more points than its path's budget."""
+
+
 class NotConjugatePair(PisotCodingError):
     """Matrices are not conjugated by the supplied unimodular matrix."""
 

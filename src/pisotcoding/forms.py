@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharPolyMismatch, NotConjugatePair, NotUnimodular
+from .errors import CharPolyMismatch, NotConjugatePair, NotUnimodular, SearchBudgetExceeded
 from .numberfield import make_field
 from .polyops import mat_det
+
+SLAB_BUDGET = 10 ** 8  # search box points: about 4 s on the numpy slabs at m = 4
+EXACT_BUDGET = 2 * 10 ** 4  # search box points: about 3.5 s of exact determinants at m = 8
 
 
 def mat(rows):
@@ -176,14 +179,18 @@ def search_unimodular(M, height, field=None, first_only=False):
     m <= 4, when the values provably fit in int64, numpy evaluates the
     expansion on one slab of fixed first coordinate at a time, so memory
     grows with (2*height+1)^(m-1); otherwise each point's det(sum n_l U_l)
-    is computed exactly."""
+    is computed exactly.  A box of more points than that path's budget
+    (SLAB_BUDGET, EXACT_BUDGET) raises SearchBudgetExceeded before any."""
     M = mat(M)
     m = len(M)
     _, units = _units(M, field)
-    if m <= 4:
-        expansion = _leibniz(units)
-        if sum(abs(c) for _, c in expansion) * max(height, 1) ** m < 2 ** 62:
-            return _search_slabs(expansion, m, height, first_only)
+    expansion = _leibniz(units) if m <= 4 else ()
+    slabs = expansion and sum(abs(c) for _, c in expansion) * max(height, 1) ** m < 2 ** 62
+    budget = SLAB_BUDGET if slabs else EXACT_BUDGET
+    if (2 * height + 1) ** m > budget:
+        raise SearchBudgetExceeded(f"(2h+1)^m = {(2 * height + 1) ** m} points exceed the budget {budget}")
+    if slabs:
+        return _search_slabs(expansion, m, height, first_only)
     out = []
     for n in itertools.product(range(-height, height + 1), repeat=m):
         val = mat_det(_combine(units, n))
@@ -264,7 +271,7 @@ def nn_sequence(field, n_max):
 
 @dataclass(frozen=True)
 class PowerConjugacyResult:
-    status: str  # 'conjugate' | 'not_conjugate'
+    status: str  # 'conjugate' | 'not_conjugate' | 'unknown'
     nn: int
     base_solution: tuple  # () when none found up to the search height
     base_height: int
@@ -275,24 +282,21 @@ def classify_power_conjugacy(M, n, base_height=20, field=None):
     """Is M^n conjugate to the companion matrix of its own dominant root?
 
     Uses: M^n is conjugate iff M is and the power factor has absolute
-    value 1.  The base status comes from a bounded unimodular search, so a
-    negative base answer is qualified by the height."""
+    value 1.  A power factor of absolute value other than 1 proves
+    not_conjugate; otherwise a unimodular form value found by the bounded
+    base search proves conjugate, and without one the answer is unknown."""
     M = mat(M)
     k, _ = _units(M, field)
     fld = field or make_field(k)
     nn = nn_sequence(fld, n)[n - 1]
     base = search_unimodular(M, base_height, first_only=True)
-    if not base:
-        return PowerConjugacyResult(
-            "not_conjugate", nn, (), base_height,
-            f"no unimodular form value found up to height {base_height}",
-        )
+    sol = base[0][0] if base else ()
     if abs(nn) != 1:
-        return PowerConjugacyResult(
-            "not_conjugate", nn, base[0][0], base_height,
-            f"power factor {nn} is not a unit",
-        )
-    return PowerConjugacyResult("conjugate", nn, base[0][0], base_height, "base conjugate and unit power factor")
+        return PowerConjugacyResult("not_conjugate", nn, sol, base_height, f"power factor {nn} is not a unit")
+    if base:
+        return PowerConjugacyResult("conjugate", nn, sol, base_height, "base conjugate and unit power factor")
+    return PowerConjugacyResult("unknown", nn, (), base_height,
+                                f"no unimodular form value found up to height {base_height}")
 
 
 def _simplex_points(m):

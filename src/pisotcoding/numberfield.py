@@ -451,14 +451,29 @@ class NumberField:
         return box.re_lo, box.re_hi
 
     def real_interval(self, a, prec):
-        """Interval of width <= 2^-prec around the real embedding of a."""
-        target = Fraction(a.den, 2 ** prec)
+        """Interval of width <= 2^-prec around the real embedding of a, as Fractions."""
+        lo, hi, scale = self._real_enclosure(a.nums, a.den, prec)
+        return Fraction(lo, scale), Fraction(hi, scale)
+
+    def _real_enclosure(self, nums, den, prec):
+        """Integers lo <= scale * x <= hi with hi - lo <= scale / 2^prec for
+        x = sum(nums[i] beta^i) / den: interval Horner over beta_interval(rp), rp
+        doubling from max(prec + 8, 32), on integers over the endpoints' common
+        denominator d, times d^j at step j.  That scaling is positive, so the
+        rationals are the Fraction Horner's (tests/oracles.py), in any terms."""
         rp = max(prec + 8, 32)
         while True:
             lo, hi = self.beta_interval(rp)
-            vlo, vhi = _horner_interval(a.nums, lo, hi)
-            if vhi - vlo <= target:
-                return vlo / a.den, vhi / a.den
+            d = math.lcm(lo.denominator, hi.denominator)
+            bl, bh = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+            alo, ahi, dj = 0, 0, 1
+            for c in reversed(nums):
+                cands = (alo * bl, alo * bh, ahi * bl, ahi * bh)
+                alo, ahi = min(cands) + c * dj, max(cands) + c * dj
+                dj *= d
+            scale = den * (dj // d)
+            if (ahi - alo) << prec <= scale:
+                return alo, ahi, scale
             rp *= 2
             if rp > _PRECISION_CAP:
                 raise PrecisionCapExceeded("real_interval refinement cap hit")
@@ -753,10 +768,3 @@ def _weierstrass_radii(g, pts):
             radii.append(Fraction(m) * num / den)
     return radii
 
-
-def _horner_interval(coeffs, lo, hi):
-    alo, ahi = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi

@@ -373,26 +373,28 @@ def _orbit_class(field, state, den, memo, orbit_cap):
 
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
     """Two-sided expansion of x >= 0 as (shift, Expansion) with
-    x = beta^shift * value(Expansion) and value(Expansion) in [0, 1).
-
-    shift is the least nu >= 0 with x < beta^nu: doubling, then bisection,
-    on the cached powers, O(log nu) exact compares and one product."""
+    x = beta^shift * value(Expansion) and value(Expansion) in [0, 1)."""
     field = x.field
-    if x.is_zero:
-        return 0, ZERO_EXPANSION
     if field.sign(x) < 0:
         raise OutOfRange("expand_nonneg requires x >= 0")
+    nu = _beta_exponent(x)
+    y = x * field.pow_beta(-nu)
+    return nu, _expand_orbit(field, y.nums, y.den, orbit_cap)
+
+
+def _beta_exponent(x):
+    """The least nu >= 0 with x < beta^nu, for x >= 0: doubling, then
+    bisection, on the cached powers, O(log nu) exact compares."""
     lo, hi = -1, 0  # beta^lo <= x unless lo = -1; x < beta^hi once doubling stops
-    while not (x < field.pow_beta(hi)):
+    while not (x < x.field.pow_beta(hi)):
         lo, hi = hi, max(1, 2 * hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if x < field.pow_beta(mid):
+        if x < x.field.pow_beta(mid):
             hi = mid
         else:
             lo = mid
-    y = x * field.pow_beta(-hi)
-    return hi, _expand_orbit(field, y.nums, y.den, orbit_cap)
+    return hi
 
 
 def is_finite(x, orbit_cap=DEFAULT_ORBIT_CAP):

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -109,6 +112,12 @@ class MarkovChain:
     stationary: tuple
     edge_probs: tuple  # edge_probs[s][e], 0.0 where the edge is absent
 
+    @cached_property
+    def cumulative(self):
+        """Running sums of stationary and of each edge_probs row, the last one infinite."""
+        rows = [(*accumulate(w[:-1]), math.inf) for w in (self.stationary, *self.edge_probs)]
+        return rows[0], rows[1:]
+
     def entropy_rate(self):
         h = 0.0
         for s, pi in enumerate(self.stationary):
@@ -176,33 +185,27 @@ def _parry_chain(field):
     )
 
 
-def _pick(rng, weights):
-    x = rng.random()
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return len(weights) - 1
-
-
 def sample(chain, n, seed):
     """Stationary sample path of length n; deterministic for a fixed seed.
 
     The generator is Python's Mersenne Twister (random.Random) driven only
-    through random(), so output is reproducible across platforms.
+    through random(), so output is reproducible across platforms.  A draw
+    takes the first entry of MarkovChain.cumulative above random(): the
+    last entry when the weights before it sum to no more than the draw.
     """
     return _sample_path(random.Random(seed), chain, n)
 
 
 def _sample_path(rng, chain, n):
     """n digits of the chain from a stationary start, drawn from rng."""
+    start, rows = chain.cumulative
+    trans = chain.automaton.transitions
     word = []
-    state = _pick(rng, chain.stationary)
+    state = bisect_right(start, rng.random())
     for _ in range(n):
-        e = _pick(rng, chain.edge_probs[state])
+        e = bisect_right(rows[state], rng.random())
         word.append(e)
-        state = chain.automaton.transitions[state][e]
+        state = trans[state][e]
     return tuple(word)
 
 

@@ -504,3 +504,51 @@ def tail_unchanged_count(field, words, alpha, limit):
         if exp.is_finite and exp.support_depth() <= limit:
             count += 1
     return count
+
+
+# -- enclosures and sampling: the Fraction and linear-scan forms -----------------
+
+
+def horner_interval(coeffs, lo, hi):
+    """Interval Horner of sum(coeffs[i] x^i) over x in [lo, hi], on Fractions."""
+    alo, ahi = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+def fraction_real_interval(field, a, prec, cap=1 << 16):
+    """real_interval on Fractions: horner_interval over beta_interval(rp),
+    rp doubling from max(prec + 8, 32) until the width is <= 2^-prec."""
+    target = Fraction(a.den, 2 ** prec)
+    rp = max(prec + 8, 32)
+    while rp <= cap:
+        vlo, vhi = horner_interval(a.nums, *field.beta_interval(rp))
+        if vhi - vlo <= target:
+            return vlo / a.den, vhi / a.den
+        rp *= 2
+    raise AssertionError("cap hit")
+
+
+def pick(rng, weights):
+    """One draw by a linear scan of running sums: the first index whose sum
+    exceeds random(), the last index when none does."""
+    x = rng.random()
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return len(weights) - 1
+
+
+def pick_path(rng, chain, n):
+    """n digits of the chain from a stationary start, each drawn by pick."""
+    word = []
+    state = pick(rng, chain.stationary)
+    for _ in range(n):
+        e = pick(rng, chain.edge_probs[state])
+        word.append(e)
+        state = chain.automaton.transitions[state][e]
+    return tuple(word)

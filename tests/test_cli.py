@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,6 +86,26 @@ class TestCommands:
         assert doc["result"]["k"] == [5, -4, 1]
         assert [1, 0, 0] in [s["n"] for s in doc["result"]["solutions"]]
         assert doc["result"]["certificate"] is not None
+
+    def test_form_classify_without_proof_is_unknown(self, capsys):
+        # f = -2x^2 + 5y^2 takes no value +-1 up to height 20, but the search
+        # alone proves nothing, and the power factor of n = 1 is 1
+        argv = ["--json", "form", "3,5/2,3", "--search", "20", "--classify", "1"]
+        assert main(argv) == EXIT_OK
+        cls = json.loads(capsys.readouterr().out)["result"]["classification"]
+        assert (cls["status"], cls["nn"]) == ("unknown", 1)
+        assert cls["reason"] == "no unimodular form value found up to height 20"
+
+    @pytest.mark.parametrize("matrix", [
+        "1,0,0,1/1,0,0,0/0,1,0,0/0,0,1,0",  # quartic companion: numpy slabs, 201^4 points
+        "1,1,1,1,1/1,0,0,0,0/0,1,0,0,0/0,0,1,0,0/0,0,0,1,0",  # 5x5: exact loop, 201^5 points
+    ])
+    def test_form_default_height_over_budget_is_rejected(self, matrix, capsys):
+        start = time.perf_counter()
+        assert main(["form", matrix]) == EXIT_MATH
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: ") and "budget" in err
 
     def test_dseq(self, capsys):
         assert main(["dseq", "1,1"]) == EXIT_OK

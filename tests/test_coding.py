@@ -361,6 +361,74 @@ class TestInjectivity:
         json.dumps(rep.to_jsonable(), sort_keys=True)
 
 
+    def test_truncation_stops_at_the_window(self, golden, golden_cert, monkeypatch):
+        # a truncated mate keeps nu + right_edge digits, so it needs at most
+        # that many greedy steps; following each orbit to its cycle took
+        # 157,677 steps on this run
+        import pisotcoding.coding as coding
+        import pisotcoding.numeration as numeration
+
+        steps, kept, inside = [0], [0], [False]
+        greedy, truncate = numeration._greedy_step, coding._truncate_to_window
+
+        def counted_step(*args):
+            steps[0] += inside[0]
+            return greedy(*args)
+
+        def counted_truncate(*args):
+            inside[0] = True
+            try:
+                win = truncate(*args)
+            finally:
+                inside[0] = False
+            kept[0] += len(win.digits)
+            return win
+
+        monkeypatch.setattr(numeration, "_greedy_step", counted_step)
+        monkeypatch.setattr(coding, "_greedy_step", counted_step, raising=False)
+        monkeypatch.setattr(coding, "_truncate_to_window", counted_truncate)
+        spec = HomoclinicSpec(golden, golden.one)
+        rep = injectivity_experiment(spec, 48, 400, seed=0, certificate=golden_cert)
+        assert rep.mode_multiplicity == 5 and not rep.counterexamples
+        assert 0 < steps[0] <= kept[0]
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic", "cubic341"])
+    def test_matches_expand_nonneg(self, name, request):
+        import pisotcoding.coding as coding
+        from pisotcoding import sample, value_of
+        from pisotcoding.numeration import expand_nonneg
+        from pisotcoding.shift import _parry_chain
+
+        field = request.getfixturevalue(name)
+        chain = _parry_chain(field)
+        values = [field.zero, field.one] + [field.pow_beta(k) for k in range(-4, 9)]
+        # finite expansions: values of admissible words, at several offsets
+        values += [value_of(field, sample(chain, 12, seed), seed % 9) for seed in range(12)]
+        # periodic ones: rationals, and Z_beta points shifted by beta powers
+        if field.m <= 3:
+            values += [field.from_rational(Fraction(p, q)) for p, q in ((1, 3), (5, 2), (7, 4))]
+        values += [a + field.pow_beta(k) for a, _ in enumerate_z_beta(field)[:3] for k in (0, 3)]
+        for x in values:
+            nu, exp = expand_nonneg(x)
+            for right_edge in (0, 1, 7, 30):
+                want = Window(1 - nu, exp.digits(nu + right_edge))
+                assert coding._truncate_to_window(field, x, right_edge, 10 ** 6) == want, (x, right_edge)
+
+    def test_cap_bounds_the_window_steps(self, golden):
+        import pisotcoding.coding as coding
+        from pisotcoding import OrbitCapExceeded
+
+        x = golden.pow_beta(5) + Fraction(1, 3)
+        win = coding._truncate_to_window(golden, x, 10, 10 ** 6)
+        n = len(win.digits)
+        assert win.start == 1 - (n - 10)
+        assert coding._truncate_to_window(golden, x, 10, n) == win
+        with pytest.raises(OrbitCapExceeded):
+            coding._truncate_to_window(golden, x, 10, n - 1)
+
+
 class TestParallelism:
     def test_injectivity_jobs_deterministic(self, golden, golden_cert):
         spec = HomoclinicSpec(golden, golden.one)

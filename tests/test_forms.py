@@ -7,6 +7,7 @@ from pisotcoding import (
     CharPolyMismatch,
     NotConjugatePair,
     NotUnimodular,
+    SearchBudgetExceeded,
     b_matrix,
     build_form_report,
     char_poly_k,
@@ -21,7 +22,15 @@ from pisotcoding import (
     search_unimodular,
     spans_lattice,
 )
-from pisotcoding.forms import evaluate_expansion, mat, mat_det, mat_mul, mat_vec
+from pisotcoding.forms import (
+    EXACT_BUDGET,
+    SLAB_BUDGET,
+    evaluate_expansion,
+    mat,
+    mat_det,
+    mat_mul,
+    mat_vec,
+)
 
 from oracles import cofactor_char_poly_k, interpolated_form_expansion
 
@@ -221,6 +230,31 @@ class TestSearch:
         assert len(calls) <= 2
         assert sols and all(abs(form_eval(M, n)) == 1 == abs(v) for n, v in sols[:5])
 
+    def test_budget_follows_the_path_that_would_run(self, monkeypatch):
+        from pisotcoding import forms
+
+        def no_search(*args):
+            raise AssertionError("searched past the budget")
+
+        monkeypatch.setattr(forms, "_search_slabs", no_search)
+        monkeypatch.setattr(forms, "_combine", no_search)
+        over = (
+            (companion_matrix((1, 0, 0, 1)), 50),  # slabs: 101^4 > SLAB_BUDGET
+            (companion_matrix((1, 1, 1, 1, 1)), 4),  # exact loop: 9^5 > EXACT_BUDGET
+            (companion_matrix((2 ** 64, 1)), 71),  # beyond int64, so exact: 143^2
+        )
+        for M, h in over:
+            with pytest.raises(SearchBudgetExceeded):
+                search_unimodular(M, h)
+            with pytest.raises(SearchBudgetExceeded):
+                classify_power_conjugacy(M, 1, base_height=h)
+
+    def test_searches_within_budget(self):
+        # the largest test and tour searches of each path fit: golden at
+        # h = 260 and the quartic at h = 20 (slabs), degree 8 at h = 1 (exact)
+        assert max(521 ** 2, 13 ** 4, 41 ** 4) <= SLAB_BUDGET and 3 ** 8 <= EXACT_BUDGET
+        assert search_unimodular(companion_matrix((2 ** 64, 1)), 70)  # 141^2 points, exact
+
     def test_first_only_prefix(self):
         full = search_unimodular(M5, 2)
         first = search_unimodular(M5, 2, first_only=True)
@@ -306,6 +340,17 @@ class TestNNSequence:
 
 
 class TestClassification:
+    def test_search_alone_gives_unknown(self):
+        # power factor 1 and no unimodular value up to the height: no proof
+        # either way (Z[sqrt 10] has class number 2)
+        res = classify_power_conjugacy(((3, 5), (2, 3)), 1, base_height=20)
+        assert (res.status, res.nn, res.base_solution) == ("unknown", 1, ())
+
+    def test_power_factor_proves_not_conjugate_without_base(self):
+        res = classify_power_conjugacy(((3, 5), (2, 3)), 2, base_height=5)
+        assert abs(res.nn) != 1 and res.status == "not_conjugate"
+        assert res.reason == f"power factor {res.nn} is not a unit"
+
     def test_golden_powers(self, golden):
         M = companion_matrix(golden)
         assert classify_power_conjugacy(M, 2).status == "conjugate"

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pisotcoding.numberfield as nf
-from oracles import _det, exact_floor, poly_inverse_mod, poly_mul_mod, sylvester_resultant
+from oracles import (
+    _det,
+    exact_floor,
+    fraction_real_interval,
+    poly_inverse_mod,
+    poly_mul_mod,
+    sylvester_resultant,
+)
 from pisotcoding import (
     EQUAL,
     GREATER,
@@ -466,3 +473,28 @@ def test_enclosures_do_not_depend_on_cache_history(k):
 
     assert fresh.real_interval(x(fresh), 64) == warmed.real_interval(x(warmed), 64)
     assert check_weak_finitarity(fresh).eta == check_weak_finitarity(warmed).eta
+
+
+@st.composite
+def enclosure_cases(draw):
+    """(k, integer numerators, den, prec) over the ring-test fields."""
+    k = draw(st.sampled_from(RING_KS))
+    coord = st.one_of(st.integers(-(2 ** 2000), 2 ** 2000), st.integers(-50, 50))
+    nums = draw(st.lists(coord, min_size=len(k), max_size=len(k)))
+    return k, nums, draw(st.integers(1, 10 ** 6)), draw(st.integers(8, 256))
+
+
+@settings(max_examples=60)
+@given(enclosure_cases(), st.integers(1, 1000))
+def test_real_interval_matches_fraction_horner(case, g):
+    # the integer Horner returns the Fraction Horner's rationals, and so does
+    # any positive rescaling of numerators and denominator (_phi_window skips
+    # the gcd)
+    k, nums, den, prec = case
+    field = _decider_field(k)
+    x = field.element([Fraction(n, den) for n in nums])
+    want = fraction_real_interval(field, x, prec)
+    assert field.real_interval(x, prec) == want
+    lo, hi, scale = field._real_enclosure([g * n for n in x.nums], g * x.den, prec)
+    assert (Fraction(lo, scale), Fraction(hi, scale)) == want
+    assert want[1] - want[0] <= Fraction(1, 2 ** prec)

@@ -7,15 +7,20 @@ import pytest
 import pisotcoding.coding as coding
 import pisotcoding.numeration as numeration
 import pisotcoding.shift as shift
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (
     AdmissibilityTracker,
     languages_agree,
     moore_minimize,
     naive_admissible,
+    pick_path,
     tail_unchanged_count,
 )
 from pisotcoding import (
     HomoclinicSpec,
+    MarkovChain,
     NotPisot,
     Reducible,
     SoficAutomaton,
@@ -172,6 +177,47 @@ class TestSampling:
         p = chain.digit_frequencies()[1]
         sigma = math.sqrt(p * (1 - p) * n)
         assert abs(ones - p * n) < 3 * sigma + 3 * math.sqrt(n) * 0.05
+
+
+    @pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic", "cubic341", "phi_squared"])
+    def test_bisection_matches_linear_scan(self, name, request):
+        chain = shift._parry_chain(request.getfixturevalue(name))
+        for seed in range(60):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert shift._sample_path(rng, chain, 80) == pick_path(ref, chain, 80)
+            assert rng.random() == ref.random()  # the same number of draws
+
+    def test_short_rows_and_zero_weights_match_linear_scan(self):
+        # row sums below 1 send some draws past every running sum, to the last
+        # entry, here one of weight 0
+        auto = SoficAutomaton(2, 4, ((0, 1, 1, 0), (1, 0, 1, 0)))
+        chain = MarkovChain(auto, 1.0, (1.0, 1.0), (0.0, 0.25),
+                            ((0.0, 0.3, 0.0, 0.0), (0.5, 0.0, 0.25, 0.0)))
+        drawn = set()
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            word = shift._sample_path(rng, chain, 30)
+            assert word == pick_path(ref, chain, 30)
+            drawn.update(word)
+        assert drawn == {0, 1, 2, 3}
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=1, max_size=5),
+            min_size=1, max_size=4,
+        ),
+        st.integers(0, 2 ** 32),
+    )
+    def test_random_rows_match_linear_scan(self, rows, seed):
+        k = max(map(len, rows))
+        probs = tuple(tuple(r) + (0.0,) * (k - len(r)) for r in rows)
+        n = len(rows)
+        trans = tuple(tuple((s + e) % n for e in range(k)) for s in range(n))
+        stationary = tuple(r[0] for r in probs)
+        chain = MarkovChain(SoficAutomaton(n, k, trans), 1.0, (1.0,) * n, stationary, probs)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert shift._sample_path(rng, chain, 40) == pick_path(ref, chain, 40)
 
 
 class TestTailExperiment:
