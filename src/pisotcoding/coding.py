@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     CounterexampleFound,
@@ -27,7 +28,7 @@ from .numeration import (
     DEFAULT_PERIOD_CAP,
     Expansion,
     _beta_exponent,
-    _greedy_step,
+    _greedy_orbit,
     _periodic_points,
     check_weak_finitarity,
     d_sequence,
@@ -437,10 +438,11 @@ def _truncate_to_window(field, value, right_edge, orbit_cap):
     if n > orbit_cap:
         raise OrbitCapExceeded("window truncation exceeded the cap")
     y = value * field.pow_beta(-nu)
-    state, digits = y.nums, []
-    while len(digits) < n and any(state):
-        dig, state = _greedy_step(field, state, y.den)
+    digits = []
+    for dig, state in islice(_greedy_orbit(field, y.nums, y.den), n):
         digits.append(dig)
+        if not any(state):
+            break
     return Window(1 - nu, tuple(digits) + (0,) * (n - len(digits)))
 
 

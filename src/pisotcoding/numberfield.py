@@ -287,7 +287,7 @@ class NumberField:
         self._lock = threading.Lock()
         self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
         self._pow_cache = {}
-        self._fixed = {}  # K -> (L_0..L_(m-1), w), see _fixed_table
+        self._fixed = {}  # K -> (L_0..L_(m-1), w, B_hi), see _fixed_table
         self._derived = {}  # key -> value built once by derived()
         self._krev = tuple(reversed(min_poly.k))  # beta^m = sum(_krev[i] beta^i)
         # reduction rows: numerators of beta^(m+j) for j = 0..m-2
@@ -516,23 +516,30 @@ class NumberField:
         itself by an enclosure.  Lock-free: tables are published once."""
         if not any(nums[1:]):
             return rule(nums[0], nums[0], den)  # exact: K = 0, no error
+        s, e, bits, _, _ = self._enclosure(nums)
+        while (got := rule(s - e, s + e, den << bits)) is None:
+            bits <<= 1
+            if bits > _PRECISION_CAP:
+                raise PrecisionCapExceeded("fixed-point refinement cap hit")
+            low, width, _ = self._fixed.get(bits) or self._fixed_table(bits)
+            s, e = sum(map(mul, nums, low)), width * sum(map(abs, nums))
+        return got
+
+    def _enclosure(self, nums):
+        """(s, e, K, B_lo, B_hi) with |2^K sum(n_i beta^i) - s| <= e at the
+        first K of _decide, and B_lo <= 2^K beta <= B_hi from the same table."""
         mag = sum(map(abs, nums))
         bits = _FIXED_BITS
         while bits < mag.bit_length() + 32:
             bits <<= 1
-        while bits <= _PRECISION_CAP:
-            low, width = self._fixed.get(bits) or self._fixed_table(bits)
-            s = sum(map(mul, nums, low))
-            e = width * mag
-            got = rule(s - e, s + e, den << bits)
-            if got is not None:
-                return got
-            bits <<= 1
-        raise PrecisionCapExceeded("fixed-point refinement cap hit")
+        if bits > _PRECISION_CAP:
+            raise PrecisionCapExceeded("fixed-point refinement cap hit")
+        low, width, b_hi = self._fixed.get(bits) or self._fixed_table(bits)
+        return sum(map(mul, nums, low)), width * mag, bits, low[1], b_hi
 
     def _fixed_table(self, bits):
-        """Integers L_i = floor(2^bits lo^i) and the largest
-        w = ceil(2^bits hi^i) - L_i over i < m, for a certified interval
+        """Integers L_i = floor(2^bits lo^i), the largest w = ceil(2^bits hi^i)
+        - L_i over i < m and B_hi = ceil(2^bits hi), for a certified interval
         [lo, hi] around beta; lo >= 1, so L_i <= 2^bits beta^i <= L_i + w."""
         hi0 = self.root_intervals[0].re_hi
         guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # keeps w small
@@ -541,7 +548,7 @@ class NumberField:
         low = tuple(math.floor(lo ** i * one) for i in range(self.m))
         width = max(math.ceil(hi ** i * one) - li for i, li in enumerate(low))
         with self._lock:
-            return self._fixed.setdefault(bits, (low, width))
+            return self._fixed.setdefault(bits, (low, width, math.ceil(hi * one)))
 
     # -- derived data ---------------------------------------------------------
 

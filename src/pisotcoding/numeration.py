@@ -4,10 +4,12 @@ Digit strings are indexed from 1: position k carries the coefficient of
 beta^-k.  An Expansion stores a preperiod and a period; an empty period
 means the expansion is finite (tail of zeros).  All decisions here are
 exact: digits come from exact floors, periodicity from exact state
-repetition.  Every digit comes from one greedy step on integer numerators
-(_greedy_step), whose floor the field decides exactly (NumberField._decide).
-Where a greedy orbit ends (Z_beta, the coding kernels, the carry length,
-the tail rows of shift) is asked of one memoised orbit walk (_orbit_class).
+repetition.  Every digit comes from one greedy walk on integer numerators
+(_greedy_orbit), which carries a fixed-point enclosure from step to step
+and takes the exact step (_greedy_step, NumberField._decide) wherever that
+cannot settle the floor.  Where a greedy orbit ends (Z_beta, the coding
+kernels, the carry length, the tail rows of shift) is asked of one
+memoised orbit walk (_orbit_class).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -29,6 +31,7 @@ from .numberfield import FieldElement
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
 DEFAULT_WF_DEPTH = 30
+_CARRY_SLACK = 16  # _greedy_orbit re-anchors once its error exceeds den * 2^(K - 16)
 
 
 @dataclass(frozen=True)
@@ -314,31 +317,59 @@ def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
 
 def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
     """Greedy orbit of nums / den in [0, 1) followed for at most orbit_cap
-    steps, with a fixed denominator (invariant under the greedy map)."""
-    digits = []
-    state = tuple(nums)
-    seen = {state: 0}
-    for n in range(1, orbit_cap + 1):
-        dig, state = _greedy_step(field, state, den)
+    steps, with a fixed denominator (invariant under the greedy map).  The
+    split is canonical: distinct states have distinct tails, so the first
+    repeat closes the least preperiod and a primitive period, and the digit
+    that reaches state 0 is nonzero unless x = 0."""
+    digits, seen = [], {tuple(nums): 0}
+    for n, (dig, state) in enumerate(islice(_greedy_orbit(field, nums, den), orbit_cap), 1):
         digits.append(dig)
         if not any(state):
-            return canonical_expansion(tuple(digits), ())
-        if state in seen:
-            j = seen[state]
-            return canonical_expansion(tuple(digits[:j]), tuple(digits[j:]))
-        seen[state] = n
+            return Expansion(tuple(digits), ()) if dig else ZERO_EXPANSION
+        j = seen.setdefault(state, n)
+        if j < n:
+            return Expansion(tuple(digits[:j]), tuple(digits[j:]))
     raise OrbitCapExceeded(cap_message)
 
 
 def _greedy_step(field, state, den):
-    """One step x -> beta x - floor(beta x) of the greedy map on integer
-    numerators over den, the floor decided exactly by the field: the one
-    step behind every expansion, the d-sequence, every orbit walk
-    (_orbit_class) and the dual Z_beta oracle.  Returns (digit, next state)."""
+    """One exact step x -> beta x - floor(beta x) of the greedy map on
+    integer numerators over den, the floor decided by the field: the step
+    that starts and re-anchors every _greedy_orbit, and the one step of the
+    dual Z_beta oracle, which checks the walk.  Returns (digit, next state)."""
     new = field._shift_reduce(state)
     dig = field._floor_nums(new, den)
     new[0] -= dig * den
     return dig, tuple(new)
+
+
+def _greedy_orbit(field, state, den):
+    """(digit, state) for each step of the greedy orbit of state / den,
+    forever: the one greedy walk, each pair the exact _greedy_step's.  It
+    carries integers 0 <= Y <= S = den 2^K and E with |S x - Y| <= E.  With
+    B_lo <= 2^K beta <= B_hi (NumberField._enclosure), Z = (Y B_lo) >> K lies
+    within E' = ((E B_hi) >> K) + c of S beta x, c = den (B_hi - B_lo) + 2:
+    the error (S x - Y) beta, plus Y (2^K beta - B_lo) / 2^K <= den (B_hi -
+    B_lo), plus two floor roundings below 1.  If r = Z mod S has E' <= r and
+    r + E' < S, the digit is Z // S and Y, E become r, E'.  Otherwise, or once
+    E' > S >> _CARRY_SLACK, it takes the exact step and re-anchors, lazily, on
+    the state reached: Y, E from the fixed table, Y clamped into [0, S] (S x
+    lies there), so a walk of one or two steps costs what _greedy_step does."""
+    while True:
+        dig, state = _greedy_step(field, state, den)
+        yield dig, state
+        y, e, bits, b_lo, b_hi = field._enclosure(state)
+        one = den << bits
+        y, c, cap = min(max(y, 0), one), den * (b_hi - b_lo) + 2, one >> _CARRY_SLACK
+        while True:
+            e = ((e * b_hi) >> bits) + c
+            dig, y = divmod((y * b_lo) >> bits, one)
+            if e > cap or y < e or y + e >= one:
+                break
+            new = field._shift_reduce(state)
+            new[0] -= dig * den
+            state = tuple(new)
+            yield dig, state
 
 
 def _orbit_class(field, state, den, memo, orbit_cap):
@@ -349,7 +380,7 @@ def _orbit_class(field, state, den, memo, orbit_cap):
     max(1, k + p) > orbit_cap, as _expand_orbit does; an orbit has at most
     k + p + 1 states, so a path of orbit_cap + 2 new ones stops the walk."""
     path, index = [], {}
-    cur = state
+    cur, walk = state, _greedy_orbit(field, state, den)
     while cur not in memo:
         if cur in index:  # the walk closed its own cycle
             cycle = path[index[cur]:]
@@ -361,7 +392,7 @@ def _orbit_class(field, state, den, memo, orbit_cap):
             raise OrbitCapExceeded("expansion orbit exceeded the cap")
         index[cur] = len(path)
         path.append(cur)
-        cur = _greedy_step(field, cur, den)[1]
+        cur = next(walk)[1]
     k, p = memo[cur]
     for st in reversed(path):
         k += 1
@@ -383,18 +414,18 @@ def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def _beta_exponent(x):
-    """The least nu >= 0 with x < beta^nu, for x >= 0: doubling, then
-    bisection, on the cached powers, O(log nu) exact compares."""
-    lo, hi = -1, 0  # beta^lo <= x unless lo = -1; x < beta^hi once doubling stops
-    while not (x < x.field.pow_beta(hi)):
-        lo, hi = hi, max(1, 2 * hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x < x.field.pow_beta(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """The least nu >= 0 with x < beta^nu, for x >= 0: a guess from the
+    fixed-point enclosure of x (a float log, which decides nothing), moved
+    by exact compares until beta^(nu - 1) <= x < beta^nu or nu = 0."""
+    field = x.field
+    s, _, bits, _, _ = field._enclosure(x.nums)
+    guess = (math.log(max(s, 1)) - math.log(x.den << bits)) / math.log(field._float_roots[0].real)
+    nu = max(0, 1 + math.floor(guess))
+    while not (x < field.pow_beta(nu)):
+        nu += 1
+    while nu and x < field.pow_beta(nu - 1):
+        nu -= 1
+    return nu
 
 
 def is_finite(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -554,9 +585,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None):
     out = []
     for s in members:
         digits = []
-        cur = s
-        for _ in range(memo[s][1] or 1):
-            dig, cur = _greedy_step(field, cur, den)
+        for dig, cur in islice(_greedy_orbit(field, s, den), memo[s][1] or 1):
             if cur not in members:
                 raise AssertionError("periodic points are not closed under the greedy map")
             digits.append(dig)

@@ -552,3 +552,18 @@ def pick_path(rng, chain, n):
         word.append(e)
         state = chain.automaton.transitions[state][e]
     return tuple(word)
+
+
+def bisect_beta_exponent(x):
+    """The least nu >= 0 with x < beta^nu, for x >= 0: doubling, then
+    bisection, on exact compares against the field's powers of beta."""
+    lo, hi = -1, 0  # beta^lo <= x unless lo = -1; x < beta^hi once doubling stops
+    while not (x < x.field.pow_beta(hi)):
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if x < x.field.pow_beta(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -371,11 +371,12 @@ def test_fixed_tables_enclose_beta_powers(k):
     for bits in (64, 1024):
         field._fixed_table(bits)
     field.floor(field.pow_beta(-200))  # grows K from the operand size
-    for bits, (low, width) in sorted(field._fixed.items()):
+    for bits, (low, width, b_hi) in sorted(field._fixed.items()):
         lo, hi = field.beta_interval(bits + 64)
         for i, li in enumerate(low):
             assert li <= lo ** i * 2 ** bits
             assert hi ** i * 2 ** bits <= li + width
+        assert hi * 2 ** bits <= b_hi  # with L_1, the bounds the greedy walk carries
 
 
 # -- ring operations against library-free oracles ---------------------------

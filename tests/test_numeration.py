@@ -1,15 +1,27 @@
 import functools
 import gc
+import hashlib
+import importlib
+import json
 import math
+import os
 import random
+import sys
 import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import horner_value, naive_admissible, suffix_scan_admissible, word_compare
+from oracles import (
+    bisect_beta_exponent,
+    horner_value,
+    naive_admissible,
+    suffix_scan_admissible,
+    word_compare,
+)
 from pisotcoding import numeration
 from pisotcoding import (
     Expansion,
@@ -441,12 +453,21 @@ class TestZBeta:
 
     def test_quartic_steps_each_state_once(self, monkeypatch):
         # the primary oracle shares one memo over states, so merging orbits
-        # are not stepped again (one walk per candidate took 329,850 steps)
+        # are not stepped again (one walk per candidate took 329,850 steps);
+        # counted: every step of the greedy walk and every exact step (the
+        # dual oracle's, and the walk's own, which count twice)
         steps = []
-        step = numeration._greedy_step
+        step, orbit = numeration._greedy_step, numeration._greedy_orbit
         monkeypatch.setattr(
             numeration, "_greedy_step", lambda *a: steps.append(1) or step(*a)
         )
+
+        def counted_orbit(*args):
+            for pair in orbit(*args):
+                steps.append(1)
+                yield pair
+
+        monkeypatch.setattr(numeration, "_greedy_orbit", counted_orbit)
         assert len(enumerate_z_beta(make_field((1, 0, 0, 1)))) == 6
         assert len(steps) < 25000
 
@@ -708,3 +729,188 @@ def test_expand_nonneg_shift_edges(kvec):
         assert _check_shift(field, field.pow_beta(k)) == k + 1  # beta^k exactly
         assert _check_shift(field, field.pow_beta(k) - field.pow_beta(-k - 9)) == k
     assert _check_shift(field, field.pow_beta(5000) + Fraction(1, 3)) == 5001
+
+
+# -- the greedy-map kernel ------------------------------------------------------
+
+KERNEL_KS = ((1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2), (1,) * 8)  # (2, 2): non-unit
+
+
+@functools.cache
+def _small_units(k):
+    """u^n for n >= 30 while the numerators stay within 2^200, u a unit of
+    Z[beta] in (0, 1): beta^-1, or 3 - beta = 2 - sqrt(3) for (2, 2)."""
+    field = _field(k)
+    u = 3 - field.beta if k == (2, 2) else field.pow_beta(-1)
+    out, p = [], u ** 30
+    while max(map(abs, p.nums)) < 2 ** 200:
+        out.append(p)
+        p = p * u
+    return out
+
+
+def _boundary_start(field, j, tiny, sign):
+    """x0 with beta x0 = x1 = j / beta + sign * tiny in [0, 1): the first
+    step (exact) reaches x1, and beta x1 lies tiny * beta from the digit
+    boundary j, so the next digit cannot be read off any carried enclosure."""
+    x1 = j * field.pow_beta(-1) + sign * tiny
+    return x1 * field.pow_beta(-1)
+
+
+@st.composite
+def kernel_starts(draw):
+    """(k, nums, den): arbitrary numerators up to 2^200 over denominators up
+    to 10^6, or a start next to a digit boundary, written over a larger den."""
+    k = draw(st.sampled_from(KERNEL_KS))
+    field = _field(k)
+    if draw(st.booleans()):
+        coord = st.one_of(st.integers(-(2 ** 200), 2 ** 200), st.integers(-3, 3))
+        nums = draw(st.lists(coord, min_size=len(k), max_size=len(k)))
+        return k, tuple(nums), draw(st.integers(1, 10 ** 6))
+    j = draw(st.integers(1, field.floor_beta))
+    x0 = _boundary_start(field, j, draw(st.sampled_from(_small_units(k))), draw(st.sampled_from((1, -1))))
+    q = draw(st.integers(1, 10 ** 6 // x0.den))
+    return k, tuple(n * q for n in x0.nums), x0.den * q
+
+
+@settings(max_examples=150)
+@given(start=kernel_starts())
+def test_greedy_orbit_matches_exact_steps(start):
+    k, nums, den = start
+    field = _field(k)
+    want, state = [], nums
+    for _ in range(300):
+        dig, state = numeration._greedy_step(field, state, den)
+        want.append((dig, state))
+    assert list(islice(numeration._greedy_orbit(field, nums, den), 300)) == want
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+def test_greedy_orbit_reanchors_at_a_digit_boundary(k, monkeypatch):
+    field = _field(k)
+    exact = numeration._greedy_step
+    calls = []
+    monkeypatch.setattr(numeration, "_greedy_step", lambda *a: calls.append(a) or exact(*a))
+    for tiny in _small_units(k)[-1], _small_units(k)[-1] * field.pow_beta(-3):
+        for j in range(1, field.floor_beta + 1):
+            for sign in (1, -1):
+                x0 = _boundary_start(field, j, tiny, sign)
+                del calls[:]
+                got = list(islice(numeration._greedy_orbit(field, x0.nums, x0.den), 40))
+                assert len(calls) >= 2 and calls[1][1] == got[0][1]  # step 2 was exact
+                assert got[1][0] == (j if sign > 0 else j - 1)
+                want, state = [], x0.nums
+                for _ in range(40):
+                    dig, state = exact(field, state, x0.den)
+                    want.append((dig, state))
+                assert got == want
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+@pytest.mark.parametrize("slack", [1, 2 ** 12, 2 ** 28])
+def test_greedy_orbit_is_exact_under_looser_beta_bounds(k, slack, monkeypatch):
+    # any B_lo <= 2^K beta <= B_hi keeps every digit exact; a carried error
+    # bound that leaves out a rounding term shows here as a wrong digit
+    field = _field(k)
+    enclosure = NumberField._enclosure
+
+    def looser(self, nums):
+        y, e, bits, b_lo, b_hi = enclosure(self, nums)
+        return y, e, bits, b_lo - slack, b_hi + slack
+
+    rng = random.Random(f"looser/{k}/{slack}")
+    starts = [((p,) + (0,) * (field.m - 1), den) for p, den in ((1, 3), (5, 7), (1, 10 ** 6), (999, 1000))]
+    starts += [(tuple(rng.randint(-50, 50) for _ in k), rng.randint(1, 10 ** 6)) for _ in range(4)]
+    for nums, den in starts:
+        want, state = [], nums
+        for _ in range(300):
+            dig, state = numeration._greedy_step(field, state, den)
+            want.append((dig, state))
+        monkeypatch.setattr(NumberField, "_enclosure", looser)
+        got = list(islice(numeration._greedy_orbit(field, nums, den), 300))
+        monkeypatch.setattr(NumberField, "_enclosure", enclosure)
+        assert got == want, (nums, den)
+
+
+def test_long_period_decides_few_floors(monkeypatch):
+    # the 88,920-digit quartic period: one exact floor per re-anchor, not
+    # one per digit (each step decided its floor afresh: 88,936 calls)
+    field = make_field((1, 0, 0, 1))  # fresh: no fixed-point table yet
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    calls = []
+    decide = NumberField._decide
+    monkeypatch.setattr(NumberField, "_decide", lambda *a: calls.append(1) or decide(*a))
+    exp = beta_expand(x)
+    assert len(exp.per) == 88920
+    assert len(calls) <= len(exp.per) // 20
+
+
+def _exact_orbit_split(field, nums, den):
+    """The orbit of nums / den walked by exact steps to its first repeated
+    state or to 0, that split put in normal form by canonical_expansion."""
+    digits, state, seen = [], tuple(nums), {}
+    while state not in seen:
+        seen[state] = len(digits)
+        dig, state = numeration._greedy_step(field, state, den)
+        digits.append(dig)
+        if not any(state):
+            return canonical_expansion(digits, ())
+    j = seen[state]
+    return canonical_expansion(digits[:j], digits[j:])
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1)])
+def test_orbit_split_is_canonical(k):
+    field = _field(k)
+    rng = random.Random(f"orbit_split/{k}")
+    cases = [(nums, den) for nums, den, _ in _seeded_states(field, rng, 60, orbit_cap=3000)]
+    cases.append(((0,) * field.m, 1))
+    cases.append(((0,) * field.m, 7))
+    for nums, den in cases:
+        exp = _expand_orbit(field, nums, den, 10 ** 6)
+        assert exp == _exact_orbit_split(field, nums, den), (nums, den)
+    assert _expand_orbit(field, (0,) * field.m, 3, 10 ** 6) is ZERO_EXPANSION
+
+
+@settings(max_examples=120)
+@given(
+    kvec=st.sampled_from([(1, 1), (1, 0, 0, 1), (2, 2)]),
+    kind=st.sampled_from(("below_one", "power", "less_unit", "less_fraction")),
+    power=st.integers(0, 400),
+    nums=st.lists(st.integers(-(10 ** 6), 10 ** 6), min_size=4, max_size=4),
+    den=st.integers(1, 10 ** 6),
+)
+def test_beta_exponent_matches_bisection(kvec, kind, power, nums, den):
+    field = _field(kvec)
+    if kind == "below_one":
+        x = field._from_nums(nums[: field.m], den)
+        x = x - field.floor(x)
+    elif kind == "power":
+        x = field.pow_beta(power)
+    elif kind == "less_unit":  # just below beta^power
+        x = field.pow_beta(power) - _small_units(kvec)[nums[0] % 50]
+    else:
+        x = field.pow_beta(power) * Fraction(den - 1, den)
+    assert numeration._beta_exponent(x) == bisect_beta_exponent(x)
+
+
+def test_expand_round_zero_matches_reference():
+    # round 0 of the benchmark's `expand` workload at its reference seed,
+    # with the quartic's 88,920-digit op: every report digest as pinned in
+    # perfbench/reference.json (perfbench/expand.py is only read)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        expand = importlib.import_module("expand")
+    finally:
+        sys.path.pop(0)
+    with open(os.path.join(root, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    state = expand.setup(root, reference["seed"], reference)
+    ops = expand.make_round(state, 0)
+    pinned = reference["expand"]["ops"][0]
+    assert len(ops) == len(pinned)
+    for op, want in zip(ops, pinned):
+        data, problems, _ = op.check(op.call())
+        assert not problems, op.label
+        assert hashlib.sha256(data).hexdigest()[:len(want)] == want, op.label
