@@ -541,6 +541,9 @@ def _build_parser():
 def _make_config(args):
     file_values = _load_config_file(args.config) if args.config else {}
     cfg = Config()
+    names = [f.name for f in fields(Config)]
+    if unknown := [repr(key) for key in file_values if key not in names]:
+        raise ValueError(f"unknown config key {', '.join(unknown)} (keys: {', '.join(names)})")
     for f in fields(Config):
         value = getattr(args, f.name, None)
         if value is None:

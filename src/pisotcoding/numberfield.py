@@ -450,6 +450,12 @@ class NumberField:
         box = self.root_intervals[0]
         return box.re_lo, box.re_hi
 
+    def root_boxes(self, prec):
+        """Certified root boxes of width <= 2^-prec, in root_intervals order."""
+        if prec <= self.precision:
+            return self.root_intervals
+        return self.derived(("root_boxes", prec), lambda: _certified_root_boxes(self._g, prec))
+
     def real_interval(self, a, prec):
         """Interval of width <= 2^-prec around the real embedding of a, as Fractions."""
         lo, hi, scale = self._real_enclosure(a.nums, a.den, prec)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice
 from operator import mul
 
-import numpy as np
-
-from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange
-from .numberfield import FieldElement
+from . import polyops
+from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange, PrecisionCapExceeded
+from .numberfield import _PRECISION_CAP, FieldElement
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
@@ -458,87 +458,134 @@ def _over_one_den(elements):
     return [[n * (den // x.den) for n in x.nums] for x in elements], den
 
 
-def _periodic_conjugate_radii(field, pad=1.15):
-    """Float radii bounding conjugates of purely periodic values, padded:
-    about floor(beta) / (1 - |z|) for each subdominant root z."""
-    fb = field.floor_beta
-    radii = []
-    for z in field._float_roots[1:]:
-        r = abs(z)
-        tail = (1.0 / (1.0 - r)) / max(1e-12, 1.0 - r ** 400)
-        radii.append(fb * tail * pad + 1e-6)
-    return radii
+_CANDIDATE_CAP = 5 * 10 ** 6  # lattice points one region may hold; more raises OrbitCapExceeded
+_REGION_BITS = 32  # the first grid of _region_form; it doubles until the form settles
 
 
-def _embedding_rows(field, basis, den):
-    """(A, c) for the sphere decoder: each entry of A y - c lies in [-1, 1]
-    when the lattice point sum(y_j basis_j) / den (integer numerators) has
-    its value in [0, 1) and its conjugates in the padded box.  Rows follow
-    the field roots, a complex pair giving the real and imaginary part of
-    its upper root."""
-    radii = _periodic_conjugate_radii(field)
-    rows, centers, halfw = [], [], []
-    for i, z in enumerate(field._float_roots):
-        if z.imag < 0:
-            continue  # the lower root of a complex pair
-        embeds = []
-        for b in basis:
-            acc = complex(0.0)
-            zp = complex(1.0)
-            for n in b:
-                acc += (n / den) * zp
-                zp *= z
-            embeds.append(acc)
-        for part in ("real", "imag") if z.imag else ("real",):
-            rows.append([getattr(e, part) for e in embeds])
-            centers.append(0.5 if i == 0 else 0.0)
-            halfw.append(0.5 + 1e-9 if i == 0 else radii[i - 1])
-    W = np.diag(1.0 / np.array(halfw))
-    return W @ np.array(rows), W @ np.array(centers)
+def _region_points(field, basis, den):
+    """Integer numerators over den of the lattice points sum(y_j basis_j) of
+    the ellipsoid of _region_form, which holds every purely periodic point
+    of [0, 1), enumerated exactly (Fincke and Pohst, Math. Comp. 44, 1985).
 
+    The region.  For a period d_1 ... d_p, x = sum(d_k beta^(p-k)) /
+    (beta^p - 1), so a subdominant conjugate is sigma(x) = -sum(e_j sigma^j,
+    j >= 0) with digits e_j in 0 ... F = floor(beta): a point of the digit
+    zonotope -F sum_j [0, 1] sigma^j.  With e_j = F/2 + s_j, |s_j| <= F/2,
+    sigma(x) lies in the disk of centre -F / (2 (1 - sigma)) and radius
+    F / (2 (1 - |sigma|)), which for a real sigma meets the line in the
+    zonotope's own interval; x lies in [0, 1], centre 1/2, radius 1/2.  So
+    the sum of |sigma(x) - centre|^2 / radius^2 over beta (giving x's term),
+    the other real roots and the complex pairs is at most their number.
 
-def _sphere_candidates(A, c, radius_sq, hard_cap=5 * 10 ** 6):
-    """Integer vectors y with ||A y - c||^2 <= radius_sq, up to float error.
+    The form's LDL^T is exact, and each level holds its centre as an
+    integer over a fixed denominator and its budget as an integer, so
+    math.isqrt gives the exact range: a point is skipped only if the form
+    proves it outside.  More than _CANDIDATE_CAP points raise
+    OrbitCapExceeded."""
+    bits = _REGION_BITS
+    while (form := _region_form(field, basis, den, bits)) is None:
+        bits *= 2
+        if bits > _PRECISION_CAP:
+            raise PrecisionCapExceeded("periodic-point region did not settle")
+    gram, bound = form
+    m = len(gram) - 1  # coordinates y_0 ... y_(m-1), and y_m = 1
+    # gram = low diag low^T makes term j diag_j (y_j + sum(low_ij y_i, i > j))^2;
+    # level j holds the low_ij as integers over n_j, and diag_j / n_j^2
+    low, diag, levels = [[Fraction(0)] * (m + 1) for _ in range(m + 1)], [], []
+    for j in range(m):
+        diag.append(gram[j][j] - sum((low[j][k] ** 2 * diag[k] for k in range(j)), Fraction(0)))
+        for i in range(j + 1, m + 1):
+            low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))) / diag[j]
+        n = math.lcm(*(low[i][j].denominator for i in range(j + 1, m + 1)))
+        levels.append(([int(low[i][j] * n) if i > j else 0 for i in range(m + 1)], n, diag[j] / n ** 2))
+    z = math.lcm(*(d.denominator for *_, d in levels))
+    levels = [(col, n, int(d * z)) for col, n, d in levels]
+    out, y = [], [0] * m + [1]
 
-    Plain QR-based sphere decoding with padded bounds (the slacks are float,
-    not derived, so the search is exhaustive only up to them).
-    """
-    m = A.shape[1]
-    q, r = np.linalg.qr(A)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = r * signs[:, None]
-    target = (q * signs[None, :]).T @ c
-    out = []
-
-    def rec(level, partial, residual):
-        if len(out) > hard_cap:
-            raise OrbitCapExceeded("candidate enumeration exploded")
-        if level < 0:
-            out.append(tuple(int(v) for v in partial))
+    def walk(j, budget, state):
+        if j < 0:
+            out.append(tuple(state))
+            if len(out) > _CANDIDATE_CAP:
+                raise OrbitCapExceeded("candidate enumeration exploded")
             return
-        diag = r[level, level]
-        rest = target[level] - sum(r[level, j] * partial[j] for j in range(level + 1, m))
-        room = math.sqrt(max(0.0, residual)) + 1e-9
-        lo = math.ceil((rest - room) / diag - 1e-9)
-        hi = math.floor((rest + room) / diag + 1e-9)
-        for v in range(lo, hi + 1):
-            partial[level] = v
-            d = rest - diag * v
-            rec(level - 1, partial, residual - d * d)
-        partial[level] = 0
+        col, n, d = levels[j]
+        c = -sum(map(mul, col, y))  # n times the centre of y_j
+        w = math.isqrt(budget // d)  # the largest |v n - c| within budget
+        for v in range(-((w - c) // n), (c + w) // n + 1):
+            y[j] = v
+            walk(j - 1, budget - d * (v * n - c) ** 2, [s + v * e for s, e in zip(state, basis[j])])
 
-    rec(m - 1, [0] * m, radius_sq)
+    walk(m - 1, bound * z, [0] * m)
     return out
+
+
+def _region_form(field, basis, den, bits):
+    """(G, b), integers, with (y, 1)^T G (y, 1) <= b for every y in the
+    region of _region_points, or None if the grid 2^-bits is too coarse: G
+    sums w (row . (y, 1))^2 over weights w and rows of grid values followed
+    by -centre.  Every constant rounds outward.  A root box (field.root_boxes)
+    puts sigma within delta of a grid point z, u >= |sigma|, |z|.  The rows
+    (real and imaginary parts) are the basis values at z on the grid,
+    within e_j = delta sum(k |n_k| u^(k-1)) / den + 2^(1-bits) of sigma(b_j)
+    (mean value bound for z^k).  The centre -F / (2 (1 - z)) on the grid is
+    within F delta / (2 (1 - u)^2) + 2^(1-bits) of sigma's, and r adds that
+    to the radius bound F / (2 (1 - u)).  A row value of the region lies
+    within S = max 2r of 0, so |y|_inf <= Y = alpha S / (1 - alpha eta),
+    alpha = |A^-1|_inf for the rows A and eta the largest sum(e_j); the rows
+    then miss sigma(x) by at most Y sum(e_j), which is added to r.  None if
+    a subdominant u reaches 1 or alpha eta > 2^(-bits/2), which keeps that
+    added error below 2^(1 - bits/2) S."""
+    one, fb = 1 << bits, field.floor_beta
+    tick = Fraction(2, one)  # bounds the modulus of one rounding to the grid
+    rows, owner, n_terms = [], [], 0  # a row: grid values, then -centre; owner: (r, sum(e_j))
+    for i, box in enumerate(field.root_boxes(bits)):
+        if box.im_hi < 0:
+            continue  # the lower root of a complex pair
+        zx, zy = ((lo + hi) * one // 2 for lo, hi in ((box.re_lo, box.re_hi), (box.im_lo, box.im_hi)))
+        delta, u = box.width() + tick, box.abs_upper() + tick
+        if i and u >= 1:
+            return None
+        vals, err = [], Fraction(0)
+        for b in basis:
+            re = im = 0
+            for k, n in enumerate(reversed(b)):  # homogeneous Horner: one^(m-1) b(z)
+                re, im = re * zx - im * zy + (n << bits * k), re * zy + im * zx
+            div = den << bits * (len(b) - 2)
+            vals.append((re // div, im // div))
+            err += delta * sum(k * abs(n) * u ** (k - 1) for k, n in enumerate(b) if k) / den + tick
+        if i == 0:
+            centre, r = (one >> 1, 0), Fraction(1, 2)
+        else:
+            q = 2 * ((one - zx) ** 2 + zy ** 2)
+            centre = (-fb * one * one * (one - zx) // q, -fb * one * one * zy // q)
+            r = fb / (2 * (1 - u)) + fb * delta / (2 * (1 - u) ** 2) + tick
+        for part in (0,) if box.is_real else (0, 1):
+            rows.append([v[part] for v in vals] + [-centre[part]])
+            owner.append((r, err))
+        n_terms += 1
+    m = len(rows)
+    adj = [[(-1) ** (i + j) * polyops.mat_det([row[:i] + row[i + 1:m] for k, row in enumerate(rows) if k != j])
+            for j in range(m)] for i in range(m)]
+    det = sum(rows[0][j] * adj[j][0] for j in range(m))
+    alpha = Fraction(one * max(sum(map(abs, a)) for a in adj), abs(det)) if det else None
+    eta = max(err for _, err in owner)
+    if alpha is None or alpha * eta > Fraction(1, 1 << bits // 2):
+        return None
+    big_y = alpha * max(2 * r for r, _ in owner) / (1 - alpha * eta)
+    rho = [math.ceil((r + big_y * err) * one) for r, err in owner]
+    s = 2 * max(rho).bit_length() + bits  # weights 2^s / rho^2, rounded down
+    w = [(1 << s) // p ** 2 for p in rho]
+    gram = [[sum(wr * row[j] * row[k] for wr, row in zip(w, rows)) for k in range(m + 1)] for j in range(m + 1)]
+    return gram, n_terms << s
 
 
 def enumerate_z_beta(field, orbit_cap=DEFAULT_ORBIT_CAP, period_cap=DEFAULT_PERIOD_CAP):
     """All alpha in Z[beta] inside [0, 1) with purely periodic expansion.
 
-    Found by _periodic_points among the lattice points in a float-padded
-    box for the conjugates (the box is not derived exactly).  Two
-    independent oracles cross-check every point of that box; disagreement
-    is a hard error.  A cycle longer than period_cap raises
+    Found by _periodic_points among the lattice points of the derived
+    region of _region_points, which holds every such alpha.  Two
+    independent oracles cross-check every point of that region;
+    disagreement is a hard error.  A cycle longer than period_cap raises
     OrbitCapExceeded.  Computed once per field and caps; each call returns
     a fresh list.
     """
@@ -558,21 +605,17 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None):
     so that the greedy map keeps it.
 
     A lattice point is sum(y_j * mu * beta^j), held as integer numerators
-    over one den.  Candidates lie in the padded box of the sphere decoder.
-    Primary oracle: _orbit_class, with one memo for all candidates, so each
-    state is stepped once, followed past the box until its orbit closes; a
-    point is periodic iff it lies on its cycle (k = 0), and stepping that
-    cycle once gives its digits and checks that the set is closed under the
-    greedy map.  A candidate whose orbit needs more than orbit_cap steps to
-    repeat or reach 0 raises OrbitCapExceeded.  The dual colour walk
-    (_cycle_oracle) cross-checks the box."""
-    m = field.m
-    basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(m)])
-    A, c = _embedding_rows(field, basis, den)
-    cands = _sphere_candidates(A, c, A.shape[0] * (1 + 1e-9) + 1e-6)
-    columns = list(zip(*basis))
-    states = [tuple(sum(map(mul, y, col)) for col in columns) for y in cands]
-    in_unit = [s for s in states if field._floor_nums(s, den) == 0]
+    over one den.  Candidates are the points of the derived region
+    (_region_points) in [0, 1).  Primary oracle: _orbit_class, with one memo
+    for all candidates, so each state is stepped once, followed past the
+    region until its orbit closes; a point is periodic iff it lies on its
+    cycle (k = 0), and stepping that cycle once gives its digits and checks
+    that the set is closed under the greedy map.  A candidate whose orbit
+    needs more than orbit_cap steps to repeat or reach 0 raises
+    OrbitCapExceeded.  The dual colour walk (_cycle_oracle) cross-checks
+    the region."""
+    basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(field.m)])
+    in_unit = [s for s in _region_points(field, basis, den) if field._floor_nums(s, den) == 0]
 
     memo = {}
     members = {s for s in in_unit if _orbit_class(field, s, den, memo, orbit_cap)[0] == 0}
@@ -590,16 +633,11 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None):
                 raise AssertionError("periodic points are not closed under the greedy map")
             digits.append(dig)
         out.append((field._from_nums(s, den), canonical_expansion((), digits)))
-    out.sort(key=lambda t: field.float_value(t[0]))
-    # floats separate distinct candidates here by construction; confirm order exactly
-    for (a, _), (b, _) in zip(out, out[1:]):
-        if not (a < b):
-            raise AssertionError("canonical sort failed")
-    return tuple(out)
+    return tuple(sorted(out, key=cmp_to_key(lambda a, b: field.compare(a[0], b[0]))))
 
 
 def _cycle_oracle(field, in_unit, den, period_cap):
-    """Cycle membership of the greedy map on the boxed lattice points; a
+    """Cycle membership of the greedy map on the region's lattice points; a
     cycle longer than period_cap (None: no cap) raises OrbitCapExceeded."""
     nodes = set(in_unit)
     color = {}

@@ -230,6 +230,14 @@ class TestConfig:
     def test_invalid_config_value(self, capsys):
         assert main(["--precision", "-5", "field", "1,1"]) == EXIT_USAGE
 
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        # the flag's spelling and a misspelt key are names of no setting
+        cfile = tmp_path / "conf"
+        cfile.write_text("seed=3\norbit-cap=5\nprecison=7\n")
+        assert main(["--config", str(cfile), "field", "1,1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'orbit-cap', 'precison'" in err
+
     def test_json_certificate_revalidates(self, capsys):
         assert main(["--json", "wf-check", "1,0,0,1"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)

@@ -24,6 +24,7 @@ from pisotcoding import (
     unit_to_matrix,
     xi_from_integer_coordinate,
 )
+from pisotcoding import numeration
 from pisotcoding.forms import mat_det, mat_mul, mat_pow, mat_vec
 from pisotcoding.numeration import Expansion, beta_expand, canonical_expansion
 
@@ -254,16 +255,25 @@ class TestKernels:
                 assert (ba - field.floor(ba)).coords in values
 
     def test_fundamental_kernel_reuses_zbeta(self, monkeypatch):
-        # every sphere decode starts with one QR factorisation
-        decodes = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: decodes.append(1) or qr(a))
+        # every periodic-point search enumerates its region once
+        counts = {}
+
+        def counting(module, name):
+            build = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(numeration, "_region_points")
         quartic = make_field((1, 0, 0, 1))  # fresh: nothing derived yet
         enumerate_z_beta(quartic)
-        assert len(decodes) == 1
+        assert counts == {"_region_points": 1}
         kv = kernel_values(HomoclinicSpec(quartic, quartic.xi0))
         assert len(kv) == 6
-        assert len(decodes) == 1
+        assert counts == {"_region_points": 1}
 
     def test_returned_lists_are_fresh(self, quartic):
         spec = HomoclinicSpec(quartic, quartic.xi0)

@@ -42,7 +42,7 @@ from pisotcoding import (
     validate_weak_finitarity,
     value_of,
 )
-from pisotcoding.errors import OrbitCapExceeded
+from pisotcoding.errors import OracleMismatch, OrbitCapExceeded
 from pisotcoding.numberfield import NumberField
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
@@ -475,6 +475,62 @@ class TestZBeta:
         for a, exp in enumerate_z_beta(quartic):
             assert exp.is_purely_periodic
             assert expansion_value(quartic, exp) == a
+
+    def test_quartic_region_visits_few_candidates(self, monkeypatch):
+        # the region, centred on the zonotopes, holds 516 lattice points
+        visits = []
+        points = numeration._region_points
+
+        def counted(*args):
+            got = points(*args)
+            visits.append(len(got))
+            return got
+
+        monkeypatch.setattr(numeration, "_region_points", counted)
+        assert len(enumerate_z_beta(make_field((1, 0, 0, 1)))) == 6
+        assert len(visits) == 1 and visits[0] <= 600
+
+    def test_shrunken_region_fails_loudly(self, monkeypatch):
+        # The ellipsoid holds the product of the disks with room to spare: no
+        # point of the quartic's five-cycle uses more than 0.7 of its budget
+        # of 3, so halving every radius cuts only 0, on the boundary.  A
+        # third of every radius cuts the five-cycle, and the oracles must
+        # refuse the set.  (A region that misses a whole cycle, as the
+        # halved one misses 0, cannot be told from a smaller Z_beta.)
+        form = numeration._region_form
+
+        def shrunk(*args):
+            got = form(*args)
+            return None if got is None else (got[0], got[1] // 9)
+
+        monkeypatch.setattr(numeration, "_region_form", shrunk)
+        with pytest.raises((OracleMismatch, AssertionError)):
+            enumerate_z_beta(make_field((1, 0, 0, 1)))
+
+    def test_low_precision_field_refines_its_root_boxes(self, quartic):
+        # root boxes of width 2^-8 cannot settle the region's grid; the
+        # enumeration refines them and finds the same set
+        coarse = make_field((1, 0, 0, 1), precision=8)
+        assert [a.coords for a, _ in enumerate_z_beta(coarse)] == [
+            a.coords for a, _ in enumerate_z_beta(quartic)
+        ]
+        for fine, box in zip(coarse.root_boxes(64), coarse.root_intervals):
+            assert fine.width() <= Fraction(1, 2 ** 64)  # and both hold the same root
+            assert fine.re_lo <= box.re_hi and box.re_lo <= fine.re_hi
+            assert fine.im_lo <= box.im_hi and box.im_lo <= fine.im_hi
+
+    def test_region_over_the_cap_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(numeration, "_CANDIDATE_CAP", 100)
+        with pytest.raises(OrbitCapExceeded):
+            enumerate_z_beta(make_field((1, 0, 0, 1)))
+        assert check_finitarity(make_field((1, 0, 0, 1))).status == "unknown"
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_multinacci_zbeta_is_zero(self, m):
+        # Frougny and Solomyak (ETDS 12, 1992): Z_beta = {0}, finitary
+        field = make_field((1,) * m)
+        assert [a for a, _ in enumerate_z_beta(field)] == [field.zero]
+        assert check_finitarity(field).status == "finitary"
 
 
 class TestFinitarity:
