@@ -28,6 +28,7 @@ from .numeration import (
     DEFAULT_PERIOD_CAP,
     Expansion,
     _beta_exponent,
+    _block_limit,
     _greedy_orbit,
     _periodic_points,
     check_weak_finitarity,
@@ -432,14 +433,19 @@ def _mix(seed, t):
 def _truncate_to_window(field, value, right_edge, orbit_cap):
     """The window of the expansion of value >= 0 that ends at right_edge: the
     nu + right_edge greedy digits of value * beta^-nu, nu = _beta_exponent(value),
-    padded with zeros once the state is 0; orbit_cap bounds those steps."""
+    padded with zeros once the state is 0; orbit_cap bounds those steps.  No
+    cycle is needed: n // b blocks of the largest table length b =
+    _block_limit, then n mod b single steps."""
     nu = _beta_exponent(value)
     n = nu + right_edge
     if n > orbit_cap:
         raise OrbitCapExceeded("window truncation exceeded the cap")
     y = value * field.pow_beta(-nu)
-    digits = []
-    for dig, state in islice(_greedy_orbit(field, y.nums, y.den), n):
+    digits, state, b = [], y.nums, _block_limit(field)
+    if b > 1:
+        for word, state in islice(_greedy_orbit(field, state, y.den, b), n // b):
+            digits += word
+    for dig, state in islice(_greedy_orbit(field, state, y.den), n - len(digits)):
         digits.append(dig)
         if not any(state):
             break

@@ -495,10 +495,8 @@ class NumberField:
 
         Decided by the integer enclosure of the module docstring, whose
         error bound w * sum(|n_i|) comes from the certified beta interval."""
-        d = a - b
-        if d.is_zero:
-            return EQUAL
-        return self._decide(d.nums, 1, _sign_rule)  # den > 0 keeps the sign
+        nums, _ = _sum(a, b, -1)  # over a positive denominator, which keeps the sign
+        return self._decide(nums, 1, _sign_rule) if any(nums) else EQUAL
 
     def sign(self, a):
         return self.compare(a, self.zero)

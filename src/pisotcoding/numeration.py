@@ -7,7 +7,12 @@ exact: digits come from exact floors, periodicity from exact state
 repetition.  Every digit comes from one greedy walk on integer numerators
 (_greedy_orbit), which carries a fixed-point enclosure from step to step
 and takes the exact step (_greedy_step, NumberField._decide) wherever that
-cannot settle the floor.  Where a greedy orbit ends (Z_beta, the coding
+cannot settle the floor, or steps b digits by one certified bisection in
+a table of word values (the length-b cylinders tile [0, 1) in order).  A
+long orbit takes blocks of a b dividing r_s, the arithmetic period of its
+state mod den, which divides its period: the first repeat among block
+boundaries is then one period back, and a scan back from it finds the
+least preperiod (_expand_orbit).  Where a greedy orbit ends (Z_beta, the coding
 kernels, the carry length, the tail rows of shift) is asked of one
 memoised orbit walk (_orbit_class).
 Every admissibility question (words, expansions, word enumeration, splice
@@ -18,15 +23,17 @@ single-track automaton read off the quasi-greedy d (_parry_walk).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
+from itertools import count, islice
 from operator import mul
 
 from . import polyops
 from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange, PrecisionCapExceeded
-from .numberfield import _PRECISION_CAP, FieldElement
+from .numberfield import _FIXED_BITS, _PRECISION_CAP, FieldElement
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
@@ -315,12 +322,22 @@ def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
     return _expand_orbit(field, x.nums, x.den, orbit_cap)
 
 
+_BLOCK_START = 2048  # digits walked one at a time first: about what _period_divisors costs
+
+
 def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
-    """Greedy orbit of nums / den in [0, 1) followed for at most orbit_cap
-    steps, with a fixed denominator (invariant under the greedy map).  The
-    split is canonical: distinct states have distinct tails, so the first
-    repeat closes the least preperiod and a primitive period, and the digit
-    that reaches state 0 is nonzero unless x = 0."""
+    """Greedy orbit of nums / den in [0, 1) with a fixed denominator (kept by
+    the greedy map) as pre, per; OrbitCapExceeded iff max(1, |pre| + |per|)
+    > orbit_cap.  Distinct states have distinct tails, so the first repeat
+    closes the least preperiod and a primitive period, and the digit that
+    reaches state 0 is nonzero unless x = 0.  Past _BLOCK_START digits it
+    walks blocks of the largest b <= _block_limit dividing r_s (_period_divisors):
+    T^p x = x puts (beta^p - 1) x in Z[beta], so r_s | p, the same r_s for
+    every state (each is beta^t s mod den), and never a 0 state if r_s > 1.
+    So the first repeat among block boundaries lies exactly p digits back,
+    and the least preperiod k is found by scanning back: x_(t-1) = (x_t +
+    d_t) / beta, so states equal at t and t + p are equal at t - 1 iff d_t
+    = d_(t+p)."""
     digits, seen = [], {tuple(nums): 0}
     for n, (dig, state) in enumerate(islice(_greedy_orbit(field, nums, den), orbit_cap), 1):
         digits.append(dig)
@@ -329,7 +346,23 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
         j = seen.setdefault(state, n)
         if j < n:
             return Expansion(tuple(digits[:j]), tuple(digits[j:]))
-    raise OrbitCapExceeded(cap_message)
+        # den = 1 has r_s = 1; it is also the d-sequence's walk, which _block_limit reads
+        if n == _BLOCK_START and den > 1:
+            if (b := _period_divisors(field, state, den, _block_limit(field))[-1]) > 1:
+                break
+    else:
+        raise OrbitCapExceeded(cap_message)
+    seen, stop = {state: n}, n + b + orbit_cap  # a cycle with k + p <= orbit_cap repeats by then
+    for word, state in _greedy_orbit(field, state, den, b):
+        digits += word
+        if (j := seen.setdefault(state, len(digits))) < len(digits) or len(digits) >= stop:
+            break
+    k, p = j, len(digits) - j  # p = 0: no repeat by the stop
+    while p and k and digits[k - 1] == digits[k - 1 + p]:
+        k -= 1
+    if not p or k + p > orbit_cap:
+        raise OrbitCapExceeded(cap_message)
+    return Expansion(tuple(digits[:k]), tuple(digits[k:k + p]))
 
 
 def _greedy_step(field, state, den):
@@ -343,11 +376,22 @@ def _greedy_step(field, state, den):
     return dig, tuple(new)
 
 
-def _greedy_orbit(field, state, den):
+def _greedy_orbit(field, state, den, b=1):
     """(digit, state) for each step of the greedy orbit of state / den,
-    forever: the one greedy walk, each pair the exact _greedy_step's.  It
-    carries integers 0 <= Y <= S = den 2^K and E with |S x - Y| <= E.  With
-    B_lo <= 2^K beta <= B_hi (NumberField._enclosure), Z = (Y B_lo) >> K lies
+    forever: the one greedy walk, each pair the exact _greedy_step's; for
+    b > 1, (word, state) for each block of b digits instead.
+
+    Blocks.  The length-b cylinders tile [0, 1) in lexicographic order:
+    [w] = [v(w), v(w')), w' the next admissible word (v(w') = 1 past the
+    last), v(w) = W(w) / beta^b, W(w) = sum(w_i beta^(b-i)) (Parry 1960).
+    So the next b digits of x = s / den are the w with den W(w) <= t < den
+    W(w'), t = beta^b s, and the state moves to t - den W(w), exactly.  With
+    t in S +- E and 2^K W in [lo, hi] (_block_table), one bisection names w,
+    taken iff den hi(w) <= S - E (or t = den W(w)) and S + E < den lo(w');
+    otherwise (x near a cylinder's end, or outside [0, 1)) b exact steps.
+
+    Single steps carry integers 0 <= Y <= S = den 2^K and E with |S x - Y|
+    <= E.  With B_lo <= 2^K beta <= B_hi (NumberField._enclosure), Z = (Y B_lo) >> K lies
     within E' = ((E B_hi) >> K) + c of S beta x, c = den (B_hi - B_lo) + 2:
     the error (S x - Y) beta, plus Y (2^K beta - B_lo) / 2^K <= den (B_hi -
     B_lo), plus two floor roundings below 1.  If r = Z mod S has E' <= r and
@@ -355,6 +399,27 @@ def _greedy_orbit(field, state, den):
     E' > S >> _CARRY_SLACK, it takes the exact step and re-anchors, lazily, on
     the state reached: Y, E from the fixed table, Y clamped into [0, S] (S x
     lies there), so a walk of one or two steps costs what _greedy_step does."""
+    if b > 1:
+        rows, words, nums, lo, hi = _block_table(field, b)
+        bits = 0
+    while b > 1:
+        t = [sum(map(mul, row, state)) for row in rows]
+        mag = sum(map(abs, t))
+        if mag.bit_length() + 32 > bits:  # the fixed table _enclosure would pick
+            bits = field._enclosure(t)[2]
+            (low, width, _), k = field._fixed[bits], bits - _FIXED_BITS
+        s, e = sum(map(mul, t, low)), width * mag
+        j = bisect_right(lo, (s // den) >> k, 1, len(words)) - 1
+        new = tuple([x - den * w for x, w in zip(t, nums[j])])
+        if (den * hi[j] << k <= s - e or not any(new)) and s + e < den * lo[j + 1] << k:
+            state = new
+            yield words[j], state
+            continue
+        word = []
+        for _ in range(b):
+            dig, state = _greedy_step(field, state, den)
+            word.append(dig)
+        yield tuple(word), state
     while True:
         dig, state = _greedy_step(field, state, den)
         yield dig, state
@@ -370,6 +435,87 @@ def _greedy_orbit(field, state, den):
             new[0] -= dig * den
             state = tuple(new)
             yield dig, state
+
+
+_BLOCK_WORDS = 4096  # the most words one block table holds
+_FACTOR_BOUND = 1 << 10  # den is factored by trial division below this
+
+
+def _block_limit(field):
+    """The largest b >= 1 with at most _BLOCK_WORDS admissible words of
+    length b, or 1, counted per _parry_walk state; built once per field."""
+
+    def build():
+        dseq, counts, b = d_sequence(field), Counter({0: 1}), 0
+        while counts.total() <= _BLOCK_WORDS and field.floor_beta < _BLOCK_WORDS:
+            b, grown = b + 1, Counter()
+            for state, c in counts.items():
+                for e in dseq.alphabet:
+                    if (nxt := _parry_walk(dseq, (e,), state)[0]) is None:
+                        break
+                    grown[nxt] += c
+            counts = grown
+        return max(b - 1, 1)
+
+    return field.derived(("block_limit", _BLOCK_WORDS), build)
+
+
+def _block_table(field, b):
+    """(rows, words, nums, lo, hi): rows the integer matrix of beta^b, words
+    the admissible words of length b in lexicographic order, nums their
+    W(w) = sum(w_i beta^(b-i)), built along the breadth-first walk as
+    W(w e) = beta W(w) + e, and lo <= 2^K W <= hi at K = _FIXED_BITS, with
+    beta^b as one more entry; built once per field and b."""
+
+    def build():
+        level, vals = 0, {(): [0] * field.m}
+        for w in _admissible_words(d_sequence(field), b):
+            if len(w) > level:
+                level, prev, vals = len(w), vals, {}
+            vals[w] = field._shift_reduce(prev[w[:-1]])
+            vals[w][0] += w[-1]
+        nums, top = [tuple(n) for n in vals.values()], field.pow_beta(b).nums
+        low, width, _ = field._fixed.get(_FIXED_BITS) or field._fixed_table(_FIXED_BITS)
+        pairs = [(sum(map(mul, n, low)), width * sum(map(abs, n))) for n in nums + [top]]
+        lo, hi = [c - e for c, e in pairs], [c + e for c, e in pairs]
+        return field._num_matrix(top), list(vals), nums, lo, hi
+
+    return field.derived(("block_table", b, _FIXED_BITS), build)
+
+
+def _period_divisors(field, state, den, limit):
+    """The b <= limit dividing r_s, the least r >= 1 with beta^r s = s (mod
+    den); [1] if beta is not a unit mod den or den has a prime factor of
+    _FACTOR_BOUND or more.  N = lcm over q^e || den of lcm(q^d - 1, d <= m)
+    q^(e-1+m) is a multiple of the order of beta mod den (a unit of
+    F_q[x]/(f^a), deg f = d, a <= m, has order dividing (q^d - 1) q^a, and
+    lifting to q^e multiplies that by at most q^(e-1)).  So r_s | N, and for
+    l prime, l^a | r_s iff beta^(N / l^(v - a + 1)) s != s (mod den), v =
+    v_l(N): one modular power per test."""
+    m, factors, rest = field.m, Counter(), den
+    for q in range(2, _FACTOR_BOUND):
+        while rest % q == 0:
+            rest, factors[q] = rest // q, factors[q] + 1
+    if rest > 1 or math.gcd(field.min_poly.k[-1], den) != 1:
+        return [1]
+    big = math.lcm(*(math.lcm(*(q ** d - 1 for d in range(1, m + 1))) * q ** (e - 1 + m)
+                     for q, e in factors.items()))
+
+    def moves(n):  # beta^n s != s (mod den), by square and multiply
+        acc, base = list(state), [0, 1] + [0] * (m - 2)
+        while n:
+            if n & 1:
+                acc = [x % den for x in field._mul_nums(acc, base)]
+            n, base = n >> 1, [x % den for x in field._mul_nums(base, base)]
+        return any((x - y) % den for x, y in zip(acc, state))
+
+    part = 1
+    for ell in (p for p in range(2, limit + 1) if all(p % f for f in range(2, p))):
+        v, a = next(i for i in count() if big % ell ** (i + 1)), 0
+        while a < v and ell ** (a + 1) <= limit and moves(big // ell ** (v - a)):
+            a += 1
+        part *= ell ** a
+    return [b for b in range(1, limit + 1) if part % b == 0]
 
 
 def _orbit_class(field, state, den, memo, orbit_cap):
@@ -614,6 +760,10 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None):
     needs more than orbit_cap steps to repeat or reach 0 raises
     OrbitCapExceeded.  The dual colour walk (_cycle_oracle) cross-checks
     the region."""
+    if field.is_unit_field:  # beta^-k mu: the same lattice on a balanced basis, k ~ log_beta |mu|
+        s, _, bits, _, _ = field._enclosure(mu.nums)
+        log_mu = math.log2(max(abs(s), 1)) - bits - math.log2(mu.den)
+        mu = mu * field.pow_beta(-round(log_mu / math.log2(field._float_roots[0].real)))
     basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(field.m)])
     in_unit = [s for s in _region_points(field, basis, den) if field._floor_nums(s, den) == 0]
 

@@ -567,3 +567,21 @@ def bisect_beta_exponent(x):
         else:
             lo = mid
     return hi
+
+
+def arithmetic_order(field, nums, den):
+    """The least r >= 1 with beta^r s = s (mod den) for the integer
+    numerators s of a state over den, by stepping residues: multiply by beta
+    (beta^m = k_1 beta^(m-1) + ... + k_m, from the field's k-vector alone)
+    and reduce every coordinate mod den until s comes back.  beta must be a
+    unit mod den, or s may never come back."""
+    k = field.min_poly.k
+    m = len(k)
+    home = tuple(n % den for n in nums)
+    s, r = home, 0
+    while True:
+        top = s[-1]
+        s = tuple(((s[i - 1] if i else 0) + top * k[m - 1 - i]) % den for i in range(m))
+        r += 1
+        if s == home:
+            return r

@@ -236,6 +236,13 @@ class TestKernels:
         zb = {a.coords for a, _ in enumerate_z_beta(quartic)}
         assert kv == zb
 
+    def test_kernel_values_ignore_a_beta_power(self, quartic):
+        # xi and xi beta^-30 give mu = xi0 / xi and mu beta^30, one lattice;
+        # on the skewed basis of the second the region walk took minutes
+        kv = {a.coords for a, _ in kernel_values(HomoclinicSpec(quartic, 2 * quartic.xi0))}
+        skewed = HomoclinicSpec(quartic, 2 * quartic.xi0 * quartic.pow_beta(-30))
+        assert {a.coords for a, _ in kernel_values(skewed)} == kv
+
     def test_golden_xi_one_kernel(self):
         # kernel sizes for xi = 1, each member checked without the enumerator:
         # purely periodic, in (xi0 / xi) Z[beta], and the set closed under the

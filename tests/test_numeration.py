@@ -7,6 +7,8 @@ import math
 import os
 import random
 import sys
+import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import islice
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    arithmetic_order,
     bisect_beta_exponent,
     horner_value,
     naive_admissible,
@@ -970,3 +973,188 @@ def test_expand_round_zero_matches_reference():
         data, problems, _ = op.check(op.call())
         assert not problems, op.label
         assert hashlib.sha256(data).hexdigest()[:len(want)] == want, op.label
+
+
+# -- block steps and the arithmetic period ---------------------------------------
+
+
+def _exact_walk(field, nums, den, n):
+    """n (digit, state) pairs of the exact walk, one _greedy_step each."""
+    out, state = [], nums
+    for _ in range(n):
+        dig, state = numeration._greedy_step(field, state, den)
+        out.append((dig, state))
+    return out
+
+
+@st.composite
+def block_starts(draw):
+    """(k, b, nums, den): a start of kernel_starts, or the left end v(w) of
+    the cylinder of a table word w, exact or moved by a tiny unit either way,
+    over a larger den; b is 2, the largest table length, or half of it."""
+    k, nums, den = draw(kernel_starts())
+    field = _field(k)
+    limit = numeration._block_limit(field)
+    b = draw(st.sampled_from(sorted({2, max(2, limit // 2), limit})))
+    if draw(st.booleans()):
+        words = numeration._block_table(field, b)[1]
+        x = value_of(field, words[draw(st.integers(0, len(words) - 1))])
+        x = x + draw(st.sampled_from((0, 1, -1))) * draw(st.sampled_from(_small_units(k)))
+        q = draw(st.integers(1, max(1, 10 ** 6 // x.den)))
+        nums, den = tuple(n * q for n in x.nums), x.den * q
+    return k, b, nums, den
+
+
+@settings(max_examples=150)
+@given(start=block_starts())
+def test_block_walk_matches_exact_steps(start):
+    k, b, nums, den = start
+    field = _field(k)
+    n = -(-300 // b)  # blocks covering 300 digits
+    want = _exact_walk(field, nums, den, n * b)
+    blocks = [(tuple(d for d, _ in want[i:i + b]), want[i + b - 1][1]) for i in range(0, n * b, b)]
+    assert list(islice(numeration._greedy_orbit(field, nums, den, b), n)) == blocks
+
+
+@pytest.mark.parametrize("k", KERNEL_KS)
+def test_block_walk_falls_back_below_a_cylinder(k, monkeypatch):
+    # just below v(w) no enclosure can name the word, so the block takes b
+    # exact steps (to w's predecessor); at v(w) itself the state reached is
+    # exactly 0 and the table's word is taken
+    field = _field(k)
+    b = numeration._block_limit(field)
+    words = numeration._block_table(field, b)[1]
+    exact, calls = numeration._greedy_step, []
+    monkeypatch.setattr(numeration, "_greedy_step", lambda *a: calls.append(a) or exact(*a))
+    tiny = _small_units(k)[-1]
+    for i in (1, len(words) // 2, len(words) - 1):
+        for shift, want_calls, want_word in ((-1, b, words[i - 1]), (0, 0, words[i])):
+            x = value_of(field, words[i]) + shift * tiny
+            del calls[:]
+            [(word, state)] = islice(numeration._greedy_orbit(field, x.nums, x.den, b), 1)
+            assert (len(calls), word) == (want_calls, want_word)
+            exact_steps = _exact_walk(field, x.nums, x.den, b)
+            assert (word, state) == (tuple(d for d, _ in exact_steps), exact_steps[-1][1])
+
+
+def test_block_table_encloses_word_values():
+    # lo <= 2^64 W(w) <= hi for every word and for beta^b past the last one,
+    # words in lexicographic order, and the length after the largest b
+    # holding more than the budget (a table that drops its error terms fails)
+    for k in KERNEL_KS:
+        field = _field(k)
+        b = numeration._block_limit(field)
+        rows, words, nums, lo, hi = numeration._block_table(field, b)
+        assert list(words) == sorted(words) and len(words) <= numeration._BLOCK_WORDS
+        count = sum(1 for w in numeration._admissible_words(d_sequence(field), b + 1) if len(w) == b + 1)
+        assert count > numeration._BLOCK_WORDS or field.floor_beta >= numeration._BLOCK_WORDS
+        for w, n, a, z in zip(words + [None], nums + [field.pow_beta(b).nums], lo, hi):
+            value = field._from_nums(n) if w is None else value_of(field, w, b)
+            assert w is None or tuple(value.nums) == n
+            v_lo, v_hi = field.real_interval(value, 96)
+            assert Fraction(a, 2 ** 64) <= v_lo and v_hi <= Fraction(z, 2 ** 64), (k, w)
+
+
+def _block_cases(field, rng, count, orbit_cap=2500):
+    """count seeded (nums, den) for x in [0, 1), den 3 to 60 with beta a
+    unit mod den, orbits closing within orbit_cap digits; every other one is
+    moved by beta^-L, L 20 to 60, for preperiods past a short first walk."""
+    out = []
+    while len(out) < count:
+        den = rng.randint(3, 60)
+        if math.gcd(field.min_poly.k[-1], den) != 1:
+            continue
+        x = field._from_nums([rng.randint(-60, 60) for _ in range(field.m)], den)
+        x = x - field.floor(x)
+        if len(out) % 2 and field.is_unit_field:
+            x = x * field.pow_beta(-rng.randint(20, 60))
+        try:
+            _expand_orbit(field, x.nums, x.den, orbit_cap)
+        except OrbitCapExceeded:
+            continue
+        out.append((x.nums, x.den))
+    return out
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, -1), (1, 0, 0, 1), (2, 2)])
+def test_block_split_matches_exact_walk(k, monkeypatch):
+    # _BLOCK_START moved down so short orbits take the block path: the
+    # switch lands before the preperiod ends, one block before the cycle
+    # closes and just before it; the cap rule holds at its edge
+    field = _field(k)
+    limit = numeration._block_limit(field)
+    blocked = deep = 0
+    for nums, den in _block_cases(field, random.Random(f"block_split/{k}"), 8):
+        want = _exact_orbit_split(field, nums, den)
+        deep += len(want.pre) > 8
+        need = max(1, len(want.pre) + len(want.per))
+        b = numeration._period_divisors(field, nums, den, limit)[-1]
+        for start in sorted({8, max(1, need - b), max(1, need - 1)}):
+            monkeypatch.setattr(numeration, "_BLOCK_START", start)
+            blocked += b > 1 and start < need
+            assert _expand_orbit(field, nums, den, 10 ** 6) == want, (nums, den, start)
+            if start < need - 1:
+                assert _expand_orbit(field, nums, den, need) == want
+                with pytest.raises(OrbitCapExceeded):
+                    _expand_orbit(field, nums, den, need - 1)
+    assert blocked >= 12 and (deep >= 2 or not field.is_unit_field)
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1)])
+def test_period_is_a_multiple_of_the_arithmetic_order(k):
+    # the fields of the benchmark's expand workload, one seeded x per
+    # denominator: p = 0 (mod r_s) with r_s stepped by the oracle, and the
+    # library's "b divides r_s" (from modular powers) agrees for b <= 32
+    field = _field(k)
+    rng = random.Random(f"arithmetic_order/{k}")
+    for den in list(range(1, 57)) + ([70, 105] if k == (1, 0, 0, 1) else []):
+        nums = [rng.randint(-30 * den, 30 * den) for _ in k]
+        while math.gcd(den, *nums) != 1:
+            nums[0] += 1
+        x = field._from_nums(nums, den)
+        x = x - field.floor(x)
+        r = arithmetic_order(field, x.nums, x.den)
+        assert len(beta_expand(x).per) % r == 0, (den, r)
+        want = [b for b in range(1, 33) if r % b == 0]
+        assert numeration._period_divisors(field, x.nums, x.den, 32) == want, den
+
+
+def test_long_period_walks_blocks_in_little_memory(monkeypatch):
+    # the 88,920-digit quartic period in blocks of 24: the b = 1 walk kept a
+    # dict entry per state (20.6 MB traced peak), the boundary dict holds
+    # 3,705; and no block of the period needs the exact fallback
+    field = _field((1, 0, 0, 1))
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    want = beta_expand(x)  # builds the tables
+    assert len(want.per) == 88920
+    tracemalloc.start()
+    try:
+        got = beta_expand(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and peak <= 20.6e6 / 4
+    exact, calls = numeration._greedy_step, []
+    monkeypatch.setattr(numeration, "_greedy_step", lambda *a: calls.append(1) or exact(*a))
+    blocks = islice(numeration._greedy_orbit(field, x.nums, x.den, 24), 88944 // 24)
+    digits = [d for word, _ in blocks for d in word]
+    assert not calls and tuple(digits[14:88934]) == want.per
+
+
+def test_skewed_basis_is_rescaled():
+    # beta^30 Z[beta] = Z[beta]: on the basis beta^30 ... beta^33 the region
+    # walk took 8,069,856 nodes and 72 s for the points mu = 1 finds at once
+    q = _field((1, 0, 0, 1))
+    want = numeration._periodic_points(q, q.one, 10 ** 6)
+    t0 = time.perf_counter()
+    assert numeration._periodic_points(q, q.pow_beta(30), 10 ** 6) == want
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_period_divisors_without_an_order():
+    # beta not a unit mod den (x^2 = 2x + 2 with den even), or den with a
+    # prime factor past trial division: no block length but 1
+    assert numeration._period_divisors(_field((2, 2)), (1, 1), 6, 8) == [1]
+    quartic = _field((1, 0, 0, 1))
+    assert numeration._period_divisors(quartic, (1, 2, 3, 4), 15 * 1031, 24) == [1]
+    assert numeration._period_divisors(quartic, (1, 2, 3, 4), 15, 24)[-1] > 1
