@@ -5,8 +5,9 @@ beta^(m-1): integer numerators n_i over one positive denominator, in lowest
 terms.  Each ring operation works on the integers and reduces once, by one
 gcd; .coords is the rational view.  The norm is the fraction-free
 determinant (polyops.mat_det) of the integer multiplication matrix; the
-inverse is Cramer's rule on the cofactors of its first row, whose Laplace
-sum is that determinant.  Zero tests are numerator tests.
+inverse is Cramer's rule on the cofactors of its first row, all taken from
+one memoised Laplace expansion, with no division before the final gcd.
+Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
 field keeps integers L_i with L_i <= 2^K beta^i <= L_i + w (i < m), rounded
 outward from the certified dominant-root interval, so the value is
@@ -406,18 +407,33 @@ class NumberField:
         return list(zip(*cols))
 
     def invert(self, a):
-        """Cramer's rule on the integer multiplication matrix M of a.nums:
-        M y = e_0 gives y_i = (-1)^i det(M without row 0 and column i) /
-        det(M), and 1/a = a.den * y.  det(M) is the Laplace expansion of
-        those m minors along row 0, so the cost is m Bareiss determinants of
-        size m - 1 (polyops.mat_det) and one gcd."""
+        """1/a = a.den * cof / det (_cofactors of a.nums), reduced by one gcd."""
         if a.is_zero:
             raise ZeroDivisionError("inversion of zero element")
-        rows = self._num_matrix(a.nums)
-        cof = [(-1) ** i * polyops.mat_det([r[:i] + r[i + 1:] for r in rows[1:]])
-               for i in range(self.m)]
-        det = sum(map(mul, rows[0], cof))
+        cof, det = self._cofactors(a.nums)
         return self._from_nums([a.den * c for c in cof], det)
+
+    def _cofactors(self, nums):
+        """(cof, det) of the integer multiplication matrix M of nums, so that
+        M y = e_0 has y = cof / det (Cramer): cof_i = (-1)^i det(M without row
+        0 and column i), det = sum(M[0][i] cof_i).  One Laplace expansion
+        memoised on column subsets gives every cof_i: rows m-1, ..., 1 in turn
+        extend the minors of the rows below, keyed by column bitmask, by one
+        column each.  About m 2^(m-1) products and no division."""
+        rows, m = self._num_matrix(nums), self.m
+        minors = {0: 1}
+        for row in reversed(rows[1:]):
+            up = {}
+            for mask, d in minors.items():
+                for j, r in enumerate(row):  # d carries the sign of the columns passed
+                    if mask >> j & 1:
+                        d = -d
+                    elif r:
+                        up[mask | 1 << j] = up.get(mask | 1 << j, 0) + r * d
+            minors = up
+        full = (1 << m) - 1
+        cof = [(-1) ** i * minors.get(full ^ 1 << i, 0) for i in range(m)]
+        return cof, sum(map(mul, rows[0], cof))
 
     def norm(self, a):
         return Fraction(polyops.mat_det(self._num_matrix(a.nums)), a.den ** self.m)

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import count, islice
+from itertools import compress, count, islice
 from operator import mul
 
 from . import polyops
@@ -250,43 +250,42 @@ def value_of(field, word, offset=0):
     word = tuple(word)
     if not word:
         return field.zero
-    out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_powers(field)))
+    out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_columns(field)))
     shift = offset - len(word)
     return out * field.pow_beta(shift) if shift else out
 
 
-_LEAF = 64  # digits summed directly from the table of beta^0 .. beta^(_LEAF-1)
+_LEAF = 256  # digits summed directly from the columns of beta^0 .. beta^(_LEAF-1)
 
 
-def _leaf_powers(field):
-    """Numerators of beta^0, ..., beta^(_LEAF - 1), built once per field."""
+def _leaf_columns(field):
+    """Column i holds the i-th numerator of beta^0, ..., beta^(_LEAF - 1);
+    built once per field."""
 
     def build():
         rows = [[1] + [0] * (field.m - 1)]
         for _ in range(_LEAF - 1):
             rows.append(field._shift_reduce(rows[-1]))
-        return tuple(map(tuple, rows))
+        return tuple(zip(*rows))
 
-    return field.derived(("beta_powers", _LEAF), build)
+    return field.derived(("beta_columns", _LEAF), build)
 
 
-def _word_nums(field, word, lo, hi, pows):
+def _word_nums(field, word, lo, hi, cols):
     """Integer numerators of sum(word[i] * beta^(hi - 1 - i)) over lo <= i < hi,
     by binary splitting: nums(uv) = nums(u) * beta^|v| + nums(v), where v
     is the largest power-of-two number of _LEAF-digit blocks shorter than
     uv, so every beta^|v| is some beta^(_LEAF * 2^j), shared by all words
-    through the field's power cache.  A leaf of at most _LEAF digits sums
-    the rows of pows (_leaf_powers) at its nonzero digits."""
+    through the field's power cache.  A leaf of at most _LEAF digits is m
+    dot products in C: its nonzero digits, reversed, against the entries at
+    their places in each column of cols (_leaf_columns)."""
     if hi - lo <= _LEAF:
-        acc = [0] * field.m
-        for i in range(lo, hi):
-            d = word[i]
-            if d:
-                acc = [a + d * r for a, r in zip(acc, pows[hi - 1 - i])]
-        return acc
+        rev = word[lo:hi][::-1]
+        nonzero = list(compress(rev, rev))  # not a tuple: CPython keeps thousands of freed short ones
+        return [sum(map(mul, nonzero, compress(col, rev))) for col in cols]
     mid = hi - (_LEAF << ((-((lo - hi) // _LEAF) - 1).bit_length() - 1))
-    left = field._mul_nums(_word_nums(field, word, lo, mid, pows), field.pow_beta(hi - mid).nums)
-    return [a + b for a, b in zip(left, _word_nums(field, word, mid, hi, pows))]
+    left = field._mul_nums(_word_nums(field, word, lo, mid, cols), field.pow_beta(hi - mid).nums)
+    return [a + b for a, b in zip(left, _word_nums(field, word, mid, hi, cols))]
 
 
 def expansion_value(field, exp):
@@ -296,19 +295,21 @@ def expansion_value(field, exp):
         value = beta^-|pre| * (P + Q / (beta^p - 1))
               = (P * (beta^p - 1) + Q) / ((beta^p - 1) * beta^|pre|),
 
-    one inversion in all.  O(M(n) log n) for n = len(pre) + len(per)."""
+    one cofactor expansion of the denominator (NumberField._cofactors) and
+    one gcd in all.  O(M(n) log n) for n = len(pre) + len(per)."""
     pre, per = exp.pre, exp.per
     if not per:
         return value_of(field, pre)
-    pows = _leaf_powers(field)
+    cols = _leaf_columns(field)
     den = list(field.pow_beta(len(per)).nums)
     den[0] -= 1
-    num = _word_nums(field, per, 0, len(per), pows)
+    num = _word_nums(field, per, 0, len(per), cols)
     if pre:
-        shifted = field._mul_nums(_word_nums(field, pre, 0, len(pre), pows), den)
+        shifted = field._mul_nums(_word_nums(field, pre, 0, len(pre), cols), den)
         num = [a + b for a, b in zip(shifted, num)]
         den = field._mul_nums(den, field.pow_beta(len(pre)).nums)
-    return field._from_nums(num) * field.invert(field._from_nums(den))
+    cof, det = field._cofactors(den)
+    return field._from_nums(field._mul_nums(num, cof), det)
 
 
 # -- greedy expansion ---------------------------------------------------------
@@ -322,7 +323,7 @@ def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
     return _expand_orbit(field, x.nums, x.den, orbit_cap)
 
 
-_BLOCK_START = 2048  # digits walked one at a time first: about what _period_divisors costs
+_BLOCK_START = 128  # single steps first, past the typical short orbit; 64 to 256 measured alike
 
 
 def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
@@ -331,7 +332,8 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
     > orbit_cap.  Distinct states have distinct tails, so the first repeat
     closes the least preperiod and a primitive period, and the digit that
     reaches state 0 is nonzero unless x = 0.  Past _BLOCK_START digits it
-    walks blocks of the largest b <= _block_limit dividing r_s (_period_divisors):
+    walks blocks of the largest b <= _block_limit dividing r_s
+    (_period_divisors, a few products mod den once its tests are built):
     T^p x = x puts (beta^p - 1) x in Z[beta], so r_s | p, the same r_s for
     every state (each is beta^t s mod den), and never a 0 state if r_s > 1.
     So the first repeat among block boundaries lies exactly p digits back,
@@ -486,36 +488,47 @@ def _block_table(field, b):
 def _period_divisors(field, state, den, limit):
     """The b <= limit dividing r_s, the least r >= 1 with beta^r s = s (mod
     den); [1] if beta is not a unit mod den or den has a prime factor of
-    _FACTOR_BOUND or more.  N = lcm over q^e || den of lcm(q^d - 1, d <= m)
-    q^(e-1+m) is a multiple of the order of beta mod den (a unit of
+    _FACTOR_BOUND or more.  Each test of _period_tests is one m x m integer
+    matrix-vector product mod den, the matrices built once per den."""
+    part = 1
+    for ell, mats in field.derived(("period_tests", den, limit), lambda: _period_tests(field, den, limit)):
+        a = 0  # l^(a+1) | r_s iff mats[a] moves s
+        while a < len(mats) and any((sum(map(mul, row, state)) - x) % den
+                                    for row, x in zip(mats[a], state)):
+            a += 1
+        part *= ell ** a
+    return [b for b in range(1, limit + 1) if part % b == 0]
+
+
+def _period_tests(field, den, limit):
+    """(l, [matrix of beta^(N / l^(v-a)) mod den for a = 0, 1, ...]) for each
+    prime l <= limit; none where _period_divisors answers [1].  N = lcm over q^e || den of lcm(q^d - 1, d <=
+    m) q^(e-1+m) is a multiple of the order of beta mod den (a unit of
     F_q[x]/(f^a), deg f = d, a <= m, has order dividing (q^d - 1) q^a, and
     lifting to q^e multiplies that by at most q^(e-1)).  So r_s | N, and for
-    l prime, l^a | r_s iff beta^(N / l^(v - a + 1)) s != s (mod den), v =
-    v_l(N): one modular power per test."""
+    l prime, l^(a+1) | r_s iff beta^(N / l^(v-a)) s != s (mod den), v =
+    v_l(N), for every a < v with l^(a+1) <= limit."""
     m, factors, rest = field.m, Counter(), den
     for q in range(2, _FACTOR_BOUND):
         while rest % q == 0:
             rest, factors[q] = rest // q, factors[q] + 1
     if rest > 1 or math.gcd(field.min_poly.k[-1], den) != 1:
-        return [1]
+        return []
     big = math.lcm(*(math.lcm(*(q ** d - 1 for d in range(1, m + 1))) * q ** (e - 1 + m)
                      for q, e in factors.items()))
 
-    def moves(n):  # beta^n s != s (mod den), by square and multiply
-        acc, base = list(state), [0, 1] + [0] * (m - 2)
+    def power(n):  # the matrix of beta^n mod den, by square and multiply
+        acc, base = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
         while n:
             if n & 1:
                 acc = [x % den for x in field._mul_nums(acc, base)]
             n, base = n >> 1, [x % den for x in field._mul_nums(base, base)]
-        return any((x - y) % den for x, y in zip(acc, state))
+        return [[x % den for x in row] for row in field._num_matrix(acc)]
 
-    part = 1
-    for ell in (p for p in range(2, limit + 1) if all(p % f for f in range(2, p))):
-        v, a = next(i for i in count() if big % ell ** (i + 1)), 0
-        while a < v and ell ** (a + 1) <= limit and moves(big // ell ** (v - a)):
-            a += 1
-        part *= ell ** a
-    return [b for b in range(1, limit + 1) if part % b == 0]
+    primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p))]
+    vals = {ell: next(i for i in count() if big % ell ** (i + 1)) for ell in primes}
+    return [(ell, [power(big // ell ** (v - a)) for a in range(v) if ell ** (a + 1) <= limit])
+            for ell, v in vals.items()]
 
 
 def _orbit_class(field, state, den, memo, orbit_cap):

@@ -379,35 +379,32 @@ class TestInjectivity:
 
 
     def test_truncation_stops_at_the_window(self, golden, golden_cert, monkeypatch):
-        # a truncated mate keeps nu + right_edge digits, so it needs at most
-        # that many greedy steps; following each orbit to its cycle took
-        # 157,677 steps on this run
+        # a truncated mate keeps nu + right_edge digits, so its kernel walk
+        # yields at most that many; following each orbit to its cycle took
+        # 157,677 steps on this run.  Digits are counted as the walk yields
+        # them, a block's word at its length, since a certified block makes
+        # no exact step
         import pisotcoding.coding as coding
-        import pisotcoding.numeration as numeration
 
-        steps, kept, inside = [0], [0], [False]
-        greedy, truncate = numeration._greedy_step, coding._truncate_to_window
+        walked, kept = [0], [0]
+        orbit, truncate = coding._greedy_orbit, coding._truncate_to_window
 
-        def counted_step(*args):
-            steps[0] += inside[0]
-            return greedy(*args)
+        def counted_orbit(*args):
+            for item in orbit(*args):
+                walked[0] += len(item[0]) if isinstance(item[0], tuple) else 1
+                yield item
 
         def counted_truncate(*args):
-            inside[0] = True
-            try:
-                win = truncate(*args)
-            finally:
-                inside[0] = False
+            win = truncate(*args)
             kept[0] += len(win.digits)
             return win
 
-        monkeypatch.setattr(numeration, "_greedy_step", counted_step)
-        monkeypatch.setattr(coding, "_greedy_step", counted_step, raising=False)
+        monkeypatch.setattr(coding, "_greedy_orbit", counted_orbit)
         monkeypatch.setattr(coding, "_truncate_to_window", counted_truncate)
         spec = HomoclinicSpec(golden, golden.one)
         rep = injectivity_experiment(spec, 48, 400, seed=0, certificate=golden_cert)
         assert rep.mode_multiplicity == 5 and not rep.counterexamples
-        assert 0 < steps[0] <= kept[0]
+        assert 0 < walked[0] <= kept[0]
 
 
 class TestTruncation:

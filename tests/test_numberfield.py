@@ -161,6 +161,29 @@ class TestRingOps:
             )
             assert field.invert(a) * a == field.one
 
+    @pytest.mark.parametrize("k", [(1,) * 5, (1,) * 6, (1,) * 7, (1,) * 8, (2, 2), (5, 3)])
+    def test_invert_matches_the_linear_system_oracle(self, k):
+        # the memoised Laplace cofactors against Cramer's rule in fractions,
+        # with zero numerators among them (entries the expansion skips)
+        field, g = make_field(k), [-c for c in reversed(k)] + [1]
+        rng = random.Random(f"invert_oracle/{k}")
+        for _ in range(4):
+            nums = [rng.choice((0, rng.randrange(-(2 ** 40), 2 ** 40))) for _ in k]
+            nums[rng.randrange(len(k))] = rng.randrange(1, 2 ** 40)
+            a = field._from_nums(nums, rng.randrange(1, 10 ** 6))
+            assert field.invert(a).coords == poly_inverse_mod(a.coords, g)
+
+    @pytest.mark.parametrize("k", [(1, 1), (1, 0, 0, 1), (3, 4, 1)])
+    def test_invert_long_powers_without_bareiss(self, k, monkeypatch):
+        # beta^p - 1 for the period lengths of long expansions: entries of
+        # thousands of bits, and no fraction-free elimination (each of its
+        # steps divides exactly by the previous pivot)
+        field = make_field(k)
+        monkeypatch.setattr(polyops, "mat_det", None)
+        for p in (1000, 10000):
+            a = field.pow_beta(p) - field.one
+            assert a * field.invert(a) == field.one
+
     def test_pow_negative(self, golden):
         b = golden.beta
         assert b ** -1 == b - 1

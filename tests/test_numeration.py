@@ -305,13 +305,13 @@ VALUE_FIELDS = [(1, 1), (1, 1, 1), (1, 0, 0, 1), (3, 4, 1), (2, 2), (5, 3)]
 
 @pytest.mark.parametrize("kvec", VALUE_FIELDS)
 class TestSplitValues:
-    """value_of and expansion_value (binary splitting over 64-digit blocks)
-    against the per-digit Horner reference."""
+    """value_of and expansion_value (binary splitting over _LEAF-digit
+    blocks) against the per-digit Horner reference."""
 
     def test_value_of_matches_horner(self, kvec):
         field = _field(kvec)
         rng = random.Random(f"value_of/{kvec}")
-        edges = {0, 1, 63, 64, 65, 127, 128, 129, 192, 300}
+        edges = {0, 1, 63, 64, 65, 127, 128, 129, 192, 255, 256, 257, 300}
         for n in range(301):
             word = tuple(rng.randint(-2, 4) for _ in range(n))
             for offset in range(-5, 6) if n in edges else (n % 11 - 5,):
@@ -337,6 +337,17 @@ class TestSplitValues:
             assert (v * field.pow_beta(lp) - P) * (field.pow_beta(lq) - 1) == Q, (lp, lq)
 
 
+@settings(max_examples=80)
+@given(k=st.sampled_from(VALUE_FIELDS), data=st.data())
+def test_periodic_value_times_beta_p_minus_one(k, data):
+    # expansion_value divides by beta^p - 1 through its cofactors; multiplying
+    # back by beta^p - 1 checks that division without field.invert
+    field = _field(k)
+    per = tuple(data.draw(st.lists(st.integers(0, field.floor_beta), min_size=1, max_size=300)))
+    value = expansion_value(field, Expansion((), per))
+    assert value * (field.pow_beta(len(per)) - field.one) == value_of(field, per, len(per))
+
+
 def test_long_period_value_splits_without_digit_steps(monkeypatch):
     # the quartic's 88,920-digit period (common denominator 70): the per-digit
     # Horner value made 88,958 divisions by beta here
@@ -353,7 +364,7 @@ def test_long_period_value_splits_without_digit_steps(monkeypatch):
 
     monkeypatch.setattr(NumberField, "_shift_reduce", counted_shift_reduce)
     assert expansion_value(field, exp) == x
-    assert calls["_shift_reduce"] <= 100, calls
+    assert calls["_shift_reduce"] <= numeration._LEAF + 36, calls  # the leaf table, then squarings
 
 
 @settings(max_examples=60)
@@ -1117,6 +1128,52 @@ def test_period_is_a_multiple_of_the_arithmetic_order(k):
         assert len(beta_expand(x).per) % r == 0, (den, r)
         want = [b for b in range(1, 33) if r % b == 0]
         assert numeration._period_divisors(field, x.nums, x.den, 32) == want, den
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1)])
+def test_default_block_start_matches_exact_walk(k):
+    # the fields of the benchmark's expand workload, orbits of 100 to 2,048
+    # digits: past _BLOCK_START they take blocks at the default start
+    field = _field(k)
+    rng, limit = random.Random(f"block_start/{k}"), numeration._block_limit(field)
+    checked = blocked = 0
+    for den in [d for d in range(3, 200) if math.gcd(d, field.min_poly.k[-1]) == 1] * 2:
+        if checked == 12:
+            break
+        x = field._from_nums([rng.randint(-30 * den, 30 * den) for _ in k], den)
+        x = x - field.floor(x)
+        want = _exact_orbit_split(field, x.nums, x.den)
+        if not 100 <= len(want.pre) + len(want.per) <= 2048:
+            continue
+        checked += 1
+        blocked += numeration._period_divisors(field, x.nums, x.den, limit)[-1] > 1
+        assert beta_expand(x) == want, (x.nums, x.den)
+    assert checked == 12 and blocked >= 3, blocked
+
+
+def test_period_tests_built_once_per_denominator(monkeypatch):
+    # the matrices of beta^(N / l^k) mod den depend on den and the limit
+    # alone: many states, and whole expansions, share one build per den
+    counts = {}
+    build = numeration._period_tests
+
+    def counting(field, den, limit):
+        counts[den] = counts.get(den, 0) + 1
+        return build(field, den, limit)
+
+    monkeypatch.setattr(numeration, "_period_tests", counting)
+    field = make_field((1, 0, 0, 1))
+    limit = numeration._block_limit(field)
+    rng = random.Random("period_tests")
+    for den in (21, 35, 24, 21, 35):
+        for _ in range(10):
+            nums = [rng.randint(-30 * den, 30 * den) for _ in range(4)]
+            numeration._period_divisors(field, nums, den, limit)
+        x = field._from_nums([1, rng.randint(1, den - 1), 0, 0], den)
+        x = x - field.floor(x)
+        exp = beta_expand(x)
+        assert len(exp.pre) + len(exp.per) > numeration._BLOCK_START and expansion_value(field, exp) == x
+    assert counts == {21: 1, 35: 1, 24: 1}
 
 
 def test_long_period_walks_blocks_in_little_memory(monkeypatch):
