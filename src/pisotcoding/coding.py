@@ -178,15 +178,19 @@ def _below_one(x):
 
 def _phi_window(spec, value, tolerance):
     """Torus image of a finite window from its value: frac(value * xi * beta^-i) on numerators
-    over one denominator, enclosed by _real_enclosure, rounded by int / int as by float(Fraction)."""
+    over one denominator, rounded by int / int as by float(Fraction).  The constant coefficient
+    enters _real_enclosure last, at the scale, so frac's enclosure is the full one minus floor *
+    scale, the floor read off that enclosure where both ends share it, else by _floor_nums."""
     field = spec.field
     prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
     binv = field.pow_beta(-1)
     nums, den = field._mul_nums(value.nums, spec.xi.nums), value.den * spec.xi.den
     coords, radius = [], 0.0
     for i in range(field.m):
-        frac = [nums[0] - field._floor_nums(nums, den) * den, *nums[1:]]
-        lo, hi, scale = field._real_enclosure(frac, den, prec)
+        lo, hi, scale = field._real_enclosure(nums, den, prec)
+        if (floor := lo // scale) != hi // scale:
+            floor = field._floor_nums(nums, den)
+        lo, hi = lo - floor * scale, hi - floor * scale
         coords.append(_below_one((lo + hi) / (2 * scale)))
         radius = max(radius, (hi - lo) / (2 * scale))
         if i + 1 < field.m:

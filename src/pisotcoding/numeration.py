@@ -12,9 +12,10 @@ a table of word values (the length-b cylinders tile [0, 1) in order).  A
 long orbit takes blocks of a b dividing r_s, the arithmetic period of its
 state mod den, which divides its period: the first repeat among block
 boundaries is then one period back, and a scan back from it finds the
-least preperiod (_expand_orbit).  Where a greedy orbit ends (Z_beta, the coding
-kernels, the carry length, the tail rows of shift) is asked of one
-memoised orbit walk (_orbit_class).
+least preperiod (_expand_orbit).  Where a greedy orbit ends (Z_beta, the
+coding kernels, the carry length) is asked of one memoised orbit walk
+(_orbit_class); whether it ends by digit n (the tail rows of shift), of
+ceil(n / b) blocks (_ends_within).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -244,31 +245,37 @@ def _admissible_words(dseq, max_len, first=0):
 
 def value_of(field, word, offset=0):
     """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word), for
-    integer digits: the integer numerators of the word read as a number in
-    base beta (_word_nums, binary splitting), times beta^(offset - len(word)).
-    O(M(n) log n) for n digits, M the cost of one n-bit multiplication."""
+    integer digits: on a unit field, for at most _LEAF digits with exponents
+    in [-_LEAF, _LEAF), one leaf of _word_nums read against the table of
+    columns of beta^-_LEAF .. beta^(_LEAF-1) (_leaf_columns(field, -_LEAF));
+    else the word read as a number in base beta (_word_nums, binary
+    splitting), times beta^(offset - len(word)).  O(M(n) log n) for n
+    digits, M the cost of one n-bit multiplication."""
     word = tuple(word)
     if not word:
         return field.zero
-    out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_columns(field)))
     shift = offset - len(word)
+    if field.is_unit_field and -_LEAF <= shift and offset <= _LEAF and len(word) <= _LEAF:
+        cols = [col[shift + _LEAF:offset + _LEAF] for col in _leaf_columns(field, -_LEAF)]
+        return field._from_nums(_word_nums(field, word, 0, len(word), cols))
+    out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_columns(field)))
     return out * field.pow_beta(shift) if shift else out
 
 
 _LEAF = 256  # digits summed directly from the columns of beta^0 .. beta^(_LEAF-1)
 
 
-def _leaf_columns(field):
-    """Column i holds the i-th numerator of beta^0, ..., beta^(_LEAF - 1);
-    built once per field."""
+def _leaf_columns(field, low=0):
+    """Column i holds the i-th numerator of beta^low, ..., beta^(_LEAF - 1),
+    integers for low >= 0 and on a unit field; built once per field and low."""
 
     def build():
-        rows = [[1] + [0] * (field.m - 1)]
-        for _ in range(_LEAF - 1):
+        rows = [list(field.pow_beta(low).nums)]
+        for _ in range(_LEAF - 1 - low):
             rows.append(field._shift_reduce(rows[-1]))
         return tuple(zip(*rows))
 
-    return field.derived(("beta_columns", _LEAF), build)
+    return field.derived(("beta_columns", low, _LEAF), build)
 
 
 def _word_nums(field, word, lo, hi, cols):
@@ -381,7 +388,8 @@ def _greedy_step(field, state, den):
 def _greedy_orbit(field, state, den, b=1):
     """(digit, state) for each step of the greedy orbit of state / den,
     forever: the one greedy walk, each pair the exact _greedy_step's; for
-    b > 1, (word, state) for each block of b digits instead.
+    b > 1, (word, state) for each block of b digits instead, word the
+    table's bytes or, where b exact steps take the block, a tuple.
 
     Blocks.  The length-b cylinders tile [0, 1) in lexicographic order:
     [w] = [v(w), v(w')), w' the next admissible word (v(w') = 1 past the
@@ -464,23 +472,35 @@ def _block_limit(field):
 
 def _block_table(field, b):
     """(rows, words, nums, lo, hi): rows the integer matrix of beta^b, words
-    the admissible words of length b in lexicographic order, nums their
-    W(w) = sum(w_i beta^(b-i)), built along the breadth-first walk as
-    W(w e) = beta W(w) + e, and lo <= 2^K W <= hi at K = _FIXED_BITS, with
-    beta^b as one more entry; built once per field and b."""
+    the admissible words of length b in lexicographic order as bytes (b > 1
+    leaves at most _BLOCK_WORDS words of length 2, so digits are below 64),
+    nums their W(w) = sum(w_i beta^(b-i)), built as W(w e) = beta W(w) + e
+    along one depth-first path of _parry_walk, digits ascending, and lo <=
+    2^K W <= hi at K = _FIXED_BITS, with beta^b as one more entry; built once
+    per field and b."""
 
     def build():
-        level, vals = 0, {(): [0] * field.m}
-        for w in _admissible_words(d_sequence(field), b):
-            if len(w) > level:
-                level, prev, vals = len(w), vals, {}
-            vals[w] = field._shift_reduce(prev[w[:-1]])
-            vals[w][0] += w[-1]
-        nums, top = [tuple(n) for n in vals.values()], field.pow_beta(b).nums
+        dseq, words, nums = d_sequence(field), [], []
+
+        def grow(word, state, w):
+            if len(word) == b:
+                words.append(bytes(word))
+                nums.append(tuple(w))
+                return
+            for e in dseq.alphabet:
+                if (nxt := _parry_walk(dseq, (e,), state)[0]) is None:
+                    break  # every larger digit lies above d as well
+                v = field._shift_reduce(w)
+                v[0] += e
+                grow(word + [e], nxt, v)
+
+        grow([], 0, [0] * field.m)
+        top = field.pow_beta(b).nums
+        ends = nums + [top]
         low, width, _ = field._fixed.get(_FIXED_BITS) or field._fixed_table(_FIXED_BITS)
-        pairs = [(sum(map(mul, n, low)), width * sum(map(abs, n))) for n in nums + [top]]
-        lo, hi = [c - e for c, e in pairs], [c + e for c, e in pairs]
-        return field._num_matrix(top), list(vals), nums, lo, hi
+        lo = [sum(map(mul, n, low)) - width * sum(map(abs, n)) for n in ends]
+        hi = [c + 2 * width * sum(map(abs, n)) for c, n in zip(lo, ends)]
+        return field._num_matrix(top), words, nums, lo, hi
 
     return field.derived(("block_table", b, _FIXED_BITS), build)
 
@@ -534,8 +554,9 @@ def _period_tests(field, den, limit):
 def _orbit_class(field, state, den, memo, orbit_cap):
     """(k, p) for the greedy orbit of state / den in [0, 1): k steps reach
     its cycle, of length p (0 for the cycle at 0, so a finite expansion has
-    k = support_depth).  memo, state -> (k, p), is shared by all walks of
-    one caller over one den, so each state is stepped once.  Raises OrbitCapExceeded iff
+    k = support_depth).  memo, state -> (k, p), is shared by all walks of one
+    caller over one den (_periodic_points, _carry_length), so each state is
+    stepped once.  Raises OrbitCapExceeded iff
     max(1, k + p) > orbit_cap, as _expand_orbit does; an orbit has at most
     k + p + 1 states, so a path of orbit_cap + 2 new ones stops the walk."""
     path, index = [], {}
@@ -559,6 +580,20 @@ def _orbit_class(field, state, den, memo, orbit_cap):
     if max(1, k + p) > orbit_cap:
         raise OrbitCapExceeded("expansion orbit exceeded the cap")
     return k, p
+
+
+def _ends_within(field, state, den, n):
+    """True iff T^n(state / den) = 0, T the greedy map and state / den in [0, 1):
+    ceil(n / b) blocks of _greedy_orbit, b = _block_limit, as window
+    truncation walks.  0 is absorbing and a nonzero state has a later nonzero
+    digit, so the block that reaches 0 holds the last nonzero digit."""
+    if not any(state):
+        return True
+    b = _block_limit(field)
+    for i, (word, state) in enumerate(islice(_greedy_orbit(field, state, den, b), -(-n // b))):
+        if not any(state):
+            return b == 1 or i * b + max(j for j, d in enumerate(word, 1) if d) <= n
+    return False
 
 
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):

@@ -6,8 +6,9 @@ expansion of 1).  That table is already minimal: the tails of the
 quasi-greedy d are distinct, so no two states are equivalent.
 The maximal-entropy measure is realized as the Markov chain with edge
 weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
-A tail row asks where each sampled sum's greedy orbit ends, of the one
-orbit walk in numeration (_orbit_class), with one memo per row.
+A tail row asks whether each sampled sum's greedy expansion ends by digit
+n + L, by ceil((n + L) / b) certified blocks of the one greedy kernel in
+numeration (_ends_within).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, OrbitCapExceeded
 from .numeration import (
     DEFAULT_ORBIT_CAP,
-    _orbit_class,
+    _ends_within,
     _parry_walk,
     check_weak_finitarity,
     d_sequence,
@@ -198,12 +199,11 @@ def sample(chain, n, seed):
 
 def _sample_path(rng, chain, n):
     """n digits of the chain from a stationary start, drawn from rng."""
-    start, rows = chain.cumulative
-    trans = chain.automaton.transitions
+    (start, rows), trans, draw = chain.cumulative, chain.automaton.transitions, rng.random
     word = []
-    state = bisect_right(start, rng.random())
+    state = bisect_right(start, draw())
     for _ in range(n):
-        e = bisect_right(rows[state], rng.random())
+        e = bisect_right(rows[state], draw())
         word.append(e)
         state = trans[state][e]
     return tuple(word)
@@ -235,21 +235,18 @@ def _child_seed(seed, n, ai):
     return ((seed * 1000003 + n) * 1000003 + ai) & 0x7FFFFFFFFFFFFFFF
 
 
-def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window, orbit_cap):
+def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window):
     chain = _parry_chain(field)
     rng = random.Random(_child_seed(seed, n, ai))
     acoords = [int(c) for c in alpha_coords]
-    memo = {}
     unchanged = 0
     for _ in range(trials):
         word = _sample_path(rng, chain, n)
         # Z_beta needs a unit field, so word values are integral
         s = [a + b for a, b in zip(value_of(field, word).nums, acoords)]
         s[0] -= field._floor_nums(s, 1)  # the carry
-        # unchanged iff the expansion is finite and ends by digit n + window
-        k, p = _orbit_class(field, tuple(s), 1, memo, orbit_cap)
-        if p == 0 and k <= n + window:
-            unchanged += 1
+        # unchanged iff the expansion ends by digit n + window
+        unchanged += _ends_within(field, s, 1, n + window)
     return (n, label, unchanged / trials if trials else 1.0, trials)
 
 
@@ -268,17 +265,21 @@ def tail_invariance_experiment(
     sampled prefixes whose sum with alpha expands without touching any digit
     past position n + L.
 
-    Rows are independent; with jobs > 1 they run in worker processes, and
-    per-row seeds make the report identical for any schedule."""
+    A row reads n + L digits of each sum, so OrbitCapExceeded is raised,
+    before any sampling, iff max(n_list) + L > orbit_cap.  Rows are
+    independent; with jobs > 1 they run in worker processes, and per-row
+    seeds make the report identical for any schedule."""
     cert = certificate or check_weak_finitarity(field)
     if cert.status != "proven":
         raise ValueError("tail experiment requires a proven weak-finitarity certificate")
     l1 = estimate_L1(field, l1_cap)
     l2 = math.ceil(float(cert.L2))
     window = L if L is not None else max(l1 + 4, l2)
+    if n_list and max(n_list) + window > orbit_cap:
+        raise OrbitCapExceeded("tail rows read past the orbit cap")
     zb = enumerate_z_beta(field)
     tasks = [
-        (field, n, ai, alpha.coords, aexp.serialize(), trials, seed, window, orbit_cap)
+        (field, n, ai, alpha.coords, aexp.serialize(), trials, seed, window)
         for n in n_list
         for ai, (alpha, aexp) in enumerate(zb)
     ]

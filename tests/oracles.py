@@ -531,6 +531,26 @@ def fraction_real_interval(field, a, prec, cap=1 << 16):
     raise AssertionError("cap hit")
 
 
+def two_pass_phi_window(spec, value, tolerance):
+    """The torus image of a window's value in two passes per coordinate:
+    the exact floor by _floor_nums, then _real_enclosure of the fractional
+    part's numerators, rounded and clamped as coding._phi_window does."""
+    from pisotcoding.coding import TorusPoint, _below_one
+
+    field = spec.field
+    prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
+    binv = field.pow_beta(-1)
+    nums, den = field._mul_nums(value.nums, spec.xi.nums), value.den * spec.xi.den
+    coords, radius = [], 0.0
+    for _ in range(field.m):
+        frac = [nums[0] - field._floor_nums(nums, den) * den, *nums[1:]]
+        lo, hi, scale = field._real_enclosure(frac, den, prec)
+        coords.append(_below_one((lo + hi) / (2 * scale)))
+        radius = max(radius, (hi - lo) / (2 * scale))
+        nums, den = field._mul_nums(nums, binv.nums), den * binv.den
+    return TorusPoint(tuple(coords), radius)
+
+
 def pick(rng, weights):
     """One draw by a linear scan of running sums: the first index whose sum
     exceeds random(), the last index when none does."""

@@ -158,6 +158,7 @@ class TestExitCodes:
             ["--period-cap", "1", "zbeta", "1,0,0,1"],
             ["--orbit-cap", "2", "wf-check", "1,0,0,1"],
             ["--orbit-cap", "2", "dseq", "1,1,1"],
+            ["--orbit-cap", "10", "tails", "1,1", "--n-list", "20"],
         ],
     )
     def test_exceeded_orbit_cap_is_math_rejection(self, argv, capsys):

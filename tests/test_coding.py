@@ -465,3 +465,43 @@ class TestPhiEvalInputs:
         spec = HomoclinicSpec(phi_squared, phi_squared.xi0)
         with pytest.raises(ValueError):
             phi_eval(spec, canonical_expansion((2,), (1,)))
+
+
+@pytest.mark.parametrize("name", ["golden", "tribonacci", "plastic", "quartic"])
+def test_phi_window_matches_two_pass_form(name, request, monkeypatch):
+    # one Horner of the full numerators per coordinate against the floor,
+    # then the fractional part's Horner; some coordinates within 2^-30 of an
+    # integer (2^-30 ... 2^-200 away) have enclosures that straddle it, so the
+    # _floor_nums fallback runs
+    from oracles import two_pass_phi_window
+    from pisotcoding.coding import _phi_window
+    from pisotcoding.numberfield import NumberField
+    from pisotcoding.shift import _parry_chain, sample
+
+    field = request.getfixturevalue(name)
+    chain = _parry_chain(field)
+    windows = []
+    for seed in range(10):
+        n = 3 + 4 * seed
+        windows.append(Window(1 - n, sample(chain, 2 * n, seed)).value(field))
+    log_beta = math.log(float(field.beta))
+    near = [field.pow_beta(-math.ceil(bits * math.log(2) / log_beta)) for bits in (30, 45, 60, 80, 120, 200)]
+    floor_nums, fallbacks = NumberField._floor_nums, []
+    monkeypatch.setattr(NumberField, "_floor_nums", lambda self, *a: fallbacks.append(1) or floor_nums(self, *a))
+    total = 0
+    for xi in (field.xi0, field.one, 3 * field.xi0 * field.beta):
+        spec = HomoclinicSpec(field, xi)
+        xinv = field.invert(xi)
+        special = [(k + e) * field.pow_beta(i) * xinv
+                   for i in range(field.m) for k in (0, 1, 3) for e in (field.zero, *near, *(-t for t in near))]
+        for value in windows + special:
+            for tol in (2.0 ** -22, 1e-9, 2.0 ** -40):
+                del fallbacks[:]
+                got = _phi_window(spec, value, tol)
+                ran = len(fallbacks)
+                want = two_pass_phi_window(spec, value, tol)
+                assert [c.hex() for c in got.coords] == [c.hex() for c in want.coords]
+                assert got.error_radius.hex() == want.error_radius.hex()
+                assert ran <= field.m
+                total += ran
+    assert total > 0

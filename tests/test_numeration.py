@@ -1024,7 +1024,8 @@ def test_block_walk_matches_exact_steps(start):
     n = -(-300 // b)  # blocks covering 300 digits
     want = _exact_walk(field, nums, den, n * b)
     blocks = [(tuple(d for d, _ in want[i:i + b]), want[i + b - 1][1]) for i in range(0, n * b, b)]
-    assert list(islice(numeration._greedy_orbit(field, nums, den, b), n)) == blocks
+    got = islice(numeration._greedy_orbit(field, nums, den, b), n)
+    assert [(tuple(word), state) for word, state in got] == blocks
 
 
 @pytest.mark.parametrize("k", KERNEL_KS)
@@ -1043,9 +1044,9 @@ def test_block_walk_falls_back_below_a_cylinder(k, monkeypatch):
             x = value_of(field, words[i]) + shift * tiny
             del calls[:]
             [(word, state)] = islice(numeration._greedy_orbit(field, x.nums, x.den, b), 1)
-            assert (len(calls), word) == (want_calls, want_word)
+            assert (len(calls), tuple(word)) == (want_calls, tuple(want_word))
             exact_steps = _exact_walk(field, x.nums, x.den, b)
-            assert (word, state) == (tuple(d for d, _ in exact_steps), exact_steps[-1][1])
+            assert (tuple(word), state) == (tuple(d for d, _ in exact_steps), exact_steps[-1][1])
 
 
 def test_block_table_encloses_word_values():
@@ -1215,3 +1216,52 @@ def test_period_divisors_without_an_order():
     quartic = _field((1, 0, 0, 1))
     assert numeration._period_divisors(quartic, (1, 2, 3, 4), 15 * 1031, 24) == [1]
     assert numeration._period_divisors(quartic, (1, 2, 3, 4), 15, 24)[-1] > 1
+
+
+@pytest.mark.parametrize("forced_b", [None, 1])
+@pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (1, 0, 0, 1), (3, -1), (3, 4, 1), (1,) * 5])
+def test_ends_within_matches_orbit_class(k, forced_b, monkeypatch):
+    # T^N x = 0 iff the orbit of x reaches the cycle at 0 within N steps; x
+    # runs over every Z_beta class and sampled words plus a class, mod 1, and
+    # N over the block residues 0, 1 and b - 1 around that depth; forced_b = 1
+    # walks single digits, which no fixture field's _block_limit gives
+    from pisotcoding.shift import _parry_chain, sample
+
+    field = _field(k)
+    if forced_b:
+        monkeypatch.setattr(numeration, "_block_limit", lambda f: forced_b)
+    b = numeration._block_limit(field)
+    chain, states = _parry_chain(field), []
+    for ai, (alpha, _) in enumerate(enumerate_z_beta(field)):
+        states.append(alpha.nums)
+        for n in (1, 6, 15, 60):
+            for seed in range(3):
+                s = value_of(field, sample(chain, n, 1000 * ai + 10 * n + seed)) + alpha
+                states.append((s - field.floor(s)).nums)
+    answers, memo = set(), {}
+    for state in states:
+        depth, period = _orbit_class(field, state, 1, memo, 10 ** 6)
+        for q in range(max(0, depth // b - 1), depth // b + 2):
+            for N in {q * b, q * b + 1, q * b + b - 1}:
+                want = period == 0 and depth <= N
+                assert numeration._ends_within(field, state, 1, N) is want, (state, N)
+                answers.add(want)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("k", [(1, 1), (1, 0, 0, 1), (1,) * 8, (2, 2)])
+def test_value_of_reads_the_column_table(k):
+    # a unit field reads words of at most _LEAF digits with exponents in
+    # [-_LEAF, _LEAF) off one table; offsets at both of its edges and one past
+    # each, against the leaf / binary-splitting value times beta^(offset - n),
+    # in lowest terms; the non-unit (2, 2) never builds the table
+    field = make_field(k)  # fresh: no table yet
+    leaf, cols = numeration._LEAF, numeration._leaf_columns(field)
+    rng = random.Random(f"column_table/{k}")
+    for n in range(301):
+        word = tuple(rng.randint(0, field.floor_beta) for _ in range(n))
+        split = field._from_nums(numeration._word_nums(field, word, 0, n, cols))
+        for offset in (n - leaf, n - leaf - 1, leaf, leaf + 1, n % 7 - 3):
+            got, want = value_of(field, word, offset), split * field.pow_beta(offset - n)
+            assert (got.nums, got.den) == (want.nums, want.den), (n, offset)
+    assert (("beta_columns", -leaf, leaf) in field._derived) is field.is_unit_field

@@ -22,6 +22,7 @@ from pisotcoding import (
     HomoclinicSpec,
     MarkovChain,
     NotPisot,
+    OrbitCapExceeded,
     Reducible,
     SoficAutomaton,
     build_automaton,
@@ -282,6 +283,17 @@ def test_tail_rows_match_full_expansion(name, request):
                 fractions.add(want / trials)
     if name == "quartic":
         assert any(0 < f < 1 for f in fractions)  # the window decides some trials
+
+
+def test_tail_orbit_cap_reads_only_the_window(golden, golden_cert, monkeypatch):
+    # rows read n + L digits, so the cap is max(n_list) + L, checked before sampling
+    rep = tail_invariance_experiment(golden, [20, 6], 30, seed=2, certificate=golden_cert)
+    cap = 20 + rep.L
+    again = tail_invariance_experiment(golden, [20, 6], 30, seed=2, certificate=golden_cert, orbit_cap=cap)
+    assert again == rep
+    monkeypatch.setattr(shift, "_sample_path", lambda *a: pytest.fail("sampled past the cap"))
+    with pytest.raises(OrbitCapExceeded):
+        tail_invariance_experiment(golden, [20, 6], 30, seed=2, certificate=golden_cert, orbit_cap=cap - 1)
 
 
 def test_tail_experiment_jobs_deterministic(quartic, quartic_cert):
