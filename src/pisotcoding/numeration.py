@@ -302,8 +302,8 @@ def expansion_value(field, exp):
         value = beta^-|pre| * (P + Q / (beta^p - 1))
               = (P * (beta^p - 1) + Q) / ((beta^p - 1) * beta^|pre|),
 
-    one cofactor expansion of the denominator (NumberField._cofactors) and
-    one gcd in all.  O(M(n) log n) for n = len(pre) + len(per)."""
+    one NumberField._divide: a guess modulo a fixed prime, checked exactly,
+    for a long period, else the cofactors.  O(M(n) log n) for n = len(pre) + len(per)."""
     pre, per = exp.pre, exp.per
     if not per:
         return value_of(field, pre)
@@ -315,8 +315,7 @@ def expansion_value(field, exp):
         shifted = field._mul_nums(_word_nums(field, pre, 0, len(pre), cols), den)
         num = [a + b for a, b in zip(shifted, num)]
         den = field._mul_nums(den, field.pow_beta(len(pre)).nums)
-    cof, det = field._cofactors(den)
-    return field._from_nums(field._mul_nums(num, cof), det)
+    return field._divide(num, den)
 
 
 # -- greedy expansion ---------------------------------------------------------

@@ -522,3 +522,15 @@ def test_real_interval_matches_fraction_horner(case, g):
     lo, hi, scale = field._real_enclosure([g * n for n in x.nums], g * x.den, prec)
     assert (Fraction(lo, scale), Fraction(hi, scale)) == want
     assert want[1] - want[0] <= Fraction(1, 2 ** prec)
+
+
+@pytest.mark.parametrize("q", [3, 7, 13, 8191])
+def test_lift_finds_exactly_the_small_fractions(q):
+    # every residue mod a prime q against all fractions a/b in lowest terms
+    # with |a|, b <= sqrt(q/2): _lift returns the one such fraction or None
+    bound = math.isqrt(q >> 1)
+    fracs = [(a, b) for b in range(1, bound + 1) for a in range(-bound, bound + 1) if math.gcd(a, b) == 1]
+    small = {a * pow(b, -1, q) % q: (a, b) for a, b in fracs}
+    assert len(small) == len(fracs)  # distinct residues: 2 bound^2 < q
+    for u in range(q):
+        assert nf._lift(u, q) == small.get(u), u

@@ -25,7 +25,7 @@ from oracles import (
     suffix_scan_admissible,
     word_compare,
 )
-from pisotcoding import numeration
+from pisotcoding import numberfield, numeration
 from pisotcoding import (
     Expansion,
     OutOfRange,
@@ -340,8 +340,9 @@ class TestSplitValues:
 @settings(max_examples=80)
 @given(k=st.sampled_from(VALUE_FIELDS), data=st.data())
 def test_periodic_value_times_beta_p_minus_one(k, data):
-    # expansion_value divides by beta^p - 1 through its cofactors; multiplying
-    # back by beta^p - 1 checks that division without field.invert
+    # expansion_value divides by beta^p - 1, by a modular guess checked
+    # exactly or through the cofactors; multiplying back by beta^p - 1 checks
+    # that division without field.invert
     field = _field(k)
     per = tuple(data.draw(st.lists(st.integers(0, field.floor_beta), min_size=1, max_size=300)))
     value = expansion_value(field, Expansion((), per))
@@ -365,6 +366,128 @@ def test_long_period_value_splits_without_digit_steps(monkeypatch):
     monkeypatch.setattr(NumberField, "_shift_reduce", counted_shift_reduce)
     assert expansion_value(field, exp) == x
     assert calls["_shift_reduce"] <= numeration._LEAF + 36, calls  # the leaf table, then squarings
+
+
+def _spy_cofactors(monkeypatch):
+    """Record the width (largest |numerator|) of every _cofactors call."""
+    widths = []
+    cofactors = NumberField._cofactors
+
+    def spied(self, nums):
+        widths.append(max(map(abs, nums)))
+        return cofactors(self, nums)
+
+    monkeypatch.setattr(NumberField, "_cofactors", spied)
+    return widths
+
+
+def test_long_period_value_is_a_checked_guess(monkeypatch):
+    # den = (beta^88920 - 1) beta^14 has 41k-bit numerators; the value's
+    # coordinates 1/2, -1/5, 1/7 lift from their residues mod q, and no
+    # cofactor expansion of the wide den is taken
+    field = make_field((1, 0, 0, 1))
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    exp = beta_expand(x)
+    widths = _spy_cofactors(monkeypatch)
+    assert expansion_value(field, exp) == x
+    assert widths and max(widths) <= numberfield._MODULUS, [w.bit_length() for w in widths]
+
+
+def test_high_periodic_value_takes_the_cofactors(monkeypatch):
+    # a random 400-digit period: its value's coordinates have over 128 bits,
+    # so no a/b below sqrt(q/2) checks and the cofactors of the wide
+    # den decide it
+    field = _field((1, 0, 0, 1))
+    rng = random.Random("cofactor route")
+    per = tuple(rng.randint(0, 1) for _ in range(400))
+    widths = _spy_cofactors(monkeypatch)
+    value = expansion_value(field, Expansion((), per))
+    assert max(widths) > numberfield._MODULUS
+    assert max(map(abs, (*value.nums, value.den))).bit_length() > 128
+    assert value * (field.pow_beta(400) - field.one) == value_of(field, per, 400)
+
+
+def test_hundred_thousand_digit_period_value(quartic):
+    # den 105 = 3 * 5 * 7: the period is ord(beta mod 105) = 177,840 digits
+    x = quartic.element([Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), 0])
+    exp = beta_expand(x)
+    assert (len(exp.pre), len(exp.per)) == (186, 177840)
+    assert expansion_value(quartic, exp) == x
+
+
+def _divide_route(widths, lifted):
+    """How one _divide went, from the _cofactors calls and the _lift results
+    it made: one call alone is the narrow route or an accepted guess; two
+    calls are a guess that fell back, with nothing lifted when det = 0 mod q."""
+    if len(widths) == 1:
+        return "accepted" if lifted else "narrow"
+    if not lifted:
+        return "singular"
+    return "no lift" if None in lifted else "false guess"
+
+
+# moduli small enough that det = 0 mod q and wrong lifts both happen
+_SMALL_MODULI = [7, (1 << 13) - 1, (1 << 31) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from(VALUE_FIELDS + [(1,) * 8]),
+    q=st.sampled_from(_SMALL_MODULI),
+    data=st.data(),
+)
+def test_value_with_forced_wrong_guesses_matches_horner(k, q, data):
+    field = _field(k)
+    digits = st.integers(0, field.floor_beta)
+    pre = tuple(data.draw(st.lists(digits, max_size=40)))
+    per = tuple(data.draw(st.lists(digits, min_size=1, max_size=200)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numberfield, "_MODULUS", q)
+        v = expansion_value(field, Expansion(pre, per))
+    P = field.element(horner_value(k, pre, len(pre)))
+    Q = field.element(horner_value(k, per, len(per)))
+    assert (v * field.pow_beta(len(pre)) - P) * (field.pow_beta(len(per)) - 1) == Q
+
+
+def test_forced_wrong_guesses_reach_every_route(monkeypatch):
+    # seeded points of small denominator and random words under the small
+    # moduli: each value equals the point or the Horner identity, whichever
+    # route _divide took, and every route is taken
+    rng = random.Random("forced wrong guesses")
+    widths = _spy_cofactors(monkeypatch)
+    lift, lifted = numberfield._lift, []
+
+    def spied_lift(u, q):
+        lifted.append(lift(u, q))
+        return lifted[-1]
+
+    monkeypatch.setattr(numberfield, "_lift", spied_lift)
+    routes = set()
+
+    def value_and_route(field, exp):
+        widths.clear()
+        lifted.clear()
+        value = expansion_value(field, exp)
+        routes.add(_divide_route(widths, lifted))
+        return value
+
+    for k in VALUE_FIELDS + [(1,) * 8]:
+        field = _field(k)
+        for q in _SMALL_MODULI:
+            monkeypatch.setattr(numberfield, "_MODULUS", q)
+            for _ in range(6):
+                den = rng.randint(2, 12)
+                x = field.element([Fraction(rng.randrange(1, den), den)] + [0] * (field.m - 1))
+                try:
+                    exp = beta_expand(x, orbit_cap=20000)
+                except OrbitCapExceeded:  # degree 8 at den 5, 10 or 11: periods of 10^5 digits
+                    continue
+                if exp.per:
+                    assert value_and_route(field, exp) == x, (k, q, x)
+            per = tuple(rng.randint(0, field.floor_beta) for _ in range(rng.randint(1, 120)))
+            v = value_and_route(field, Expansion((), per))
+            assert v * (field.pow_beta(len(per)) - 1) == value_of(field, per, len(per)), (k, q)
+    assert routes == {"narrow", "accepted", "singular", "no lift", "false guess"}, routes
 
 
 @settings(max_examples=60)
