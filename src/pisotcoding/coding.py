@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 from .errors import (
     CounterexampleFound,
@@ -178,24 +179,32 @@ def _below_one(x):
 
 def _phi_window(spec, value, tolerance):
     """Torus image of a finite window from its value: frac(value * xi * beta^-i) on numerators
-    over one denominator, rounded by int / int as by float(Fraction).  The constant coefficient
-    enters _real_enclosure last, at the scale, so frac's enclosure is the full one minus floor *
-    scale, the floor read off that enclosure where both ends share it, else by _floor_nums."""
+    over one denominator, rounded by int / int as by float(Fraction).  Each product by xi or by
+    beta^-1 is m dot products with its integer multiplication matrix (_num_matrix, built once
+    per field and factor).  The constant coefficient enters _real_enclosure last, at the scale,
+    so frac's enclosure is the full one minus floor * scale, the floor read off that enclosure
+    where both ends share it, else by _floor_nums."""
     field = spec.field
     prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
     binv = field.pow_beta(-1)
-    nums, den = field._mul_nums(value.nums, spec.xi.nums), value.den * spec.xi.den
-    coords, radius = [], 0.0
-    for i in range(field.m):
+    by_xi, by_binv = _mul_matrix(field, spec.xi), _mul_matrix(field, binv)
+    nums, den = [sum(map(mul, row, value.nums)) for row in by_xi], value.den * spec.xi.den
+    coords, radius, m = [], 0.0, field.m
+    for i in range(m):
         lo, hi, scale = field._real_enclosure(nums, den, prec)
         if (floor := lo // scale) != hi // scale:
             floor = field._floor_nums(nums, den)
         lo, hi = lo - floor * scale, hi - floor * scale
         coords.append(_below_one((lo + hi) / (2 * scale)))
         radius = max(radius, (hi - lo) / (2 * scale))
-        if i + 1 < field.m:
-            nums, den = field._mul_nums(nums, binv.nums), den * binv.den
+        if i + 1 < m:
+            nums, den = [sum(map(mul, row, nums)) for row in by_binv], den * binv.den
     return TorusPoint(tuple(coords), radius)
+
+
+def _mul_matrix(field, a):
+    """The integer multiplication matrix of a's numerators, built once per field and a."""
+    return field.derived(("mul_matrix", a.nums), lambda: field._num_matrix(a.nums))
 
 
 def _phi_periodic(spec, period):
@@ -278,7 +287,7 @@ def _experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resol
     field = spec.field
     n_left = n_digits - 1
     word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
-    v = Window(-n_left, word).value(field)
+    v = value_of(field, word, n_digits)
     pt = _phi_window(spec, v, tol)
     bucket = tuple(int(math.floor(c / resolution)) for c in pt.coords)
     entries = [(bucket, v, v)]

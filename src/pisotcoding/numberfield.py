@@ -304,6 +304,7 @@ class NumberField:
         self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
         self._pow_cache = {}
         self._fixed = {}  # K -> (L_0..L_(m-1), w, B_hi), see _fixed_table
+        self._beta_ends = {}  # prec -> (bl, bh, d), see _real_enclosure
         self._derived = {}  # key -> value built once by derived()
         self._krev = tuple(reversed(min_poly.k))  # beta^m = sum(_krev[i] beta^i)
         # reduction rows: numerators of beta^(m+j) for j = 0..m-2
@@ -514,18 +515,19 @@ class NumberField:
     def _real_enclosure(self, nums, den, prec):
         """Integers lo <= scale * x <= hi with hi - lo <= scale / 2^prec for
         x = sum(nums[i] beta^i) / den: interval Horner over beta_interval(rp), rp
-        doubling from max(prec + 8, 32), on integers over the endpoints' common
-        denominator d, times d^j at step j.  That scaling is positive, so the
-        rationals are the Fraction Horner's (tests/oracles.py), in any terms."""
+        doubling from max(prec + 8, 32), on integers bl / d, bh / d for its
+        endpoints (kept once per rp, read without the lock), times d^j at step
+        j.  That scaling is positive, so the rationals are the Fraction
+        Horner's (tests/oracles.py), in any terms.  As 0 < bl <= bh, each step's
+        ends are the products of alo and ahi with bl or bh picked by their signs."""
         rp = max(prec + 8, 32)
         while True:
-            lo, hi = self.beta_interval(rp)
-            d = math.lcm(lo.denominator, hi.denominator)
-            bl, bh = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+            bl, bh, d = self._beta_ends.get(rp) or self._beta_ends_at(rp)
             alo, ahi, dj = 0, 0, 1
             for c in reversed(nums):
-                cands = (alo * bl, alo * bh, ahi * bl, ahi * bh)
-                alo, ahi = min(cands) + c * dj, max(cands) + c * dj
+                c *= dj
+                alo = alo * (bl if alo >= 0 else bh) + c
+                ahi = ahi * (bh if ahi >= 0 else bl) + c
                 dj *= d
             scale = den * (dj // d)
             if (ahi - alo) << prec <= scale:
@@ -533,6 +535,14 @@ class NumberField:
             rp *= 2
             if rp > _PRECISION_CAP:
                 raise PrecisionCapExceeded("real_interval refinement cap hit")
+
+    def _beta_ends_at(self, prec):
+        """(bl, bh, d): beta_interval(prec) as bl / d, bh / d over the lcm d."""
+        lo, hi = self.beta_interval(prec)
+        d = math.lcm(lo.denominator, hi.denominator)
+        ends = (lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d)
+        with self._lock:
+            return self._beta_ends.setdefault(prec, ends)
 
     def float_value(self, a):
         """The real embedding of a as a float: the midpoint of the integer
@@ -609,12 +619,14 @@ class NumberField:
     def derived(self, key, build):
         """The value build() gives for key, built once and kept as long as
         the field lives.  key must hold every argument the value depends on.
+        A published entry never changes, so it is read without the lock.
         build runs outside the lock (it may refine beta_interval, which takes
         it); if two threads race, both build and the first value published
         is the one every caller gets.  A failing build caches nothing."""
-        with self._lock:
-            if key in self._derived:
-                return self._derived[key]
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
         value = build()
         with self._lock:
             return self._derived.setdefault(key, value)

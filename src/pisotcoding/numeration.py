@@ -207,7 +207,7 @@ def is_admissible(word_or_expansion, dseq):
         pre, per = word_or_expansion.pre, word_or_expansion.per
     else:
         pre, per = tuple(word_or_expansion), ()
-    if any(e < 0 or e > dseq.floor_beta for part in (pre, per) for e in part):
+    if any(part and (min(part) < 0 or max(part) > dseq.floor_beta) for part in (pre, per)):
         raise ValueError("digit outside the alphabet")
     state, _ = _parry_walk(dseq, pre)
     if not per or state is None:
@@ -246,18 +246,22 @@ def _admissible_words(dseq, max_len, first=0):
 def value_of(field, word, offset=0):
     """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word), for
     integer digits: on a unit field, for at most _LEAF digits with exponents
-    in [-_LEAF, _LEAF), one leaf of _word_nums read against the table of
-    columns of beta^-_LEAF .. beta^(_LEAF-1) (_leaf_columns(field, -_LEAF));
-    else the word read as a number in base beta (_word_nums, binary
-    splitting), times beta^(offset - len(word)).  O(M(n) log n) for n
-    digits, M the cost of one n-bit multiplication."""
+    in [-_LEAF, _LEAF), m dot products in C of the word's nonzero digits
+    against the entries at their places in the columns of beta^-_LEAF ..
+    beta^(_LEAF-1) (_leaf_columns(field, -_LEAF)), each column read downwards
+    from beta^(offset - 1), the word not reversed; else the word read as a
+    number in base beta (_word_nums, binary splitting), times
+    beta^(offset - len(word)).  O(M(n) log n) for n digits, M the cost of
+    one n-bit multiplication."""
     word = tuple(word)
     if not word:
         return field.zero
     shift = offset - len(word)
     if field.is_unit_field and -_LEAF <= shift and offset <= _LEAF and len(word) <= _LEAF:
-        cols = [col[shift + _LEAF:offset + _LEAF] for col in _leaf_columns(field, -_LEAF)]
-        return field._from_nums(_word_nums(field, word, 0, len(word), cols))
+        down = slice(offset + _LEAF - 1, shift + _LEAF - 1 if shift > -_LEAF else None, -1)
+        nonzero = list(compress(word, word))  # a list, as in _word_nums
+        return field._from_nums([sum(map(mul, nonzero, compress(col[down], word)))
+                                 for col in _leaf_columns(field, -_LEAF)])
     out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_columns(field)))
     return out * field.pow_beta(shift) if shift else out
 
@@ -585,13 +589,14 @@ def _ends_within(field, state, den, n):
     """True iff T^n(state / den) = 0, T the greedy map and state / den in [0, 1):
     ceil(n / b) blocks of _greedy_orbit, b = _block_limit, as window
     truncation walks.  0 is absorbing and a nonzero state has a later nonzero
-    digit, so the block that reaches 0 holds the last nonzero digit."""
+    digit, so the block that reaches 0 holds the last nonzero digit, found by
+    bytes.rstrip (a block's digits are below 64, see _block_table)."""
     if not any(state):
         return True
     b = _block_limit(field)
     for i, (word, state) in enumerate(islice(_greedy_orbit(field, state, den, b), -(-n // b))):
         if not any(state):
-            return b == 1 or i * b + max(j for j, d in enumerate(word, 1) if d) <= n
+            return b == 1 or i * b + len(bytes(word).rstrip(b"\0")) <= n
     return False
 
 

@@ -1,6 +1,8 @@
 import math
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -491,12 +493,71 @@ def test_enclosures_do_not_depend_on_cache_history(k):
         assert fresh.beta_interval(prec) == warmed.beta_interval(prec) == want, prec
     fresh, warmed = make_field(k), make_field(k)
     warmed.beta_interval(4096)
+    big = [2 ** 300 + i for i in range(len(k))]  # doubles rp far past the first, 32
+    for prec in (700, 12, 90):
+        warmed._real_enclosure(big, 3, prec)
 
     def x(f):
         return f.pow_beta(-3) + Fraction(1, 7)
 
     assert fresh.real_interval(x(fresh), 64) == warmed.real_interval(x(warmed), 64)
+    # the integer endpoints kept per precision are beta_interval's there
+    small = ([1, -2] + [0] * (len(k) - 2), [-5] + [3] * (len(k) - 1))
+    for nums, den, prec in ((big, 3, 16), (small[0], 7, 64), (small[1], 1, 200)):
+        got = [f._real_enclosure(nums, den, prec) for f in (fresh, warmed, make_field(k))]
+        assert got[0] == got[1] == got[2], (nums, prec)
+    assert max(fresh._beta_ends) > 256
+    for rp, (bl, bh, d) in fresh._beta_ends.items():
+        assert (Fraction(bl, d), Fraction(bh, d)) == fresh.beta_interval(rp) == warmed.beta_interval(rp)
     assert check_weak_finitarity(fresh).eta == check_weak_finitarity(warmed).eta
+
+
+def test_derived_reads_published_entries_without_the_lock():
+    field = make_field((1, 1))  # fresh: nothing derived yet
+    n = 6  # more threads than cores
+    gate = threading.Barrier(n, timeout=30)
+    built, got = [], [None] * n
+
+    def build():
+        gate.wait()  # every thread misses the store before any publishes
+        obj = object()
+        built.append(obj)
+        return obj
+
+    def race(i):
+        got[i] = field.derived(("race",), build)
+
+    threads = [threading.Thread(target=race, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == n and all(g is got[0] for g in got)
+    assert got[0] is field._derived[("race",)] and got[0] in built
+
+    def fail():
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError):
+        field.derived(("fails",), fail)
+    assert ("fails",) not in field._derived
+    assert field.derived(("fails",), lambda: 7) == 7
+    calls = len(built)
+    assert field.derived(("race",), build) is got[0] and len(built) == calls  # no rebuild
+
+    # a published entry is read while another thread holds the lock
+    seen = []
+    with field._lock:
+        reader = threading.Thread(target=lambda: seen.append(field.derived(("race",), build)))
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive() and seen == [got[0]]
 
 
 @st.composite
