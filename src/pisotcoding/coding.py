@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 
 from .errors import (
@@ -29,9 +28,8 @@ from .numeration import (
     DEFAULT_PERIOD_CAP,
     Expansion,
     _beta_exponent,
-    _block_limit,
-    _greedy_orbit,
     _periodic_points,
+    _window_walk,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
@@ -445,24 +443,15 @@ def _mix(seed, t):
 
 def _truncate_to_window(field, value, right_edge, orbit_cap):
     """The window of the expansion of value >= 0 that ends at right_edge: the
-    nu + right_edge greedy digits of value * beta^-nu, nu = _beta_exponent(value),
-    padded with zeros once the state is 0; orbit_cap bounds those steps.  No
-    cycle is needed: n // b blocks of the largest table length b =
-    _block_limit, then n mod b single steps."""
+    first n = nu + right_edge greedy digits of value * beta^-nu, nu =
+    _beta_exponent(value), read off the window walk (_window_walk, zeros once
+    the state is 0); orbit_cap bounds n.  No cycle is needed."""
     nu = _beta_exponent(value)
     n = nu + right_edge
     if n > orbit_cap:
         raise OrbitCapExceeded("window truncation exceeded the cap")
     y = value * field.pow_beta(-nu)
-    digits, state, b = [], y.nums, _block_limit(field)
-    if b > 1:
-        for word, state in islice(_greedy_orbit(field, state, y.den, b), n // b):
-            digits += word
-    for dig, state in islice(_greedy_orbit(field, state, y.den), n - len(digits)):
-        digits.append(dig)
-        if not any(state):
-            break
-    return Window(1 - nu, tuple(digits) + (0,) * (n - len(digits)))
+    return Window(1 - nu, tuple(_window_walk(field, y.nums, y.den, n)[0][:n]))
 
 
 def _entropy_sanity(points, m, trials, cells_per_dim=8):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CharPolyMismatch, NotConjugatePair, NotUnimodular, SearchBudgetExceeded
 from .numberfield import make_field
-from .polyops import mat_det
+from .polyops import mat_det, power
 
 SLAB_BUDGET = 10 ** 8  # search box points: about 4 s on the numpy slabs at m = 4
 EXACT_BUDGET = 2 * 10 ** 4  # search box points: about 3.5 s of exact determinants at m = 8
@@ -59,17 +59,9 @@ def mat_add(a, b):
 
 
 def mat_pow(a, n):
-    m = len(a)
     if n < 0:
         raise ValueError("negative matrix power not supported here")
-    acc = identity(m)
-    base = a
-    while n:
-        if n & 1:
-            acc = mat_mul(acc, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return acc
+    return power(a, n, mat_mul, identity(len(a)))
 
 
 def _leverrier(M):

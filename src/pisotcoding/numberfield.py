@@ -4,10 +4,10 @@ An element is sum(n_i beta^i) / den over the power basis 1, beta, ...,
 beta^(m-1): integer numerators n_i over one positive denominator, in lowest
 terms.  Each ring operation works on the integers and reduces once, by one
 gcd; .coords is the rational view.  The norm is the fraction-free
-determinant (polyops.mat_det) of the integer multiplication matrix; the
-inverse is Cramer's rule on the cofactors of its first row, all taken from
-one memoised Laplace expansion, with no division before the final gcd.
-Wide quotients are first guessed mod a prime, then checked exactly (_divide).
+determinant (polyops.mat_det) of the integer multiplication matrix.  Every
+quotient, the inverse too, is one _divide: Cramer's rule on cofactors from
+one memoised Laplace expansion, with no division before the final gcd, or
+for a wide divisor a guess mod a prime, checked exactly.
 Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
 field keeps integers L_i with L_i <= 2^K beta^i <= L_i + w (i < m), rounded
@@ -176,14 +176,7 @@ class FieldElement:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.field.invert(self)
-        n = abs(n)
-        acc = self.field.one
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return polyops.power(base, abs(n), self.field.mul, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -423,11 +416,10 @@ class NumberField:
         return list(zip(*cols))
 
     def invert(self, a):
-        """1/a = a.den * cof / det (_cofactors of a.nums), reduced by one gcd."""
+        """1/a = a.den / sum(a.nums_i beta^i), one _divide."""
         if a.is_zero:
             raise ZeroDivisionError("inversion of zero element")
-        cof, det = self._cofactors(a.nums)
-        return self._from_nums([a.den * c for c in cof], det)
+        return self._divide([a.den] + [0] * (self.m - 1), a.nums)
 
     def _divide(self, num, den):
         """sum(num_i beta^i) / sum(den_i beta^i) in lowest terms (den != 0).  For

@@ -15,7 +15,7 @@ boundaries is then one period back, and a scan back from it finds the
 least preperiod (_expand_orbit).  Where a greedy orbit ends (Z_beta, the
 coding kernels, the carry length) is asked of one memoised orbit walk
 (_orbit_class); whether it ends by digit n (the tail rows of shift), of
-ceil(n / b) blocks (_ends_within).
+the ceil(n / b) blocks that window truncation walks too (_window_walk).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -419,9 +419,10 @@ def _greedy_orbit(field, state, den, b=1):
         t = [sum(map(mul, row, state)) for row in rows]
         mag = sum(map(abs, t))
         if mag.bit_length() + 32 > bits:  # the fixed table _enclosure would pick
-            bits = field._enclosure(t)[2]
+            s, e, bits, _, _ = field._enclosure(t)
             (low, width, _), k = field._fixed[bits], bits - _FIXED_BITS
-        s, e = sum(map(mul, t, low)), width * mag
+        else:
+            s, e = sum(map(mul, t, low)), width * mag
         j = bisect_right(lo, (s // den) >> k, 1, len(words)) - 1
         new = tuple([x - den * w for x, w in zip(t, nums[j])])
         if (den * hi[j] << k <= s - e or not any(new)) and s + e < den * lo[j + 1] << k:
@@ -540,12 +541,9 @@ def _period_tests(field, den, limit):
     big = math.lcm(*(math.lcm(*(q ** d - 1 for d in range(1, m + 1))) * q ** (e - 1 + m)
                      for q, e in factors.items()))
 
-    def power(n):  # the matrix of beta^n mod den, by square and multiply
-        acc, base = [1] + [0] * (m - 1), [0, 1] + [0] * (m - 2)
-        while n:
-            if n & 1:
-                acc = [x % den for x in field._mul_nums(acc, base)]
-            n, base = n >> 1, [x % den for x in field._mul_nums(base, base)]
+    def power(n):  # the matrix of beta^n mod den
+        acc = polyops.power([0, 1] + [0] * (m - 2), n, lambda a, b: [x % den for x in field._mul_nums(a, b)],
+                            [1] + [0] * (m - 1))
         return [[x % den for x in row] for row in field._num_matrix(acc)]
 
     primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p))]
@@ -585,19 +583,25 @@ def _orbit_class(field, state, den, memo, orbit_cap):
     return k, p
 
 
+def _window_walk(field, state, den, n):
+    """(digits, state): the first N = ceil(n / b) b greedy digits of state /
+    den in [0, 1) as a list, b = _block_limit, and T^N of it: ceil(n / b)
+    blocks of _greedy_orbit (bare digits at b = 1), stopped at state 0, which
+    is absorbing, and padded with zeros.  Digits past n cost at most b - 1."""
+    b, digits = _block_limit(field), []
+    if any(state):
+        for word, state in islice(_greedy_orbit(field, state, den, b), -(-n // b)):
+            digits += word if b > 1 else (word,)
+            if not any(state):
+                break
+    return digits + [0] * (-(-n // b) * b - len(digits)), state
+
+
 def _ends_within(field, state, den, n):
-    """True iff T^n(state / den) = 0, T the greedy map and state / den in [0, 1):
-    ceil(n / b) blocks of _greedy_orbit, b = _block_limit, as window
-    truncation walks.  0 is absorbing and a nonzero state has a later nonzero
-    digit, so the block that reaches 0 holds the last nonzero digit, found by
-    bytes.rstrip (a block's digits are below 64, see _block_table)."""
-    if not any(state):
-        return True
-    b = _block_limit(field)
-    for i, (word, state) in enumerate(islice(_greedy_orbit(field, state, den, b), -(-n // b))):
-        if not any(state):
-            return b == 1 or i * b + len(bytes(word).rstrip(b"\0")) <= n
-    return False
+    """True iff T^n(state / den) = 0, T the greedy map and state / den in [0,
+    1): the window walk past n reaches 0 with no nonzero digit after n."""
+    digits, state = _window_walk(field, state, den, n)
+    return not any(state) and not any(digits[n:])
 
 
 def expand_nonneg(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -616,14 +620,19 @@ def _beta_exponent(x):
     fixed-point enclosure of x (a float log, which decides nothing), moved
     by exact compares until beta^(nu - 1) <= x < beta^nu or nu = 0."""
     field = x.field
-    s, _, bits, _, _ = field._enclosure(x.nums)
-    guess = (math.log(max(s, 1)) - math.log(x.den << bits)) / math.log(field._float_roots[0].real)
-    nu = max(0, 1 + math.floor(guess))
+    nu = max(0, 1 + math.floor(_log_beta(x)))
     while not (x < field.pow_beta(nu)):
         nu += 1
     while nu and x < field.pow_beta(nu - 1):
         nu -= 1
     return nu
+
+
+def _log_beta(x):
+    """A float guess at log_beta |x| for x != 0, from the fixed-point
+    enclosure of x; it decides nothing."""
+    s, _, bits, _, _ = x.field._enclosure(x.nums)
+    return (math.log2(max(abs(s), 1)) - bits - math.log2(x.den)) / math.log2(x.field._float_roots[0].real)
 
 
 def is_finite(x, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -813,9 +822,7 @@ def _periodic_points(field, mu, orbit_cap, period_cap=None):
     OrbitCapExceeded.  The dual colour walk (_cycle_oracle) cross-checks
     the region."""
     if field.is_unit_field:  # beta^-k mu: the same lattice on a balanced basis, k ~ log_beta |mu|
-        s, _, bits, _, _ = field._enclosure(mu.nums)
-        log_mu = math.log2(max(abs(s), 1)) - bits - math.log2(mu.den)
-        mu = mu * field.pow_beta(-round(log_mu / math.log2(field._float_roots[0].real)))
+        mu = mu * field.pow_beta(-round(_log_beta(mu)))
     basis, den = _over_one_den([mu * field.pow_beta(j) for j in range(field.m)])
     in_unit = [s for s in _region_points(field, basis, den) if field._floor_nums(s, den) == 0]
 
@@ -1002,11 +1009,7 @@ def check_weak_finitarity(
             records.append(cert)
             p_max = max(p_max, cert.period)
     if records:
-        f_min = None
-        for r in records:
-            fv = value_of(field, r.f_word)
-            if f_min is None or fv < f_min:
-                f_min = fv
+        f_min = min((value_of(field, r.f_word) for r in records), key=cmp_to_key(field.compare))
         eta_elem = f_min * field.pow_beta(-p_max)
     else:
         eta_elem = field.pow_beta(-1)
@@ -1041,8 +1044,8 @@ def _grid_log_bound(blo, eta, a):
 
 def _pow_bound(q, n, up):
     """(man, exp) with man * 2^exp <= q^n (>= when up) for a positive
-    Fraction q and n >= 0: square-and-multiply on mantissas cut to _POW_BITS
-    bits, every cut rounding the same way, O(log n) multiplications."""
+    Fraction q and n >= 0: polyops.power on mantissas, each product cut to
+    _POW_BITS bits, every cut rounding the same way, O(log n) multiplications."""
 
     def cut(man, exp):
         s = man.bit_length() - _POW_BITS
@@ -1054,14 +1057,7 @@ def _pow_bound(q, n, up):
     k = _POW_BITS + den.bit_length() - num.bit_length()  # q * 2^k >= 2^(_POW_BITS - 1)
     num, den = (num << k, den) if k >= 0 else (num, den << -k)
     base = cut(-(-num // den) if up else num // den, -k)
-    acc = (1, 0)
-    while n:
-        if n & 1:
-            acc = cut(acc[0] * base[0], acc[1] + base[1])
-        n >>= 1
-        if n:
-            base = cut(base[0] * base[0], 2 * base[1])
-    return acc
+    return polyops.power(base, n, lambda a, b: cut(a[0] * b[0], a[1] + b[1]), (1, 0))
 
 
 def validate_weak_finitarity(field, cert, orbit_cap=DEFAULT_ORBIT_CAP):

@@ -65,6 +65,20 @@ def poly_divmod(a, b):
     return strip(q), r
 
 
+def power(base, n, mul, one):
+    """base^n for n >= 0 under an associative mul with identity one, by
+    square and multiply: acc = mul(acc, base) at each set bit of n, low bit
+    first, then base = mul(base, base) unless no bit is left."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return acc
+
+
 def mat_det(a):
     """Fraction-free Bareiss determinant of a square integer matrix (Bareiss,
     Math. Comp. 22, 1968): every division is exact."""

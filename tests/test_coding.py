@@ -379,42 +379,58 @@ class TestInjectivity:
 
 
     def test_truncation_stops_at_the_window(self, golden, golden_cert, monkeypatch):
-        # a truncated mate keeps nu + right_edge digits, so its kernel walk
-        # yields at most that many (152,829 of 152,829 on this run).  Digits
-        # are counted as the walk yields them, a block's word, bytes from the
-        # table or a tuple of exact steps, at its length
+        # a truncated mate keeps nu + right_edge digits and its window walk
+        # takes whole blocks, so it yields at most b - 1 digits past each
+        # window (158,448 walked for 152,829 kept over 1,600 windows at b =
+        # 16 on this run).  Digits are counted as the kernel yields them
+        # inside _truncate_to_window, a block's word, bytes from the table or
+        # a tuple of exact steps, at its length
         import pisotcoding.coding as coding
+        import pisotcoding.numeration as numeration
 
-        walked, kept = [0], [0]
-        orbit, truncate = coding._greedy_orbit, coding._truncate_to_window
+        walked, kept, windows, inside = [0], [0], [0], [False]
+        orbit, truncate = numeration._greedy_orbit, coding._truncate_to_window
 
         def counted_orbit(*args):
             for item in orbit(*args):
-                walked[0] += len(item[0]) if isinstance(item[0], (tuple, bytes)) else 1
+                if inside[0]:
+                    walked[0] += len(item[0]) if isinstance(item[0], (tuple, bytes)) else 1
                 yield item
 
         def counted_truncate(*args):
-            win = truncate(*args)
+            inside[0] = True
+            try:
+                win = truncate(*args)
+            finally:
+                inside[0] = False
             kept[0] += len(win.digits)
+            windows[0] += 1
             return win
 
-        monkeypatch.setattr(coding, "_greedy_orbit", counted_orbit)
+        monkeypatch.setattr(numeration, "_greedy_orbit", counted_orbit)
         monkeypatch.setattr(coding, "_truncate_to_window", counted_truncate)
         spec = HomoclinicSpec(golden, golden.one)
         rep = injectivity_experiment(spec, 48, 400, seed=0, certificate=golden_cert)
         assert rep.mode_multiplicity == 5 and not rep.counterexamples
-        assert 0 < walked[0] <= kept[0]
+        b = numeration._block_limit(golden)
+        assert 0 < walked[0] <= kept[0] + (b - 1) * windows[0]
 
 
 class TestTruncation:
-    @pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic", "cubic341"])
-    def test_matches_expand_nonneg(self, name, request):
+    @pytest.mark.parametrize(("name", "forced_b"), [
+        pytest.param(name, b, id=name if b is None else f"{name}-b{b}")
+        for b in (None, 1) for name in ("golden", "tribonacci", "quartic", "cubic341")])
+    def test_matches_expand_nonneg(self, name, forced_b, request, monkeypatch):
+        # forced_b = 1 walks bare digits, which no fixture field's _block_limit gives
         import pisotcoding.coding as coding
+        import pisotcoding.numeration as numeration
         from pisotcoding import sample, value_of
         from pisotcoding.numeration import expand_nonneg
         from pisotcoding.shift import _parry_chain
 
         field = request.getfixturevalue(name)
+        if forced_b:
+            monkeypatch.setattr(numeration, "_block_limit", lambda f: forced_b)
         chain = _parry_chain(field)
         values = [field.zero, field.one] + [field.pow_beta(k) for k in range(-4, 9)]
         # finite expansions: values of admissible words, at several offsets

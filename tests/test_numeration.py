@@ -1322,6 +1322,22 @@ def test_long_period_walks_blocks_in_little_memory(monkeypatch):
     assert not calls and tuple(digits[14:88934]) == want.per
 
 
+def test_block_run_takes_one_enclosure(monkeypatch):
+    # blocks at one precision read the fixed table once: the first block's
+    # s, e come from the _enclosure call that picks K, later blocks reuse it
+    field = _field((1, 0, 0, 1))
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    b = numeration._block_limit(field)
+    numeration._block_table(field, b)  # built before counting
+    calls, products, enclosure = [], [], field._enclosure
+    monkeypatch.setattr(field, "_enclosure", lambda nums: calls.append(nums) or enclosure(nums))
+    monkeypatch.setattr(numeration, "mul", lambda a, c: products.append(1) or a * c)
+    got = [d for word, _ in islice(numeration._greedy_orbit(field, x.nums, x.den, b), 40) for d in word]
+    # per block, m^2 products for t = beta^b s and m for s, but the first s
+    assert len(calls) == 1 and len(products) == 40 * 16 + 39 * 4
+    assert got == [d for d, _ in _exact_walk(field, x.nums, x.den, 40 * b)]
+
+
 def test_skewed_basis_is_rescaled():
     # beta^30 Z[beta] = Z[beta]: on the basis beta^30 ... beta^33 the region
     # walk took 8,069,856 nodes and 72 s for the points mu = 1 finds at once

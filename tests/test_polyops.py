@@ -111,3 +111,38 @@ def test_sqrt_bounds():
     lo, hi = polyops.frac_sqrt_lower(q), polyops.frac_sqrt_upper(q)
     assert lo * lo <= 2 <= hi * hi
     assert polyops.frac_sqrt_upper(Fraction(4)) == 2 == polyops.frac_sqrt_lower(Fraction(4))
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_power_matches_repeated_products(n, quartic):
+    # every caller's product against n products in a row, with one mul per
+    # set bit and one square per further bit: integers and numerators of
+    # beta^n mod den (as _period_tests), matrices mod den, mat_pow, field
+    # elements both ways, and _pow_bound's directed bracket on Fractions
+    from pisotcoding import numeration
+    from pisotcoding.forms import identity, mat_mul, mat_pow
+
+    def repeated(base, mul, one):
+        acc = one
+        for _ in range(n):
+            acc = mul(acc, base)
+        return acc
+
+    def check(base, mul, one):
+        calls = []
+        got = polyops.power(base, n, lambda a, b: calls.append(1) or mul(a, b), one)
+        assert got == repeated(base, mul, one)
+        assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+    den = 105
+    companion = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))  # x^4 = x^3 + 1
+    check(17, lambda a, b: a * b % den, 1)
+    check([0, 1, 0, 0], lambda a, b: [x % den for x in quartic._mul_nums(a, b)], [1, 0, 0, 0])
+    check(companion, lambda a, b: tuple(tuple(x % den for x in r) for r in mat_mul(a, b)), identity(4))
+    assert mat_pow(companion, n) == repeated(companion, mat_mul, identity(4))
+    x = quartic.element([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    assert x ** n == repeated(x, quartic.mul, quartic.one)
+    assert x ** -n == repeated(quartic.invert(x), quartic.mul, quartic.one)
+    for q in (Fraction(3, 2), Fraction(1, 3), Fraction(10 ** 40 + 1, 7)):
+        low, high = (numeration._pow_bound(q, n, up) for up in (False, True))
+        assert low[0] * Fraction(2) ** low[1] <= q ** n <= high[0] * Fraction(2) ** high[1]
