@@ -10,12 +10,12 @@ one memoised Laplace expansion, with no division before the final gcd, or
 for a wide divisor a guess mod a prime, checked exactly.
 Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
-field keeps integers L_i with L_i <= 2^K beta^i <= L_i + w (i < m), rounded
-outward from the certified dominant-root interval, so the value is
-enclosed by sum(n_i L_i) +- w * sum(|n_i|) over den * 2^K.  An answer is
-returned only when that enclosure settles it, with K grown until it does;
-rational values are decided directly, so every comparison this module
-reports is exact.
+field's one store, NumberField.derived, keeps integers L_i with L_i <= 2^K
+beta^i <= L_i + w (i < m), rounded outward from the certified dominant-root
+interval (another entry), so the value is enclosed by sum(n_i L_i) +- w *
+sum(|n_i|) over den * 2^K.  An answer is returned only when that enclosure
+settles it, with K grown until it does; rational values are decided
+directly, so every comparison this module reports is exact.
 """
 
 from __future__ import annotations
@@ -293,11 +293,7 @@ class NumberField:
         self.is_unit_field = abs(min_poly.k[-1]) == 1
         self._float_roots = float_roots  # same order as root_intervals
         self._g = min_poly.g_coeffs()
-        self._lock = threading.Lock()
-        self._beta_iv = {}  # prec -> (lo, hi) for the dominant root
-        self._pow_cache = {}
-        self._fixed = {}  # K -> (L_0..L_(m-1), w, B_hi), see _fixed_table
-        self._beta_ends = {}  # prec -> (bl, bh, d), see _real_enclosure
+        self._lock = threading.Lock()  # taken only to publish in derived()
         self._derived = {}  # key -> value built once by derived()
         self._krev = tuple(reversed(min_poly.k))  # beta^m = sum(_krev[i] beta^i)
         # reduction rows: numerators of beta^(m+j) for j = 0..m-2
@@ -354,21 +350,17 @@ class NumberField:
         return self._from_nums(list(dcoeffs) + [0] * (self.m - len(dcoeffs)))
 
     def pow_beta(self, n):
-        """beta^n as an element, any integer n: beta^(n // 2) squared, times
-        beta for odd n, with every power on the way cached, so powers that
-        halve to a common one (beta^(64 * 2^j), say) share their squarings.
-        beta^-1 is the one inversion."""
-        got = self._pow_cache.get(n)
-        if got is None:
+        """beta^n for any integer n: beta^(n // 2) squared, times beta for odd n, each
+        power on the way a store entry ("pow_beta", n), so powers halving to a common
+        one (beta^(64 * 2^j), say) share their squarings; beta^-1 is the one inversion."""
+
+        def build():
             if n in (-1, 0, 1):
-                got = self.invert(self.beta) if n < 0 else self.beta if n else self.one
-            else:
-                half = self.pow_beta(n // 2)
-                got = half * half
-                if n & 1:
-                    got = self.mul_by_beta(got)
-            self._pow_cache[n] = got
-        return got
+                return self.invert(self.beta) if n < 0 else self.beta if n else self.one
+            half = self.pow_beta(n // 2)
+            return self.mul_by_beta(half * half) if n & 1 else half * half
+
+        return self.derived(("pow_beta", n), build)
 
     @property
     def floor_beta(self):
@@ -475,23 +467,19 @@ class NumberField:
     # -- certified real embedding -------------------------------------------
 
     def beta_interval(self, prec):
-        """Dominant-root interval of width <= 2^-prec (exact endpoints): the
-        root box bisected to that width, so a function of prec alone.  The
-        cached intervals lie on that one bisection tree, so resuming from
-        the finest one coarser than prec gives the same endpoints."""
-        with self._lock:
-            if prec in self._beta_iv:
-                return self._beta_iv[prec]
-            coarser = [p for p in self._beta_iv if p < prec]
-            lo, hi = self._beta_iv[max(coarser)] if coarser else self._dominant_seed()
-        lo, hi = polyops.refine_root_interval(self._g, lo, hi, Fraction(1, 2 ** prec))
-        with self._lock:
-            self._beta_iv[prec] = (lo, hi)
-        return lo, hi
+        """Dominant-root interval of width <= 2^-prec (exact endpoints): the root box
+        bisected to that width, so a function of prec alone.  The entries
+        ("beta_interval", p) lie on that one bisection tree, so resuming from the
+        largest p < prec, found on a copy of the store, gives the same endpoints."""
 
-    def _dominant_seed(self):
-        box = self.root_intervals[0]
-        return box.re_lo, box.re_hi
+        def build():
+            box = self.root_intervals[0]
+            coarser = [(key[1], iv) for key, iv in self._derived.copy().items()
+                       if key[0] == "beta_interval" and key[1] < prec]
+            lo, hi = max(coarser)[1] if coarser else (box.re_lo, box.re_hi)
+            return polyops.refine_root_interval(self._g, lo, hi, Fraction(1, 2 ** prec))
+
+        return self.derived(("beta_interval", prec), build)
 
     def root_boxes(self, prec):
         """Certified root boxes of width <= 2^-prec, in root_intervals order."""
@@ -505,16 +493,22 @@ class NumberField:
         return Fraction(lo, scale), Fraction(hi, scale)
 
     def _real_enclosure(self, nums, den, prec):
-        """Integers lo <= scale * x <= hi with hi - lo <= scale / 2^prec for
-        x = sum(nums[i] beta^i) / den: interval Horner over beta_interval(rp), rp
+        """Integers lo <= scale * x <= hi with hi - lo <= scale / 2^prec for x =
+        sum(nums[i] beta^i) / den: interval Horner over beta_interval(rp), rp
         doubling from max(prec + 8, 32), on integers bl / d, bh / d for its
-        endpoints (kept once per rp, read without the lock), times d^j at step
-        j.  That scaling is positive, so the rationals are the Fraction
-        Horner's (tests/oracles.py), in any terms.  As 0 < bl <= bh, each step's
-        ends are the products of alo and ahi with bl or bh picked by their signs."""
+        endpoints over their lcm d (store entry ("beta_ends", rp), read directly),
+        times d^j at step j.  That scaling is positive, so the rationals are the
+        Fraction Horner's (tests/oracles.py), in any terms.  As 0 < bl <= bh, each
+        step's ends are alo and ahi times bl or bh, picked by their signs."""
+
+        def ends():
+            lo, hi = self.beta_interval(rp)
+            d = math.lcm(lo.denominator, hi.denominator)
+            return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
         rp = max(prec + 8, 32)
         while True:
-            bl, bh, d = self._beta_ends.get(rp) or self._beta_ends_at(rp)
+            bl, bh, d = self._derived.get(("beta_ends", rp)) or self.derived(("beta_ends", rp), ends)
             alo, ahi, dj = 0, 0, 1
             for c in reversed(nums):
                 c *= dj
@@ -527,14 +521,6 @@ class NumberField:
             rp *= 2
             if rp > _PRECISION_CAP:
                 raise PrecisionCapExceeded("real_interval refinement cap hit")
-
-    def _beta_ends_at(self, prec):
-        """(bl, bh, d): beta_interval(prec) as bl / d, bh / d over the lcm d."""
-        lo, hi = self.beta_interval(prec)
-        d = math.lcm(lo.denominator, hi.denominator)
-        ends = (lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d)
-        with self._lock:
-            return self._beta_ends.setdefault(prec, ends)
 
     def float_value(self, a):
         """The real embedding of a as a float: the midpoint of the integer
@@ -569,7 +555,7 @@ class NumberField:
         K starts at _FIXED_BITS, or at the first doubling of it that exceeds
         the bit length of sum(|n_i|) by 32, and doubles up to _PRECISION_CAP.
         A rational x is decided exactly: an integer is never separated from
-        itself by an enclosure.  Lock-free: tables are published once."""
+        itself by an enclosure."""
         if not any(nums[1:]):
             return rule(nums[0], nums[0], den)  # exact: K = 0, no error
         s, e, bits, _, _ = self._enclosure(nums)
@@ -577,44 +563,46 @@ class NumberField:
             bits <<= 1
             if bits > _PRECISION_CAP:
                 raise PrecisionCapExceeded("fixed-point refinement cap hit")
-            low, width, _ = self._fixed.get(bits) or self._fixed_table(bits)
+            low, width, _ = self._fixed_table(bits)
             s, e = sum(map(mul, nums, low)), width * sum(map(abs, nums))
         return got
 
     def _enclosure(self, nums):
-        """(s, e, K, B_lo, B_hi) with |2^K sum(n_i beta^i) - s| <= e at the
-        first K of _decide, and B_lo <= 2^K beta <= B_hi from the same table."""
+        """(s, e, K, B_lo, B_hi), |2^K sum(n_i beta^i) - s| <= e at the first K of _decide and
+        B_lo <= 2^K beta <= B_hi, off one table read directly: every greedy step comes here."""
         mag = sum(map(abs, nums))
         bits = _FIXED_BITS
         while bits < mag.bit_length() + 32:
             bits <<= 1
         if bits > _PRECISION_CAP:
             raise PrecisionCapExceeded("fixed-point refinement cap hit")
-        low, width, b_hi = self._fixed.get(bits) or self._fixed_table(bits)
+        low, width, b_hi = self._derived.get(("fixed", bits)) or self._fixed_table(bits)
         return sum(map(mul, nums, low)), width * mag, bits, low[1], b_hi
 
     def _fixed_table(self, bits):
-        """Integers L_i = floor(2^bits lo^i), the largest w = ceil(2^bits hi^i)
-        - L_i over i < m and B_hi = ceil(2^bits hi), for a certified interval
-        [lo, hi] around beta; lo >= 1, so L_i <= 2^bits beta^i <= L_i + w."""
-        hi0 = self.root_intervals[0].re_hi
-        guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # keeps w small
-        lo, hi = self.beta_interval(bits + guard)
-        one = 1 << bits
-        low = tuple(math.floor(lo ** i * one) for i in range(self.m))
-        width = max(math.ceil(hi ** i * one) - li for i, li in enumerate(low))
-        with self._lock:
-            return self._fixed.setdefault(bits, (low, width, math.ceil(hi * one)))
+        """Store entry ("fixed", bits): integers L_i = floor(2^bits lo^i), the
+        largest w = ceil(2^bits hi^i) - L_i over i < m and B_hi = ceil(2^bits hi),
+        for a certified [lo, hi] around beta; lo >= 1, so L_i <= 2^bits beta^i <= L_i + w."""
+
+        def build():
+            hi0 = self.root_intervals[0].re_hi
+            guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # keeps w small
+            lo, hi = self.beta_interval(bits + guard)
+            one = 1 << bits
+            low = tuple(math.floor(lo ** i * one) for i in range(self.m))
+            width = max(math.ceil(hi ** i * one) - li for i, li in enumerate(low))
+            return low, width, math.ceil(hi * one)
+
+        return self.derived(("fixed", bits), build)
 
     # -- derived data ---------------------------------------------------------
 
     def derived(self, key, build):
-        """The value build() gives for key, built once and kept as long as
-        the field lives.  key must hold every argument the value depends on.
-        A published entry never changes, so it is read without the lock.
-        build runs outside the lock (it may refine beta_interval, which takes
-        it); if two threads race, both build and the first value published
-        is the one every caller gets.  A failing build caches nothing."""
+        """The value build() gives for key, built once and kept while the field lives: the
+        field's one cache, keyed by the value's name and all it depends on.  Only this
+        takes the lock, only to publish; a published entry never changes and is read
+        without it.  build runs outside the lock; if threads race, each builds and all
+        get the first value published.  A failing build caches nothing."""
         try:
             return self._derived[key]
         except KeyError:
@@ -633,7 +621,7 @@ class NumberField:
         return hash(self.min_poly.k)
 
     def __reduce__(self):
-        # locks and caches do not pickle; rebuild from the defining data
+        # a lock does not pickle, nor is the store sent; rebuild from the defining data
         return (make_field, (self.min_poly.k, self.precision))
 
 

@@ -420,7 +420,7 @@ def _greedy_orbit(field, state, den, b=1):
         mag = sum(map(abs, t))
         if mag.bit_length() + 32 > bits:  # the fixed table _enclosure would pick
             s, e, bits, _, _ = field._enclosure(t)
-            (low, width, _), k = field._fixed[bits], bits - _FIXED_BITS
+            (low, width, _), k = field._fixed_table(bits), bits - _FIXED_BITS
         else:
             s, e = sum(map(mul, t, low)), width * mag
         j = bisect_right(lo, (s // den) >> k, 1, len(words)) - 1
@@ -501,7 +501,7 @@ def _block_table(field, b):
         grow([], 0, [0] * field.m)
         top = field.pow_beta(b).nums
         ends = nums + [top]
-        low, width, _ = field._fixed.get(_FIXED_BITS) or field._fixed_table(_FIXED_BITS)
+        low, width, _ = field._fixed_table(_FIXED_BITS)
         lo = [sum(map(mul, n, low)) - width * sum(map(abs, n)) for n in ends]
         hi = [c + 2 * width * sum(map(abs, n)) for c, n in zip(lo, ends)]
         return field._num_matrix(top), words, nums, lo, hi

@@ -390,13 +390,20 @@ def test_floor_and_compare_match_oracle(case):
     assert field.compare(x, field.from_rational(want + 1)) == LESS
 
 
+def _store_entries(field, name):
+    """{argument: value} for the field's store entries (name, argument)."""
+    return {key[1]: v for key, v in field._derived.items() if key[0] == name}
+
+
 @pytest.mark.parametrize("k", DECIDER_KS)
 def test_fixed_tables_enclose_beta_powers(k):
     field = _decider_field(k)
     for bits in (64, 1024):
         field._fixed_table(bits)
     field.floor(field.pow_beta(-200))  # grows K from the operand size
-    for bits, (low, width, b_hi) in sorted(field._fixed.items()):
+    tables = _store_entries(field, "fixed")
+    assert {64, 1024} <= tables.keys()
+    for bits, (low, width, b_hi) in sorted(tables.items()):
         lo, hi = field.beta_interval(bits + 64)
         for i, li in enumerate(low):
             assert li <= lo ** i * 2 ** bits
@@ -486,9 +493,10 @@ def test_enclosures_do_not_depend_on_cache_history(k):
     # a finer interval cached first must not leak into a coarser request
     fresh, warmed = make_field(k), make_field(k)
     warmed.beta_interval(4096)
+    root = fresh.root_intervals[0]
     for prec in (300, 64, 2000, 128):
         want = polyops.refine_root_interval(
-            fresh._g, *fresh._dominant_seed(), Fraction(1, 2 ** prec)
+            fresh._g, root.re_lo, root.re_hi, Fraction(1, 2 ** prec)
         )
         assert fresh.beta_interval(prec) == warmed.beta_interval(prec) == want, prec
     fresh, warmed = make_field(k), make_field(k)
@@ -506,10 +514,27 @@ def test_enclosures_do_not_depend_on_cache_history(k):
     for nums, den, prec in ((big, 3, 16), (small[0], 7, 64), (small[1], 1, 200)):
         got = [f._real_enclosure(nums, den, prec) for f in (fresh, warmed, make_field(k))]
         assert got[0] == got[1] == got[2], (nums, prec)
-    assert max(fresh._beta_ends) > 256
-    for rp, (bl, bh, d) in fresh._beta_ends.items():
+    ends = _store_entries(fresh, "beta_ends")
+    assert max(ends) > 256
+    for rp, (bl, bh, d) in ends.items():
         assert (Fraction(bl, d), Fraction(bh, d)) == fresh.beta_interval(rp) == warmed.beta_interval(rp)
     assert check_weak_finitarity(fresh).eta == check_weak_finitarity(warmed).eta
+
+
+def _race(n, work):
+    """Run work(i) for i < n in n threads at once, switching as often as the
+    interpreter allows, and check that every thread finished."""
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_derived_reads_published_entries_without_the_lock():
@@ -527,17 +552,7 @@ def test_derived_reads_published_entries_without_the_lock():
     def race(i):
         got[i] = field.derived(("race",), build)
 
-    threads = [threading.Thread(target=race, args=(i,)) for i in range(n)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _race(n, race)
     assert len(built) == n and all(g is got[0] for g in got)
     assert got[0] is field._derived[("race",)] and got[0] in built
 
@@ -558,6 +573,52 @@ def test_derived_reads_published_entries_without_the_lock():
         reader.start()
         reader.join(timeout=30)
         assert not reader.is_alive() and seen == [got[0]]
+
+
+def test_store_hands_racing_threads_one_object():
+    # beta's powers, intervals and fixed-point tables are store entries, so
+    # every thread gets the first one published, not a copy built alongside
+    field = make_field((1, 0, 0, 1))  # fresh
+    n = 6
+    gate = threading.Barrier(n, timeout=30)
+    got = [None] * n
+
+    def race(i):
+        gate.wait()
+        got[i] = (field.pow_beta(-300), field.beta_interval(2000), field._fixed_table(1024))
+
+    _race(n, race)
+    for j, name in enumerate(("pow_beta", "beta_interval", "fixed")):
+        assert all(g[j] is got[0][j] for g in got), name
+    again = (field.pow_beta(-300), field.beta_interval(2000), field._fixed_table(1024))
+    assert all(a is b for a, b in zip(got[0], again))  # published, not rebuilt
+    assert got[0][0] == make_field((1, 0, 0, 1)).beta ** -300
+
+
+def test_precision_cap_exits_leave_the_store_clean(monkeypatch):
+    field = make_field((1, 1))
+    tiny = field.pow_beta(-130)  # 90-bit numerators, about 2^-90: undecided at K = 128
+    wide = field.element([2 ** 200, 1])  # its first K would be 256
+    steep = field.element([1, 2 ** 200])  # real_interval(steep, 200) needs rp = 416
+    with monkeypatch.context() as patch:
+        patch.setattr(nf, "_PRECISION_CAP", 128)
+        assert field._enclosure(tiny.nums)[2] == 128  # so _decide's doubling loop raises
+        for decide in (field.floor, field.float_value, field.sign):
+            with pytest.raises(nf.PrecisionCapExceeded):
+                decide(tiny)
+        with pytest.raises(nf.PrecisionCapExceeded):  # _enclosure's check
+            field.floor(wide)
+        assert max(_store_entries(field, "fixed")) == 128
+        patch.setattr(nf, "_PRECISION_CAP", 256)
+        with pytest.raises(nf.PrecisionCapExceeded):  # _real_enclosure's loop
+            field.real_interval(steep, 200)
+        assert max(_store_entries(field, "beta_ends")) == 208
+
+    def answers(f):
+        xs = [f.element(x.coords) for x in (tiny, wide, steep)]
+        return [(f.floor(x), f.float_value(x), f.real_interval(x, 200)) for x in xs]
+
+    assert answers(field) == answers(make_field((1, 1)))
 
 
 @st.composite
