@@ -270,13 +270,8 @@ def cmd_field(cfg, args):
 def cmd_expand(cfg, args):
     field = make_field(parse_poly(args.poly), cfg.precision)
     x = parse_element(field, args.element)
-    exp = numeration.beta_expand(x, cfg.orbit_cap)
-    _emit(
-        cfg,
-        "expand",
-        {"element": args.element, "expansion": exp.serialize()},
-        [exp.serialize()],
-    )
+    text = numeration.beta_expand(x, cfg.orbit_cap).serialize()
+    _emit(cfg, "expand", {"element": args.element, "expansion": text}, [text])
 
 
 def cmd_dseq(cfg, args):

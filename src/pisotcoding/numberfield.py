@@ -7,7 +7,7 @@ gcd; .coords is the rational view.  The norm is the fraction-free
 determinant (polyops.mat_det) of the integer multiplication matrix.  Every
 quotient, the inverse too, is one _divide: Cramer's rule on cofactors from
 one memoised Laplace expansion, with no division before the final gcd, or
-for a wide divisor a guess mod a prime, checked exactly.
+for a wide dividend and divisor a guess mod a prime, checked exactly.
 Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
 field's one store, NumberField.derived, keeps integers L_i with L_i <= 2^K
@@ -415,11 +415,13 @@ class NumberField:
 
     def _divide(self, num, den):
         """sum(num_i beta^i) / sum(den_i beta^i) in lowest terms (den != 0).  For
-        den wider than q = _MODULUS, first a guess z/d: the quotient mod q by
-        the cofactors of den mod q, each coordinate lifted to a/b (_lift), d
-        the lcm of the b's, taken only if den * z == d * num exactly; else Cramer."""
+        num and den both wider than q = _MODULUS (a long periodic value, not
+        the inverse of a wide element, whose quotient is as wide as den), first
+        a guess z/d: the quotient mod q by the cofactors of den mod q, each
+        coordinate lifted to a/b (_lift), d the lcm of the b's, taken only if
+        den * z == d * num exactly; else Cramer."""
         q = _MODULUS
-        if max(map(abs, den)) > q:
+        if max(map(abs, den)) > q and max(map(abs, num)) > q:
             cof, det = self._cofactors([x % q for x in den])
             if det % q:
                 inv = pow(det, -1, q)

@@ -12,10 +12,12 @@ a table of word values (the length-b cylinders tile [0, 1) in order).  A
 long orbit takes blocks of a b dividing r_s, the arithmetic period of its
 state mod den, which divides its period: the first repeat among block
 boundaries is then one period back, and a scan back from it finds the
-least preperiod (_expand_orbit).  Where a greedy orbit ends (Z_beta, the
-coding kernels, the carry length) is asked of one memoised orbit walk
-(_orbit_class); whether it ends by digit n (the tail rows of shift), of
-the ceil(n / b) blocks that window truncation walks too (_window_walk).
+least preperiod (_expand_orbit); those digits wait in a byte buffer, one
+byte a digit, until the pre and per tuples are built.  Where a greedy
+orbit ends (Z_beta, the coding kernels, the carry length) is asked of one
+memoised orbit walk (_orbit_class); whether it ends by digit n (the tail
+rows of shift), of the ceil(n / b) blocks that window truncation walks
+too (_window_walk).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -40,6 +42,7 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
 DEFAULT_WF_DEPTH = 30
 _CARRY_SLACK = 16  # _greedy_orbit re-anchors once its error exceeds den * 2^(K - 16)
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")  # digit byte -> its ASCII character
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,14 @@ class Expansion:
         return last
 
     def serialize(self):
+        """pre|per, each part its digits run together if all lie in 0..9
+        (one byte each, no str per digit), else comma-separated, a single
+        digit with a trailing comma; a finite expansion is its pre alone
+        ("0" if empty)."""
         def part(ds):
-            if all(d <= 9 for d in ds):
-                return "".join(str(d) for d in ds)
-            return ",".join(str(d) for d in ds)
+            if not ds or (min(ds) >= 0 and max(ds) <= 9):
+                return bytes(ds).translate(_DIGIT_CHARS).decode("ascii")
+            return ",".join(map(str, ds)) + ("," if len(ds) == 1 else "")
 
         if not self.per:
             return part(self.pre) if self.pre else "0"
@@ -94,7 +101,7 @@ class Expansion:
             if not t:
                 return ()
             if "," in t:
-                return tuple(int(x) for x in t.split(","))
+                return tuple(int(x) for x in t.removesuffix(",").split(","))
             return tuple(int(ch) for ch in t)
 
         if "|" in s:
@@ -364,9 +371,11 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
                 break
     else:
         raise OrbitCapExceeded(cap_message)
+    # b > 1 puts the d_1 (d_1 + 1) admissible words of length 2 within _BLOCK_WORDS: digits < 64
+    digits = bytearray(digits)  # one byte a digit until the tuples are built
     seen, stop = {state: n}, n + b + orbit_cap  # a cycle with k + p <= orbit_cap repeats by then
     for word, state in _greedy_orbit(field, state, den, b):
-        digits += word
+        digits.extend(word)  # a bytes word or a fallback tuple
         if (j := seen.setdefault(state, len(digits))) < len(digits) or len(digits) >= stop:
             break
     k, p = j, len(digits) - j  # p = 0: no repeat by the stop

@@ -605,3 +605,17 @@ def arithmetic_order(field, nums, den):
         r += 1
         if s == home:
             return r
+
+
+def str_serialize(exp):
+    """Expansion.serialize as first written, one str per digit: each part
+    its digits run together if none exceeds 9, else comma-separated."""
+
+    def part(ds):
+        if all(d <= 9 for d in ds):
+            return "".join(str(d) for d in ds)
+        return ",".join(str(d) for d in ds)
+
+    if not exp.per:
+        return part(exp.pre) if exp.pre else "0"
+    return f"{part(exp.pre)}|{part(exp.per)}"

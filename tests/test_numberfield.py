@@ -186,6 +186,19 @@ class TestRingOps:
             a = field.pow_beta(p) - field.one
             assert a * field.invert(a) == field.one
 
+    def test_wide_invert_skips_the_modular_guess(self, quartic, monkeypatch):
+        # 1/a for a = beta^400 + k (184-bit numerators) is as wide as a, so no
+        # guess mod q could lift; a.den, the numerator of the quotient, is
+        # narrow, and Cramer alone decides it
+        monkeypatch.setattr(nf, "_lift", lambda u, q: pytest.fail("modular guess tried"))
+        for k in range(1, 41):
+            a = quartic.pow_beta(400) + k
+            assert max(map(abs, a.nums)) > nf._MODULUS
+            cof, det = quartic._cofactors(a.nums)
+            cramer = quartic._from_nums(quartic._mul_nums([a.den, 0, 0, 0], cof), det)
+            assert quartic.invert(a) == cramer
+            assert a * cramer == quartic.one
+
     def test_pow_negative(self, golden):
         b = golden.beta
         assert b ** -1 == b - 1

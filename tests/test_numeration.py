@@ -22,6 +22,7 @@ from oracles import (
     bisect_beta_exponent,
     horner_value,
     naive_admissible,
+    str_serialize,
     suffix_scan_admissible,
     word_compare,
 )
@@ -85,6 +86,31 @@ class TestExpansionType:
         assert canonical_expansion((2,), (1,)).serialize() == "2|1"
         assert canonical_expansion((), (1,)).serialize() == "|1"
         assert ZERO_EXPANSION.serialize() == "0"
+        # a part with a digit outside 0..9 takes commas, a one-digit one a trailing comma
+        assert canonical_expansion((3,), (10, 2)).serialize() == "3|10,2"
+        assert canonical_expansion((12,), (1,)).serialize() == "12,|1"
+        assert canonical_expansion((12,), ()).serialize() == "12,"
+        assert canonical_expansion((1, -1), ()).serialize() == "1,-1"
+        assert canonical_expansion((), (-1,)).serialize() == "|-1,"
+
+    @settings(max_examples=300)
+    @given(
+        pre=st.lists(st.integers(-3, 20), max_size=6),
+        per=st.lists(st.integers(-3, 20), max_size=6),
+    )
+    def test_serialize_parse_roundtrip_any_digits(self, pre, per):
+        # every expansion reads back as itself, and one that already did
+        # under the str-per-digit formula keeps its bytes
+        e = canonical_expansion(pre, per)
+        s = e.serialize()
+        assert Expansion.parse(s) == e
+        old = str_serialize(e)
+        try:
+            old_ok = Expansion.parse(old) == e
+        except ValueError:
+            old_ok = False
+        if old_ok:
+            assert s == old
 
     def test_digit_indexing(self):
         e = canonical_expansion((2,), (1, 0))
@@ -1320,6 +1346,49 @@ def test_long_period_walks_blocks_in_little_memory(monkeypatch):
     blocks = islice(numeration._greedy_orbit(field, x.nums, x.den, 24), 88944 // 24)
     digits = [d for word, _ in blocks for d in word]
     assert not calls and tuple(digits[14:88934]) == want.per
+
+
+def test_long_expansion_costs_about_a_byte_a_digit(quartic):
+    # quartic 1/70, 81 + 88,920 digits, tables warm: past its two tuples
+    # (8 B a digit) the walk keeps a byte a digit, and serialize prints it
+    # with no str per digit (30.5 and 59 traced B a digit with lists and
+    # one str per digit)
+    x = quartic.from_rational(Fraction(1, 70))
+    want = beta_expand(x)  # builds the tables
+    n = len(want.pre) + len(want.per)
+    assert (len(want.pre), len(want.per)) == (81, 88920)
+    tracemalloc.start()
+    try:
+        got = beta_expand(x)
+        walk = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        text = got.serialize()
+        printed = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got == want and text == str_serialize(want)
+    assert walk <= 20 * n and printed <= 4 * n, (walk / n, printed / n)
+
+
+def test_serialize_keeps_the_bytes_of_seeded_expansions():
+    # every expansion of the first 4 of the 16 seed-0 rounds of the
+    # benchmark's expand workload that perfbench/reference.json pins, on its
+    # six fields (each round's quartic/70 op has an 88,920-digit period),
+    # prints as the str-per-digit formula did
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    try:
+        expand = importlib.import_module("expand")
+    finally:
+        sys.path.pop(0)
+    state = expand.State(0)
+    lengths = []
+    for index in range(4):
+        for op in expand.make_round(state, index):
+            exp, round_trip, _ = op.call()
+            assert round_trip and exp.serialize() == str_serialize(exp), op.label
+            lengths.append(len(exp.per))
+    assert max(lengths) == 88920
 
 
 def test_block_run_takes_one_enclosure(monkeypatch):
