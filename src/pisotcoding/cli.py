@@ -212,7 +212,10 @@ def parse_element(field, text):
             v = v + w if op == "+" else v - w
         return v
 
-    v = expr()
+    try:
+        v = expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if peek() is not None:
         raise ValueError(f"trailing input {peek()!r}")
     return v

@@ -382,13 +382,8 @@ class NumberField:
 
     def _mul_nums(self, a, b):
         """Numerators of the product of sum(a_i beta^i) and sum(b_i beta^i):
-        the convolution, with beta^(m+j) reduced by the rows of g."""
-        m = self.m
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
+        polyops.poly_mul, with beta^(m+j) reduced by the rows of g."""
+        m, conv = self.m, polyops.poly_mul(a, b)
         out = conv[:m]
         for c, row in zip(conv[m:], self._red_rows):
             if c:
@@ -642,10 +637,10 @@ def make_field(poly, precision=128, require_unit=False):
     Non-unit Pisot polynomials are allowed unless require_unit is set;
     downstream coding and forms operations check the unit flag themselves.
     """
-    if not isinstance(poly, MinimalPolynomial):
-        poly = MinimalPolynomial(tuple(int(c) for c in poly))
-    if poly.m < 2:
+    k = poly.k if isinstance(poly, MinimalPolynomial) else tuple(int(c) for c in poly)
+    if len(k) < 2:
         raise ValueError("degree must be at least 2")
+    poly = MinimalPolynomial(k)
     if poly.k[-1] == 0:
         raise Reducible((0, 1), "constant term zero, x divides g")
     g = poly.g_coeffs()
@@ -695,7 +690,8 @@ def _pisot_certificate(g, precision):
 
 
 def is_irreducible(coeffs_or_poly):
-    """True iff the monic integer polynomial has no monic integer factorization."""
+    """(True, None) if the monic integer polynomial has no monic integer
+    factorization, else (False, witness): polyops.irreducible_or_witness."""
     if isinstance(coeffs_or_poly, MinimalPolynomial):
         g = coeffs_or_poly.g_coeffs()
     else:

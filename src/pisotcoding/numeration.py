@@ -126,9 +126,11 @@ def canonical_expansion(pre, per):
             if n % d == 0 and per == per[: d] * (n // d):
                 per = per[:d]
                 break
-        while pre and pre[-1] == per[-1]:
-            per = [per[-1]] + per[:-1]
-            pre.pop()
+        k = 0  # the last k digits of pre repeat the period backwards: rotate them into it
+        while k < len(pre) and pre[-1 - k] == per[(-1 - k) % len(per)]:
+            k += 1
+        r = k % len(per)
+        pre, per = pre[:len(pre) - k], per[-r:] + per[:-r]
     else:
         while pre and pre[-1] == 0:
             pre.pop()
@@ -466,19 +468,16 @@ _FACTOR_BOUND = 1 << 10  # den is factored by trial division below this
 
 def _block_limit(field):
     """The largest b >= 1 with at most _BLOCK_WORDS admissible words of
-    length b, or 1, counted per _parry_walk state; built once per field."""
+    length b, or 1, built once per field, by Parry's count c_n = 1 +
+    sum(d_i c_(n-i), i = 1 ... n) for the quasi-greedy d: a word of length n
+    follows d throughout, or first drops below it at some i (d_i choices
+    there, c_(n-i) words after)."""
 
     def build():
-        dseq, counts, b = d_sequence(field), Counter({0: 1}), 0
-        while counts.total() <= _BLOCK_WORDS and field.floor_beta < _BLOCK_WORDS:
-            b, grown = b + 1, Counter()
-            for state, c in counts.items():
-                for e in dseq.alphabet:
-                    if (nxt := _parry_walk(dseq, (e,), state)[0]) is None:
-                        break
-                    grown[nxt] += c
-            counts = grown
-        return max(b - 1, 1)
+        d, counts = d_sequence(field).d, [1]  # counts[n] = c_n
+        while counts[-1] <= _BLOCK_WORDS:
+            counts.append(1 + sum(d.digit(i) * counts[-i] for i in range(1, len(counts) + 1)))
+        return max(len(counts) - 2, 1)
 
     return field.derived(("block_limit", _BLOCK_WORDS), build)
 

@@ -1,7 +1,9 @@
-"""Polynomial utilities over exact rationals, and the integer determinant.
+"""Polynomial utilities, exact throughout, and the integer determinant.
 
-Coefficient lists are ascending: coeffs[i] is the coefficient of x^i.
-Everything here is exact; floats only appear as seeds supplied by callers.
+Coefficient lists are ascending: coeffs[i] is the coefficient of x^i.  The
+real-root code works on integer polynomials, every sign one integer Horner
+(_sign_homogeneous); poly_divmod stays rational.  Floats only appear as
+seeds supplied by callers.
 """
 
 from __future__ import annotations
@@ -22,13 +24,6 @@ def strip(coeffs):
 def degree(coeffs):
     c = strip(coeffs)
     return len(c) - 1 if c else -1
-
-
-def evaluate(coeffs, x):
-    acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(coeffs):
@@ -103,19 +98,22 @@ def mat_det(a):
 
 
 def sign_at(coeffs, x):
-    v = evaluate(coeffs, Fraction(x))
-    return (v > 0) - (v < 0)
+    """Sign of the polynomial at the rational x, by _sign_homogeneous."""
+    x = Fraction(x)
+    return _sign_homogeneous(coeffs, x.numerator, x.denominator)
 
 
 def sturm_chain(coeffs):
-    p0 = [Fraction(c) for c in strip(coeffs)]
-    p1 = [Fraction(c) for c in derivative(p0)]
-    chain = [p0, p1]
+    """p, p', then the negated remainders, each times the lcm of its
+    denominators (positive, so every sign stays): integers for an integer p."""
+    p0 = strip(coeffs)
+    chain = [p0, derivative(p0)]
     while degree(chain[-1]) > 0:
         _, r = poly_divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        scale = lcm(*(c.denominator for c in r))
+        chain.append([-(c.numerator * (scale // c.denominator)) for c in r])
     return chain
 
 
@@ -124,26 +122,16 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _sign_at_inf(coeffs, positive):
-    c = strip(coeffs)
-    if not c:
-        return 0
-    lead = c[-1]
-    s = (lead > 0) - (lead < 0)
-    if not positive and (len(c) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
 def count_real_roots(coeffs, a=None, b=None, chain=None):
     """Number of distinct real roots in the half-open interval (a, b].
 
-    a=None means -infinity, b=None means +infinity.  Endpoints must not be
-    roots when finite (squarefree inputs let callers nudge instead).
+    a=None means -infinity, b=None means +infinity, the points -1/0 and 1/0
+    of _sign_homogeneous.  Endpoints must not be roots when finite
+    (squarefree inputs let callers nudge instead).
     """
     chain = chain or sturm_chain(coeffs)
-    va = _variations([_sign_at_inf(p, False) if a is None else sign_at(p, a) for p in chain])
-    vb = _variations([_sign_at_inf(p, True) if b is None else sign_at(p, b) for p in chain])
+    va = _variations([_sign_homogeneous(p, -1, 0) if a is None else sign_at(p, a) for p in chain])
+    vb = _variations([_sign_homogeneous(p, 1, 0) if b is None else sign_at(p, b) for p in chain])
     return va - vb
 
 
@@ -168,7 +156,7 @@ def isolate_real_roots(coeffs):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        while evaluate(coeffs, mid) == 0:
+        while sign_at(coeffs, mid) == 0:
             mid += (hi - lo) / 64
         nl = count_real_roots(coeffs, lo, mid, chain=chain)
         stack.append((lo, mid, nl))
@@ -184,17 +172,14 @@ def refine_root_interval(coeffs, lo, hi, width):
     doubles each step, so the steps take no gcd; the endpoints are those of
     plain rational bisection."""
     lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
-    coeffs = [Fraction(c) for c in coeffs]
-    cden = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (cden // c.denominator) for c in coeffs]  # same signs
     d = lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    slo = _sign_homogeneous(ints, a, d)
+    slo = _sign_homogeneous(coeffs, a, d)
     if slo == 0:
         return lo, lo
     while (b - a) * width.denominator > width.numerator * d:
         mid, d = a + b, 2 * d
-        sm = _sign_homogeneous(ints, mid, d)
+        sm = _sign_homogeneous(coeffs, mid, d)
         if sm == 0:
             # exact rational root; collapse
             return Fraction(mid, d), Fraction(mid, d)
@@ -202,10 +187,12 @@ def refine_root_interval(coeffs, lo, hi, width):
     return Fraction(a, d), Fraction(b, d)
 
 
-def _sign_homogeneous(ints, c, d):
-    """Sign of the integer polynomial at c/d (d > 0): Horner on d^n p(c/d)."""
+def _sign_homogeneous(coeffs, c, d):
+    """Sign of the polynomial at c/d: Horner on d^n p(c/d), by products and
+    sums alone, so Fraction coefficients give the sign too.  d > 0, or d = 0
+    and c = -1 or 1 on stripped coeffs: the sign at -infinity or +infinity."""
     acc, dp = 0, 1
-    for coef in reversed(ints):
+    for coef in reversed(coeffs):
         acc = acc * c + coef * dp
         dp *= d
     return (acc > 0) - (acc < 0)
@@ -301,7 +288,7 @@ def irreducible_or_witness(g):
         return False, (0, 1)
     # degree-1 factors: rational root theorem
     for r in _divisors(g[0]):
-        if evaluate(g, r) == 0:
+        if sign_at(g, r) == 0:
             return False, (-r, 1)
     radius = cauchy_bound(g)
     r_ceil = int(radius) + 1

@@ -619,3 +619,32 @@ def str_serialize(exp):
     if not exp.per:
         return part(exp.pre) if exp.pre else "0"
     return f"{part(exp.pre)}|{part(exp.per)}"
+
+
+def rotating_canonical_expansion(pre, per):
+    """canonical_expansion as first written: the redundant preperiod moved
+    into the period one digit at a time, the period list rebuilt each step."""
+    pre, per = list(pre), list(per)
+    if per and not any(per):
+        per = []
+    if per:
+        n = len(per)
+        for d in range(1, n):
+            if n % d == 0 and per == per[: d] * (n // d):
+                per = per[:d]
+                break
+        while pre and pre[-1] == per[-1]:
+            per = [per[-1]] + per[:-1]
+            pre.pop()
+    else:
+        while pre and pre[-1] == 0:
+            pre.pop()
+    return tuple(pre), tuple(per)
+
+
+def fraction_horner(coeffs, x):
+    """p(x) by Horner over Fractions: the sign reference for polyops."""
+    acc = Fraction(0)
+    for c in reversed(list(coeffs)):
+        acc = acc * x + c
+    return acc

@@ -154,6 +154,23 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["field", "1,1", "--unit", "(" * 400 + "b" + ")" * 400],
+            ["expand", "1,1", "0+" + "-" * 3000 + "1"],
+        ],
+        ids=["400-parentheses", "3000-minus-signs"],
+    )
+    def test_deep_nesting_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expression nested too deeply\n"
+
+    @pytest.mark.parametrize("poly", ["1", "x^0", "x"])
+    def test_degree_below_two_is_usage_error(self, poly, capsys):
+        assert main(["field", poly]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: degree must be at least 2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["--orbit-cap", "3", "expand", "1,1", "1/7"],
             ["--period-cap", "1", "zbeta", "1,0,0,1"],
             ["--orbit-cap", "2", "wf-check", "1,0,0,1"],

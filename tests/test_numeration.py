@@ -11,7 +11,7 @@ import time
 import tracemalloc
 import weakref
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +22,7 @@ from oracles import (
     bisect_beta_exponent,
     horner_value,
     naive_admissible,
+    rotating_canonical_expansion,
     str_serialize,
     suffix_scan_admissible,
     word_compare,
@@ -111,6 +112,28 @@ class TestExpansionType:
             old_ok = False
         if old_ok:
             assert s == old
+
+    @settings(max_examples=500)
+    @given(
+        head=st.lists(st.integers(0, 3), max_size=5),
+        per=st.lists(st.integers(0, 3), max_size=6),
+        reps=st.integers(1, 3),
+        phase=st.integers(0, 6),
+        moved=st.integers(0, 30),
+    )
+    def test_canonical_matches_rotating_oracle(self, head, per, reps, phase, moved):
+        # a preperiod ending in up to 30 digits of the repeated period, from
+        # any phase, against the loop that rotates one digit at a time
+        per = per * reps
+        pre = head + (per * 40)[phase:phase + moved]
+        assert canonical_expansion(pre, per) == Expansion(*rotating_canonical_expansion(pre, per))
+
+    def test_redundant_preperiod_parses_back(self, quartic):
+        # 5,000 digits of the 88,920-digit period of 1/70 moved into the
+        # preperiod rotate back in one step (the one-digit loop took seconds)
+        e = beta_expand(quartic.from_rational(Fraction(1, 70)))
+        moved = Expansion(e.pre + e.per[:5000], e.per[5000:] + e.per[:5000])
+        assert Expansion.parse(moved.serialize()) == e
 
     def test_digit_indexing(self):
         e = canonical_expansion((2,), (1, 0))
@@ -1196,6 +1219,25 @@ def test_block_walk_falls_back_below_a_cylinder(k, monkeypatch):
             assert (len(calls), tuple(word)) == (want_calls, tuple(want_word))
             exact_steps = _exact_walk(field, x.nums, x.den, b)
             assert (tuple(word), state) == (tuple(d for d, _ in exact_steps), exact_steps[-1][1])
+
+
+@pytest.mark.parametrize("k", ((1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1), (2, 2)))
+def test_parry_count_matches_brute_force(k):
+    # c_n = 1 + sum(d_i c_(n-i)), the count _block_limit reads, against
+    # every word of length n checked by the definition, for each n with
+    # (floor(beta) + 1)^n <= 10^5
+    field = _field(k)
+    d, alphabet, counts = d_sequence(field).d, range(field.floor_beta + 1), [1]
+    while len(alphabet) ** (n := len(counts)) <= 10 ** 5:
+        counts.append(1 + sum(d.digit(i) * counts[n - i] for i in range(1, n + 1)))
+        assert counts[n] == sum(naive_admissible(w, d.pre, d.per) for w in product(alphabet, repeat=n))
+
+
+@pytest.mark.parametrize(
+    "k, b", [((1, 1), 16), ((1, 1, 1), 13), ((0, 1, 1), 28), ((3, 4, 1), 5), ((3, -1), 8), ((1, 0, 0, 1), 24), ((1,) * 8, 12)]
+)
+def test_block_limit_pinned(k, b):
+    assert numeration._block_limit(_field(k)) == b
 
 
 def test_block_table_encloses_word_values():

@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_roots_in_disk
+from oracles import fraction_horner, fraction_roots_in_disk
 from pisotcoding import polyops
 from pisotcoding.errors import SchurCohnDegenerate
 
@@ -73,6 +74,76 @@ def test_disk_count_matches_fraction_recursion(coeffs, radius, planted):
     except SchurCohnDegenerate:
         got = None
     assert got == fraction_roots_in_disk(coeffs, radius)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+points = st.fractions(-6, 6, max_denominator=12)
+
+
+@st.composite
+def known_root_polys(draw):
+    """(coeffs, roots): distinct rational roots, times x^2 + c (no real root)
+    or not, times a nonzero scale; integer coefficients, or Fractions from a
+    Fraction scale."""
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=4), unique=True, max_size=5))
+    coeffs = [1]
+    for r in roots:
+        coeffs = polyops.poly_mul(coeffs, [-r.numerator, r.denominator])
+    if draw(st.booleans()):
+        coeffs = polyops.poly_mul(coeffs, [draw(st.integers(1, 5)), 0, 1])
+    scale = draw(st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=9)).filter(bool))
+    return [c * scale for c in coeffs], sorted(roots)
+
+
+@settings(max_examples=300)
+@given(
+    coeffs=st.lists(st.one_of(st.integers(-50, 50), st.fractions(-9, 9, max_denominator=7)), max_size=9),
+    x=st.one_of(st.integers(-8, 8), points),
+)
+def test_sign_at_matches_fraction_horner(coeffs, x):
+    assert polyops.sign_at(coeffs, x) == _sign(fraction_horner(coeffs, x))
+
+
+@settings(max_examples=200)
+@given(coeffs=st.lists(st.integers(-30, 30), max_size=9))
+def test_sturm_chain_of_an_integer_polynomial_is_integer(coeffs):
+    for p in polyops.sturm_chain(coeffs):
+        assert isinstance(p, list) and all(type(c) is int for c in p)
+
+
+@settings(max_examples=200)
+@given(poly=known_root_polys(), a=points, b=points)
+def test_real_root_counts_match_fraction_horner(poly, a, b):
+    # the count in (a, b] is the number of planted roots there, and, the
+    # roots being simple, its parity is read off the Horner signs at a and b
+    coeffs, roots = poly
+    a, b = sorted((a, b))
+    ha, hb = fraction_horner(coeffs, a), fraction_horner(coeffs, b)
+    assume(ha != 0 and hb != 0 and a < b)
+    got = polyops.count_real_roots(coeffs, a, b)
+    assert got == sum(a < r <= b for r in roots)
+    assert (-1) ** got == _sign(ha) * _sign(hb)
+    assert polyops.count_real_roots(coeffs) == len(roots)
+
+
+@settings(max_examples=300)
+@given(poly=known_root_polys())
+def test_isolated_intervals_match_fraction_horner(poly):
+    # one planted root strictly inside each interval, a Horner sign change
+    # across it, and bisection with Fraction coefficients ends where that
+    # of the integer polynomial a positive multiple of them ends
+    coeffs, roots = poly
+    ivs = polyops.isolate_real_roots(coeffs)
+    assert len(ivs) == len(roots)
+    ints = [int(c * math.lcm(*(Fraction(c).denominator for c in coeffs))) for c in coeffs]
+    for (lo, hi), r in zip(ivs, roots):
+        assert lo < r < hi
+        assert _sign(fraction_horner(coeffs, lo)) * _sign(fraction_horner(coeffs, hi)) < 0
+        width = (hi - lo) / 1000
+        assert polyops.refine_root_interval(coeffs, lo, hi, width) == polyops.refine_root_interval(ints, lo, hi, width)
 
 
 def test_schur_cohn_degenerate_raises():
