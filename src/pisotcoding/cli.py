@@ -136,6 +136,7 @@ def parse_vector(text):
 
 
 _TOKEN = re.compile(r"\s*(\d+|[()+\-*/^]|beta|β|b)")
+_MAX_DIGITS = 4300  # CPython's default int() limit, kept here on interpreters without one
 
 
 def _tokenize(text):
@@ -146,6 +147,8 @@ def _tokenize(text):
         if not mobj:
             raise ValueError(f"bad element syntax near {text[pos:]!r}")
         out.append(mobj.group(1))
+        if len(out[-1]) > _MAX_DIGITS:  # a number or an exponent, rejected before int() reads it
+            raise ValueError(f"integer longer than {_MAX_DIGITS} digits")
         pos = mobj.end()
     out.append(None)
     return out

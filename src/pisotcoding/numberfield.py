@@ -353,6 +353,8 @@ class NumberField:
         """beta^n for any integer n: beta^(n // 2) squared, times beta for odd n, each
         power on the way a store entry ("pow_beta", n), so powers halving to a common
         one (beta^(64 * 2^j), say) share their squarings; beta^-1 is the one inversion."""
+        if (power := self._derived.get(("pow_beta", n))) is not None:  # a hit makes no build closure
+            return power
 
         def build():
             if n in (-1, 0, 1):
@@ -580,6 +582,8 @@ class NumberField:
         """Store entry ("fixed", bits): integers L_i = floor(2^bits lo^i), the
         largest w = ceil(2^bits hi^i) - L_i over i < m and B_hi = ceil(2^bits hi),
         for a certified [lo, hi] around beta; lo >= 1, so L_i <= 2^bits beta^i <= L_i + w."""
+        if (table := self._derived.get(("fixed", bits))) is not None:  # a hit makes no build closure
+            return table
 
         def build():
             hi0 = self.root_intervals[0].re_hi

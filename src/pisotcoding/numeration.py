@@ -26,6 +26,7 @@ single-track automaton read off the quasi-greedy d (_parry_walk).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -402,15 +403,16 @@ def _greedy_step(field, state, den):
 def _greedy_orbit(field, state, den, b=1):
     """(digit, state) for each step of the greedy orbit of state / den,
     forever: the one greedy walk, each pair the exact _greedy_step's; for
-    b > 1, (word, state) for each block of b digits instead, word the
-    table's bytes or, where b exact steps take the block, a tuple.
+    b > 1, (word, state) for each block of b digits instead, word a slice
+    of the table's bytes or, where b exact steps take the block, a tuple.
 
     Blocks.  The length-b cylinders tile [0, 1) in lexicographic order:
     [w] = [v(w), v(w')), w' the next admissible word (v(w') = 1 past the
     last), v(w) = W(w) / beta^b, W(w) = sum(w_i beta^(b-i)) (Parry 1960).
     So the next b digits of x = s / den are the w with den W(w) <= t < den
     W(w'), t = beta^b s, and the state moves to t - den W(w), exactly.  With
-    t in S +- E and 2^K W in [lo, hi] (_block_table), one bisection names w,
+    t in S +- E and 2^K W in [lo, hi] (_block_table: w_j, W(w_j), lo at j b,
+    j m, j in flat arrays; hi = lo + span sum(|W|)), one bisection names w,
     taken iff den hi(w) <= S - E (or t = den W(w)) and S + E < den lo(w');
     otherwise (x near a cylinder's end, or outside [0, 1)) b exact steps.
 
@@ -424,8 +426,8 @@ def _greedy_orbit(field, state, den, b=1):
     the state reached: Y, E from the fixed table, Y clamped into [0, S] (S x
     lies there), so a walk of one or two steps costs what _greedy_step does."""
     if b > 1:
-        rows, words, nums, lo, hi = _block_table(field, b)
-        bits = 0
+        rows, words, nums, lo, span = _block_table(field, b)
+        m, last, bits = len(rows), len(lo) - 1, 0
     while b > 1:
         t = [sum(map(mul, row, state)) for row in rows]
         mag = sum(map(abs, t))
@@ -434,11 +436,12 @@ def _greedy_orbit(field, state, den, b=1):
             (low, width, _), k = field._fixed_table(bits), bits - _FIXED_BITS
         else:
             s, e = sum(map(mul, t, low)), width * mag
-        j = bisect_right(lo, (s // den) >> k, 1, len(words)) - 1
-        new = tuple([x - den * w for x, w in zip(t, nums[j])])
-        if (den * hi[j] << k <= s - e or not any(new)) and s + e < den * lo[j + 1] << k:
+        j = bisect_right(lo, (s // den) >> k, 1, last) - 1
+        w = nums[j * m:j * m + m]
+        new, hi = tuple([x - den * c for x, c in zip(t, w)]), lo[j] + span * sum(map(abs, w))
+        if (den * hi << k <= s - e or not any(new)) and s + e < den * lo[j + 1] << k:
             state = new
-            yield words[j], state
+            yield words[j * b:j * b + b], state
             continue
         word = []
         for _ in range(b):
@@ -483,21 +486,28 @@ def _block_limit(field):
 
 
 def _block_table(field, b):
-    """(rows, words, nums, lo, hi): rows the integer matrix of beta^b, words
-    the admissible words of length b in lexicographic order as bytes (b > 1
-    leaves at most _BLOCK_WORDS words of length 2, so digits are below 64),
-    nums their W(w) = sum(w_i beta^(b-i)), built as W(w e) = beta W(w) + e
-    along one depth-first path of _parry_walk, digits ascending, and lo <=
-    2^K W <= hi at K = _FIXED_BITS, with beta^b as one more entry; built once
-    per field and b."""
+    """(rows, words, nums, lo, span): rows the integer matrix of beta^b; the N
+    admissible words of length b in lexicographic order, flat in one bytes
+    (word j at words[j b:(j + 1) b]; b > 1 leaves at most _BLOCK_WORDS words
+    of length 2, so digits are below 64); their W(w) = sum(w_i beta^(b-i)),
+    flat in one array('q') (W(w_j) at nums[j m:(j + 1) m]), built as W(w e)
+    = beta W(w) + e along one depth-first path of _parry_walk, digits
+    ascending; and lo <= 2^K W <= lo + span sum(|W|) at K = _FIXED_BITS, with
+    beta^b as one more lo.  W(w) < beta^b, near the word count, and beta is
+    Pisot, so its conjugates stay small and so do its numerators (at most 10
+    bits on 14 fields of degree 2 to 8 at their block limits); array('q')
+    raises OverflowError past 64 bits rather than truncate.  Built once per
+    field and b."""
 
     def build():
-        dseq, words, nums = d_sequence(field), [], []
+        dseq, words, nums, lo = d_sequence(field), bytearray(), array("q"), []
+        low, width, _ = field._fixed_table(_FIXED_BITS)
 
         def grow(word, state, w):
             if len(word) == b:
-                words.append(bytes(word))
-                nums.append(tuple(w))
+                words.extend(word)
+                nums.extend(w)
+                lo.append(sum(map(mul, w, low)) - width * sum(map(abs, w)))
                 return
             for e in dseq.alphabet:
                 if (nxt := _parry_walk(dseq, (e,), state)[0]) is None:
@@ -508,11 +518,8 @@ def _block_table(field, b):
 
         grow([], 0, [0] * field.m)
         top = field.pow_beta(b).nums
-        ends = nums + [top]
-        low, width, _ = field._fixed_table(_FIXED_BITS)
-        lo = [sum(map(mul, n, low)) - width * sum(map(abs, n)) for n in ends]
-        hi = [c + 2 * width * sum(map(abs, n)) for c, n in zip(lo, ends)]
-        return field._num_matrix(top), words, nums, lo, hi
+        lo.append(sum(map(mul, top, low)) - width * sum(map(abs, top)))
+        return field._num_matrix(top), bytes(words), nums, lo, 2 * width
 
     return field.derived(("block_table", b, _FIXED_BITS), build)
 

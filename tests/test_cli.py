@@ -163,6 +163,21 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "error: expression nested too deeply\n"
 
+    @pytest.mark.parametrize("lift", [False, True], ids=["int-limit", "no-int-limit"])
+    @pytest.mark.parametrize("text", ["7" * 5000, "b^" + "7" * 5000], ids=["number", "exponent"])
+    def test_overlong_integer_is_usage_error(self, text, lift, capsys):
+        # the same message whether or not the interpreter limits int(str):
+        # limit 0 lifts it, as Python 3.10 before 3.10.7 has none
+        old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if lift and old:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert main(["expand", "1,1", text]) == EXIT_USAGE
+        finally:
+            if lift and old:
+                sys.set_int_max_str_digits(old)
+        assert capsys.readouterr().err == "error: integer longer than 4300 digits\n"
+
     @pytest.mark.parametrize("poly", ["1", "x^0", "x"])
     def test_degree_below_two_is_usage_error(self, poly, capsys):
         assert main(["field", poly]) == EXIT_USAGE

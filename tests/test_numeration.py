@@ -1181,7 +1181,8 @@ def block_starts(draw):
     b = draw(st.sampled_from(sorted({2, max(2, limit // 2), limit})))
     if draw(st.booleans()):
         words = numeration._block_table(field, b)[1]
-        x = value_of(field, words[draw(st.integers(0, len(words) - 1))])
+        j = draw(st.integers(0, len(words) // b - 1))
+        x = value_of(field, words[j * b:(j + 1) * b])
         x = x + draw(st.sampled_from((0, 1, -1))) * draw(st.sampled_from(_small_units(k)))
         q = draw(st.integers(1, max(1, 10 ** 6 // x.den)))
         nums, den = tuple(n * q for n in x.nums), x.den * q
@@ -1207,7 +1208,8 @@ def test_block_walk_falls_back_below_a_cylinder(k, monkeypatch):
     # exactly 0 and the table's word is taken
     field = _field(k)
     b = numeration._block_limit(field)
-    words = numeration._block_table(field, b)[1]
+    blob = numeration._block_table(field, b)[1]
+    words = [blob[j:j + b] for j in range(0, len(blob), b)]
     exact, calls = numeration._greedy_step, []
     monkeypatch.setattr(numeration, "_greedy_step", lambda *a: calls.append(a) or exact(*a))
     tiny = _small_units(k)[-1]
@@ -1241,21 +1243,41 @@ def test_block_limit_pinned(k, b):
 
 
 def test_block_table_encloses_word_values():
-    # lo <= 2^64 W(w) <= hi for every word and for beta^b past the last one,
-    # words in lexicographic order, and the length after the largest b
-    # holding more than the budget (a table that drops its error terms fails)
+    # the flat layout: word j at words[j b:(j + 1) b], exactly the admissible
+    # words of length b in order, W(w_j) at nums[j m:(j + 1) m], and lo <=
+    # 2^64 W <= lo + span sum(|W|) for every word and for beta^b past the
+    # last one; the length after the largest b holds more than the budget (a
+    # table that drops its error terms fails)
     for k in KERNEL_KS:
         field = _field(k)
-        b = numeration._block_limit(field)
-        rows, words, nums, lo, hi = numeration._block_table(field, b)
-        assert list(words) == sorted(words) and len(words) <= numeration._BLOCK_WORDS
+        b, m = numeration._block_limit(field), field.m
+        rows, words, nums, lo, span = numeration._block_table(field, b)
+        want = [w for w in numeration._admissible_words(d_sequence(field), b) if len(w) == b]
+        assert isinstance(words, bytes) and words == b"".join(map(bytes, want))
+        assert len(want) <= numeration._BLOCK_WORDS and len(lo) == len(want) + 1
+        assert nums.typecode == "q" and len(nums) == m * len(want)
         count = sum(1 for w in numeration._admissible_words(d_sequence(field), b + 1) if len(w) == b + 1)
         assert count > numeration._BLOCK_WORDS or field.floor_beta >= numeration._BLOCK_WORDS
-        for w, n, a, z in zip(words + [None], nums + [field.pow_beta(b).nums], lo, hi):
-            value = field._from_nums(n) if w is None else value_of(field, w, b)
-            assert w is None or tuple(value.nums) == n
+        ends = [value_of(field, w, b) for w in want] + [field.pow_beta(b)]
+        for j, value in enumerate(ends):
+            n = value.nums
+            assert j == len(want) or tuple(nums[j * m:(j + 1) * m]) == n
             v_lo, v_hi = field.real_interval(value, 96)
-            assert Fraction(a, 2 ** 64) <= v_lo and v_hi <= Fraction(z, 2 ** 64), (k, w)
+            hi = lo[j] + span * sum(map(abs, n))
+            assert Fraction(lo[j], 2 ** 64) <= v_lo and v_hi <= Fraction(hi, 2 ** 64), (k, j)
+    # plastic b = 28: 4,085 words at most 120 bytes each, every part counted
+    # (a bytes and a numerator tuple a word and two ends in lists held about 280)
+    table = numeration._block_table(_field((0, 1, 1)), 28)
+    assert len(table[1]) == 28 * 4085 and _deep_size(table, set()) <= 120 * 4085
+
+
+def _deep_size(obj, seen):
+    """sys.getsizeof of obj and of every list and tuple item within it, each object once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    inner = obj if isinstance(obj, (list, tuple)) else ()
+    return sys.getsizeof(obj) + sum(_deep_size(x, seen) for x in inner)
 
 
 def _block_cases(field, rng, count, orbit_cap=2500):
