@@ -137,6 +137,11 @@ def parse_vector(text):
 
 _TOKEN = re.compile(r"\s*(\d+|[()+\-*/^]|beta|β|b)")
 _MAX_DIGITS = 4300  # CPython's default int() limit, kept here on interpreters without one
+# bound on a power's estimated size in bits, |n| times the widest of its base's
+# numerators and denominator, checked before squaring: for beta (1 bit) it
+# passes only n with beta^n < 1 or with at most about the default orbit cap's
+# 10^6 digits, while beta^(10^9) would square for minutes
+_MAX_POWER_BITS = 1 << 20
 
 
 def _tokenize(text):
@@ -188,7 +193,10 @@ def parse_element(field, text):
             p = take()
             if p is None or not p.isdigit():
                 raise ValueError("exponent must be an integer")
-            v = v ** (sign * int(p))
+            n = int(p)
+            if n * max(x.bit_length() for x in (*v.nums, v.den)) > _MAX_POWER_BITS:
+                raise ValueError(f"power estimated past {_MAX_POWER_BITS} bits")
+            v = v ** (sign * n)
         return v
 
     def factor():

@@ -8,7 +8,8 @@ The maximal-entropy measure is realized as the Markov chain with edge
 weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
 A tail row asks whether each sampled sum's greedy expansion ends by digit
 n + L, by ceil((n + L) / b) certified blocks of the one greedy kernel in
-numeration (_ends_within).
+numeration (_ends_within); the alpha = 0 rows are 1.0 by Parry's criterion
+and sample nothing.
 """
 
 from __future__ import annotations
@@ -115,9 +116,20 @@ class MarkovChain:
 
     @cached_property
     def cumulative(self):
-        """Running sums of stationary and of each edge_probs row, the last one infinite."""
-        rows = [(*accumulate(w[:-1]), math.inf) for w in (self.stationary, *self.edge_probs)]
-        return rows[0], rows[1:]
+        """Running sums of stationary and of each edge_probs row, each row cut
+        at its last state or present edge, whose entry is infinite.  Rows sum
+        to a little under 1 in floating point, so a draw past every finite
+        sum must land on an edge that exists, not on the alphabet's last
+        digit."""
+
+        def run(w, last):
+            return (*accumulate(w[:last]), math.inf)
+
+        rows = (
+            run(w, max(e for e, t in enumerate(targets) if t is not None))
+            for w, targets in zip(self.edge_probs, self.automaton.transitions)
+        )
+        return run(self.stationary, len(self.stationary) - 1), tuple(rows)
 
     def entropy_rate(self):
         h = 0.0
@@ -192,7 +204,9 @@ def sample(chain, n, seed):
     The generator is Python's Mersenne Twister (random.Random) driven only
     through random(), so output is reproducible across platforms.  A draw
     takes the first entry of MarkovChain.cumulative above random(): the
-    last entry when the weights before it sum to no more than the draw.
+    last state, or the state's last present edge, when the weights before it
+    sum to no more than the draw.  Every path is therefore a word of the
+    automaton's language.
     """
     return _sample_path(random.Random(seed), chain, n)
 
@@ -214,6 +228,9 @@ def _sample_path(rng, chain, n):
 
 @dataclass(frozen=True)
 class TailReport:
+    """Rows of tail_invariance_experiment; an alpha = 0 row reads exactly 1.0
+    with its trials count, drawn from no sample."""
+
     L: int
     L1: int
     L2_ceil: int
@@ -265,10 +282,18 @@ def tail_invariance_experiment(
     sampled prefixes whose sum with alpha expands without touching any digit
     past position n + L.
 
+    An alpha = 0 row is exactly 1.0 and draws no sample (Parry's criterion).
+    The sampler walks present edges only, so each drawn w is a factor of the
+    beta-shift: every suffix of w is at most the prefix of d*(1), the
+    quasi-greedy expansion of 1, of its length.  As d*(1) does not end in
+    0^inf, every shift of w0^inf is then lexicographically below d*(1), so
+    w0^inf is the greedy expansion of value(w) < 1: the carry is 0 and T^n
+    sends value(w) to 0, by digit n <= n + L.
+
     A row reads n + L digits of each sum, so OrbitCapExceeded is raised,
     before any sampling, iff max(n_list) + L > orbit_cap.  Rows are
-    independent; with jobs > 1 they run in worker processes, and per-row
-    seeds make the report identical for any schedule."""
+    independent; with jobs > 1 the alpha != 0 rows run in worker processes,
+    and per-row seeds make the report identical for any schedule."""
     cert = certificate or check_weak_finitarity(field)
     if cert.status != "proven":
         raise ValueError("tail experiment requires a proven weak-finitarity certificate")
@@ -278,13 +303,18 @@ def tail_invariance_experiment(
     if n_list and max(n_list) + window > orbit_cap:
         raise OrbitCapExceeded("tail rows read past the orbit cap")
     zb = enumerate_z_beta(field)
+    cells = [(n, ai, alpha, aexp.serialize()) for n in n_list for ai, (alpha, aexp) in enumerate(zb)]
     tasks = [
-        (field, n, ai, alpha.coords, aexp.serialize(), trials, seed, window)
-        for n in n_list
-        for ai, (alpha, aexp) in enumerate(zb)
+        (field, n, ai, alpha.coords, label, trials, seed, window)
+        for n, ai, alpha, label in cells
+        if not alpha.is_zero
     ]
-    rows = _map_jobs(_tail_row_star, tasks, jobs)
-    return TailReport(L=window, L1=l1, L2_ceil=l2, rows=tuple(rows))
+    sampled = iter(_map_jobs(_tail_row_star, tasks, jobs))
+    rows = tuple(
+        (n, label, 1.0, trials) if alpha.is_zero else next(sampled)
+        for n, _, alpha, label in cells
+    )
+    return TailReport(L=window, L1=l1, L2_ceil=l2, rows=rows)
 
 
 def _tail_row_star(args):
@@ -296,7 +326,7 @@ def _map_jobs(fn, tasks, jobs):
 
     One chunk per worker, so each worker unpickles the field (make_field)
     once."""
-    if jobs <= 1:
+    if jobs <= 1 or not tasks:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 

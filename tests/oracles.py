@@ -564,13 +564,17 @@ def pick(rng, weights):
 
 
 def pick_path(rng, chain, n):
-    """n digits of the chain from a stationary start, each drawn by pick."""
+    """n digits of the chain from a stationary start, each drawn by pick;
+    an edge is picked among the weights up to the state's last present
+    edge, so a draw past every running sum takes that edge."""
+    trans = chain.automaton.transitions
     word = []
     state = pick(rng, chain.stationary)
     for _ in range(n):
-        e = pick(rng, chain.edge_probs[state])
+        last = max(e for e, t in enumerate(trans[state]) if t is not None)
+        e = pick(rng, chain.edge_probs[state][: last + 1])
         word.append(e)
-        state = chain.automaton.transitions[state][e]
+        state = trans[state][e]
     return tuple(word)
 
 

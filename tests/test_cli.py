@@ -178,6 +178,15 @@ class TestExitCodes:
                 sys.set_int_max_str_digits(old)
         assert capsys.readouterr().err == "error: integer longer than 4300 digits\n"
 
+    @pytest.mark.parametrize("text", ["b^1000000000", "b^-1000000000", "(b^1000)^1000000", "(1/b^1000)^-1000000"])
+    def test_oversize_power_is_usage_error(self, text, capsys):
+        # the size is estimated from the exponent and the base's bit lengths
+        # before any squaring, so a short exponent cannot ask for minutes
+        started = time.perf_counter()
+        assert main(["expand", "1,1", text]) == EXIT_USAGE
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == f"error: power estimated past {cli._MAX_POWER_BITS} bits\n"
+
     @pytest.mark.parametrize("poly", ["1", "x^0", "x"])
     def test_degree_below_two_is_usage_error(self, poly, capsys):
         assert main(["field", poly]) == EXIT_USAGE

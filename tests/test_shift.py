@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -153,6 +154,13 @@ class TestChain:
             max_entropy_chain(auto)
 
 
+class _TopOfRow:
+    """A stub generator whose every draw is the largest float below 1."""
+
+    def random(self):
+        return math.nextafter(1.0, 0.0)
+
+
 class TestSampling:
     def test_empty(self, golden):
         chain = max_entropy_chain(build_automaton(d_sequence(golden)))
@@ -202,6 +210,17 @@ class TestSampling:
             drawn.update(word)
         assert drawn == {0, 1, 2, 3}
 
+    def test_forced_top_draw_takes_last_present_edge(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
+        # power-iteration rows sum to just under 1, so a draw at the top of
+        # every row passes every running sum: it must take the state's last
+        # present edge, never an absent one (which would end the path in a
+        # None state or an inadmissible digit)
+        for field in (golden, tribonacci, quartic, phi_squared, cubic341, plastic):
+            chain = shift._parry_chain(field)
+            word = shift._sample_path(_TopOfRow(), chain, 60)
+            assert chain.automaton.accepts(word), field
+            assert word == pick_path(_TopOfRow(), chain, 60)
+
     @settings(max_examples=100)
     @given(
         st.lists(
@@ -221,11 +240,53 @@ class TestSampling:
         assert shift._sample_path(rng, chain, 40) == pick_path(ref, chain, 40)
 
 
+@pytest.mark.parametrize("name", ["golden", "tribonacci", "plastic", "cubic341", "quartic", "phi_squared"])
+def test_sampled_words_are_greedy_expansions(name, request):
+    # Parry's criterion: a factor w of the beta-shift is the greedy expansion
+    # of its own value, which lies below 1, on seeded paths and on the path
+    # that takes the top of every row
+    field = request.getfixturevalue(name)
+    chain = shift._parry_chain(field)
+    words = [sample(chain, n, 100 * n + seed) for n in (1, 7, 40) for seed in range(8)]
+    words += [shift._sample_path(_TopOfRow(), chain, n) for n in (1, 2, 7, 40)]
+    for word in words:
+        exp = numeration.beta_expand(numeration.value_of(field, word))
+        assert exp.is_finite, word
+        trimmed = word[: max((i + 1 for i, e in enumerate(word) if e), default=0)]
+        assert exp.pre == trimmed, word
+
+
 class TestTailExperiment:
     def test_alpha_zero_exact_one(self, golden, golden_cert):
-        rep = tail_invariance_experiment(golden, [8], 50, seed=3, certificate=golden_cert)
-        zero_rows = [r for r in rep.rows if r[1] == "0"]
-        assert zero_rows and all(r[2] == 1.0 for r in zero_rows)
+        # Z_beta = {0} on golden, so a million trials cost nothing
+        started = time.perf_counter()
+        rep = tail_invariance_experiment(golden, [8, 40], 10 ** 6, seed=3, certificate=golden_cert)
+        assert time.perf_counter() - started < 1.0
+        assert rep.rows == ((8, "0", 1.0, 10 ** 6), (40, "0", 1.0, 10 ** 6))
+
+    def test_alpha_zero_rows_draw_nothing(self, golden, golden_cert, quartic, quartic_cert, monkeypatch):
+        # alpha = 0 rows are 1.0 by Parry's criterion: only the other rows
+        # sample, trials paths each
+        calls = []
+        original = shift._sample_path
+        monkeypatch.setattr(shift, "_sample_path", lambda *a: calls.append(a) or original(*a))
+        n_list, trials = [6, 10, 20], 7
+        rep = tail_invariance_experiment(golden, n_list, trials, seed=3, certificate=golden_cert)
+        assert rep.rows == tuple((n, "0", 1.0, trials) for n in n_list)
+        assert calls == []
+        rep = tail_invariance_experiment(quartic, n_list, trials, seed=3, certificate=quartic_cert)
+        zb = enumerate_z_beta(quartic)
+        assert len(zb) > 1
+        assert len(calls) == trials * (len(zb) - 1) * len(n_list)
+        assert [r for r in rep.rows if r[1] == "0"] == [(n, "0", 1.0, trials) for n in n_list]
+
+    def test_golden_jobs_same_bytes(self, golden, golden_cert):
+        r1, r2 = (
+            tail_invariance_experiment(golden, [10, 30], 40, seed=4, certificate=golden_cert, jobs=jobs)
+            for jobs in (1, 2)
+        )
+        a, b = (json.dumps(r.to_jsonable(), sort_keys=True).encode() for r in (r1, r2))
+        assert a == b
 
     def test_quartic_monotone_smoke(self, quartic, quartic_cert):
         rep = tail_invariance_experiment(quartic, [10, 30], 150, seed=5, certificate=quartic_cert)
