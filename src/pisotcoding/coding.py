@@ -19,6 +19,7 @@ from .errors import (
     CounterexampleFound,
     NotAUnit,
     NotInHomoclinicGroup,
+    OracleMismatch,
     OrbitCapExceeded,
     ZeroHomoclinicPoint,
 )
@@ -28,7 +29,9 @@ from .numeration import (
     DEFAULT_PERIOD_CAP,
     Expansion,
     _beta_exponent,
+    _column_value,
     _periodic_points,
+    _window_columns,
     _window_walk,
     check_weak_finitarity,
     d_sequence,
@@ -176,33 +179,39 @@ def _below_one(x):
 
 
 def _phi_window(spec, value, tolerance):
-    """Torus image of a finite window from its value: frac(value * xi * beta^-i) on numerators
-    over one denominator, rounded by int / int as by float(Fraction).  Each product by xi or by
-    beta^-1 is m dot products with its integer multiplication matrix (_num_matrix, built once
-    per field and factor).  The constant coefficient enters _real_enclosure last, at the scale,
-    so frac's enclosure is the full one minus floor * scale, the floor read off that enclosure
-    where both ends share it, else by _floor_nums."""
-    field = spec.field
+    """Torus image of a finite window from its value: one call of _torus_map(spec, tolerance)."""
+    return _torus_map(spec, tolerance)(value)
+
+
+def _torus_map(spec, tolerance):
+    """The torus image of a finite window's value as a function of that value: frac(value * xi *
+    beta^-i) on numerators over one denominator, rounded by int / int as by float(Fraction).  Its
+    precision, beta^-1 and the integer multiplication matrices of xi and beta^-1 (_num_matrix)
+    with their denominators are bound once, so each product by xi or by beta^-1 is m dot
+    products.  The constant coefficient enters _real_enclosure last, at the scale, so frac's
+    enclosure is the full one minus floor * scale, the floor read off that enclosure where both
+    ends share it, else by _floor_nums."""
+    field, m = spec.field, spec.field.m
     prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
     binv = field.pow_beta(-1)
-    by_xi, by_binv = _mul_matrix(field, spec.xi), _mul_matrix(field, binv)
-    nums, den = [sum(map(mul, row, value.nums)) for row in by_xi], value.den * spec.xi.den
-    coords, radius, m = [], 0.0, field.m
-    for i in range(m):
-        lo, hi, scale = field._real_enclosure(nums, den, prec)
-        if (floor := lo // scale) != hi // scale:
-            floor = field._floor_nums(nums, den)
-        lo, hi = lo - floor * scale, hi - floor * scale
-        coords.append(_below_one((lo + hi) / (2 * scale)))
-        radius = max(radius, (hi - lo) / (2 * scale))
-        if i + 1 < m:
-            nums, den = [sum(map(mul, row, nums)) for row in by_binv], den * binv.den
-    return TorusPoint(tuple(coords), radius)
+    by_xi, by_binv = field._num_matrix(spec.xi.nums), field._num_matrix(binv.nums)
+    xi_den, binv_den = spec.xi.den, binv.den
 
+    def image(value):
+        nums, den = [sum(map(mul, row, value.nums)) for row in by_xi], value.den * xi_den
+        coords, radius = [], 0.0
+        for i in range(m):
+            lo, hi, scale = field._real_enclosure(nums, den, prec)
+            if (floor := lo // scale) != hi // scale:
+                floor = field._floor_nums(nums, den)
+            lo, hi = lo - floor * scale, hi - floor * scale
+            coords.append(_below_one((lo + hi) / (2 * scale)))
+            radius = max(radius, (hi - lo) / (2 * scale))
+            if i + 1 < m:
+                nums, den = [sum(map(mul, row, nums)) for row in by_binv], den * binv_den
+        return TorusPoint(tuple(coords), radius)
 
-def _mul_matrix(field, a):
-    """The integer multiplication matrix of a's numerators, built once per field and a."""
-    return field.derived(("mul_matrix", a.nums), lambda: field._num_matrix(a.nums))
+    return image
 
 
 def _phi_periodic(spec, period):
@@ -250,6 +259,13 @@ def _kernel_values(spec, orbit_cap, period_cap):
     return _periodic_points(field, field.xi0 * field.invert(spec.xi), orbit_cap)
 
 
+def _kernel_class_count(spec, orbit_cap):
+    """Classes of kernel_values modulo Z[beta], told apart by the fractional parts of their
+    coordinates; counted once per field, xi and cap."""
+    return spec.field.derived(("kernel_classes", spec.xi.coords, orbit_cap), lambda: len(
+        {tuple(c % 1 for c in a.coords) for a, _ in kernel_values(spec, orbit_cap)}))
+
+
 # -- injectivity experiment ------------------------------------------------------
 
 
@@ -281,36 +297,28 @@ def _is_rational_integer(x):
     return x.is_rational and x.is_integral
 
 
-def _experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resolution, orbit_cap):
-    field = spec.field
-    n_left = n_digits - 1
-    word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
-    v = value_of(field, word, n_digits)
-    pt = _phi_window(spec, v, tol)
-    bucket = tuple(int(math.floor(c / resolution)) for c in pt.coords)
-    entries = [(bucket, v, v)]
-    for alpha in nonzero_kernel:
-        v2 = v + field.pow_beta(n_left) * alpha
-        vt = _truncate_to_window(field, v2, n_digits, orbit_cap).value(field)
-        pt2 = _phi_window(spec, vt, tol)
-        bucket2 = tuple(int(math.floor(c / resolution)) for c in pt2.coords)
-        entries.append((bucket2, vt, v2))
-    return entries, pt.coords
-
-
 def _experiment_chunk(args):
+    """Trials t_range of injectivity_experiment: per trial, its 2n-digit window's
+    (bucket, v, v), then per nonzero kernel value alpha (bucket, vt, vu) for vu =
+    v + beta^(n-1) alpha truncated to vt; and the window's torus coordinates.  The
+    torus map, the window's value columns (_window_columns; none past _LEAF
+    digits, which take value_of's general path) and the shifts are bound once."""
     spec, t_range, seed, n_digits, tol, resolution, orbit_cap, kernel_coords = args
     field = spec.field
-    chain = _parry_chain(field)
-    nonzero_kernel = [field.element(c) for c in kernel_coords]
-    out = []
-    pts = []
+    chain, image = _parry_chain(field), _torus_map(spec, tol)
+    cols = _window_columns(field, 2 * n_digits, n_digits)
+    shifts = [field.pow_beta(n_digits - 1) * field.element(c) for c in kernel_coords]
+    out, pts = [], []
     for t in t_range:
-        entries, pt = _experiment_trial(
-            spec, chain, nonzero_kernel, t, seed, n_digits, tol, resolution, orbit_cap
-        )
-        out.extend(entries)
-        pts.append(pt)
+        word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
+        v = _column_value(field, word, cols) if cols else value_of(field, word, n_digits)
+        coords = image(v).coords
+        out.append((tuple(math.floor(c / resolution) for c in coords), v, v))
+        pts.append(coords)
+        for shift in shifts:
+            vu = v + shift
+            vt = _truncate_to_window(field, vu, n_digits, orbit_cap).value(field)
+            out.append((tuple(math.floor(c / resolution) for c in image(vt).coords), vt, vu))
     return out, pts
 
 
@@ -328,10 +336,20 @@ def injectivity_experiment(
     verify every collision against the kernel lattice.
 
     Each sampled window is augmented with its kernel-perturbed mates (the
-    theoretical fiber structure, truncated to the window); every bucket
-    collision is then classified exactly.  A collision not explained by the
-    kernel raises CounterexampleFound.  Trials carry their own derived
-    seeds, so the report is identical for any jobs value."""
+    theoretical fiber structure, truncated to the window; _experiment_chunk).
+    The kernel values must first fall into predicted_preimage_count classes
+    modulo Z[beta] (_kernel_class_count), else OracleMismatch names both
+    counts.  A collision is a kernel hit if delta = vu - vu0, against its
+    bucket's first member, is 0 or kd * beta^j, kd a kernel difference.
+    Mates of one trial differ by exactly beta^(n-1) (alpha_i - alpha_j), so
+    the first test is whether delta * beta^(1-n) is a kd; only on a miss does
+    the float-guided search (_kernel_shift) run.  Its hits include all of the
+    first test's: for delta = kd * beta^(n-1), delta and kd share a sign and
+    the estimate log(|delta| / |kd|) / log(beta) is n - 1 far within 1/2, so
+    j rounds to n - 1, confirmed exactly.  Other collisions are near misses,
+    or counterexamples where the images agree exactly, which raise
+    CounterexampleFound.  Trials carry their own derived seeds, so the
+    report is identical for any jobs value."""
     field = spec.field
     if spec.is_zero:
         raise ZeroHomoclinicPoint("zero parameter")
@@ -348,6 +366,8 @@ def injectivity_experiment(
     if trials == 0:
         return InjectivityReport(params, {}, 0, 0, 0, (), 0.0, True)
     kern = kernel_values(spec, orbit_cap)
+    if (classes := _kernel_class_count(spec, orbit_cap)) != (count := predicted_preimage_count(spec)):
+        raise OracleMismatch(f"kernel values fall into {classes} classes modulo Z[beta], predicted {count}")
     nonzero_kernel = [(a, e) for a, e in kern if not a.is_zero]
     # signed difference lattice of kernel classes: mates of one fiber differ
     # by these, scaled by a beta power
@@ -378,7 +398,7 @@ def injectivity_experiment(
     hits = 0
     near_misses = 0
     counterexamples = []
-    log_beta = math.log(field._float_roots[0].real)
+    back = field.pow_beta(1 - n_digits)
     for bucket, members in clusters.items():
         size = len(members)
         histogram[size] = histogram.get(size, 0) + 1
@@ -388,23 +408,7 @@ def injectivity_experiment(
         vt0, vu0 = members[0]
         for vt, vu in members[1:]:
             delta = vu - vu0
-            if delta.is_zero:
-                hits += 1
-                continue
-            # candidate beta power from float magnitudes, confirmed exactly
-            fd = field.float_value(delta)
-            matched = False
-            for kd, fkd in diffs.items():
-                if fd * fkd <= 0:
-                    continue
-                j = round(math.log(abs(fd) / abs(fkd)) / log_beta)
-                for dj in (-1, 0, 1):
-                    if delta == kd * field.pow_beta(j + dj):
-                        matched = True
-                        break
-                if matched:
-                    break
-            if matched:
+            if delta.is_zero or delta * back in diffs or _kernel_shift(delta, diffs):
                 hits += 1
                 continue
             # exact image-equality test on what was actually mapped: a true
@@ -435,6 +439,19 @@ def injectivity_experiment(
     if counterexamples:
         raise CounterexampleFound(report)
     return report
+
+
+def _kernel_shift(delta, diffs):
+    """Whether delta = kd * beta^j for a kernel difference kd in diffs (kd -> its float
+    value): j from the float magnitudes, then j - 1, j, j + 1 confirmed exactly."""
+    field = delta.field
+    fd, log_beta = field.float_value(delta), math.log(field._float_roots[0].real)
+    for kd, fkd in diffs.items():
+        if fd * fkd > 0:
+            j = round(math.log(abs(fd) / abs(fkd)) / log_beta)
+            if any(delta == kd * field.pow_beta(j + dj) for dj in (-1, 0, 1)):
+                return True
+    return False
 
 
 def _mix(seed, t):

@@ -256,24 +256,36 @@ def _admissible_words(dseq, max_len, first=0):
 def value_of(field, word, offset=0):
     """Exact sum of word[i-1] * beta^(offset - i) over i = 1..len(word), for
     integer digits: on a unit field, for at most _LEAF digits with exponents
-    in [-_LEAF, _LEAF), m dot products in C of the word's nonzero digits
-    against the entries at their places in the columns of beta^-_LEAF ..
-    beta^(_LEAF-1) (_leaf_columns(field, -_LEAF)), each column read downwards
-    from beta^(offset - 1), the word not reversed; else the word read as a
-    number in base beta (_word_nums, binary splitting), times
-    beta^(offset - len(word)).  O(M(n) log n) for n digits, M the cost of
-    one n-bit multiplication."""
+    in [-_LEAF, _LEAF), the word against its window's columns
+    (_window_columns, _column_value); else the word read as a number in base
+    beta (_word_nums, binary splitting), times beta^(offset - len(word)).
+    O(M(n) log n) for n digits, M the cost of one n-bit multiplication."""
     word = tuple(word)
     if not word:
         return field.zero
-    shift = offset - len(word)
-    if field.is_unit_field and -_LEAF <= shift and offset <= _LEAF and len(word) <= _LEAF:
-        down = slice(offset + _LEAF - 1, shift + _LEAF - 1 if shift > -_LEAF else None, -1)
-        nonzero = list(compress(word, word))  # a list, as in _word_nums
-        return field._from_nums([sum(map(mul, nonzero, compress(col[down], word)))
-                                 for col in _leaf_columns(field, -_LEAF)])
+    if cols := _window_columns(field, len(word), offset):
+        return _column_value(field, word, cols)
     out = field._from_nums(_word_nums(field, word, 0, len(word), _leaf_columns(field)))
+    shift = offset - len(word)
     return out * field.pow_beta(shift) if shift else out
+
+
+def _window_columns(field, length, offset):
+    """The columns of beta^-_LEAF .. beta^(_LEAF-1) (_leaf_columns(field, -_LEAF)) read downwards
+    from beta^(offset - 1), an entry per place of a word of this length, which stays unreversed;
+    None off a unit field, past _LEAF digits or for exponents outside [-_LEAF, _LEAF)."""
+    shift = offset - length
+    if not (field.is_unit_field and -_LEAF <= shift and offset <= _LEAF and length <= _LEAF):
+        return None
+    down = slice(offset + _LEAF - 1, shift + _LEAF - 1 if shift > -_LEAF else None, -1)
+    return [col[down] for col in _leaf_columns(field, -_LEAF)]
+
+
+def _column_value(field, word, cols):
+    """The value of word from its window's columns (_window_columns): m dot
+    products in C of its nonzero digits against the entries at their places."""
+    nonzero = list(compress(word, word))  # a list, as in _word_nums
+    return field._from_nums([sum(map(mul, nonzero, compress(col, word))) for col in cols])
 
 
 _LEAF = 256  # digits summed directly from the columns of beta^0 .. beta^(_LEAF-1)

@@ -652,3 +652,101 @@ def fraction_horner(coeffs, x):
     for c in reversed(list(coeffs)):
         acc = acc * x + c
     return acc
+
+
+def experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resolution, orbit_cap):
+    """One injectivity trial as computed per trial before the chunk bound its
+    constants: _phi_window per window, value_of per sampled word and
+    beta^(n-1) * alpha per trial and kernel value."""
+    from pisotcoding.coding import _mix, _phi_window, _truncate_to_window
+    from pisotcoding.numeration import value_of
+    from pisotcoding.shift import sample
+
+    field = spec.field
+    word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
+    v = value_of(field, word, n_digits)
+    pt = _phi_window(spec, v, tol)
+    entries = [(tuple(int(math.floor(c / resolution)) for c in pt.coords), v, v)]
+    for alpha in nonzero_kernel:
+        v2 = v + field.pow_beta(n_digits - 1) * alpha
+        vt = _truncate_to_window(field, v2, n_digits, orbit_cap).value(field)
+        pt2 = _phi_window(spec, vt, tol)
+        entries.append((tuple(int(math.floor(c / resolution)) for c in pt2.coords), vt, v2))
+    return entries, pt.coords
+
+
+def experiment_trials(args):
+    """coding._experiment_chunk's result, one experiment_trial at a time."""
+    from pisotcoding.shift import _parry_chain
+
+    spec, t_range, seed, n_digits, tol, resolution, orbit_cap, kernel_coords = args
+    chain = _parry_chain(spec.field)
+    nonzero_kernel = [spec.field.element(c) for c in kernel_coords]
+    out, pts = [], []
+    for t in t_range:
+        entries, pt = experiment_trial(spec, chain, nonzero_kernel, t, seed, n_digits, tol, resolution, orbit_cap)
+        out.extend(entries)
+        pts.append(pt)
+    return out, pts
+
+
+def searched_injectivity_report(spec, n_digits, trials, resolution, seed, orbit_cap=10 ** 6):
+    """injectivity_experiment's report from experiment_trials, every nonzero
+    delta classified by the float-guided search over the kernel differences
+    alone (no beta^(1-n) lookup first) and no class-count check; a
+    counterexample is reported, not raised."""
+    from pisotcoding.coding import InjectivityReport, _entropy_sanity, kernel_values
+
+    field = spec.field
+    kern = kernel_values(spec, orbit_cap)
+    diffs = {}
+    for a, _ in kern:
+        for b, _ in kern:
+            d = a - b
+            if not d.is_zero and d not in diffs:
+                diffs[d] = field.float_value(d)
+    kernel_coords = [a.coords for a, _ in kern if not a.is_zero]
+    entries, points = experiment_trials(
+        (spec, range(trials), seed, n_digits, resolution / 4, resolution, orbit_cap, kernel_coords))
+    clusters = {}
+    for bucket, vt, vu in entries:
+        clusters.setdefault(bucket, []).append((vt, vu))
+    histogram, hits, near_misses, counterexamples = {}, 0, 0, []
+    log_beta = math.log(field._float_roots[0].real)
+    for bucket, members in clusters.items():
+        histogram[len(members)] = histogram.get(len(members), 0) + 1
+        if len(members) < 2:
+            continue
+        members = sorted(members, key=lambda p: p[0].coords)
+        vt0, vu0 = members[0]
+        for vt, vu in members[1:]:
+            delta = vu - vu0
+            if delta.is_zero:
+                hits += 1
+                continue
+            fd = field.float_value(delta)
+            matched = False
+            for kd, fkd in diffs.items():
+                if fd * fkd <= 0:
+                    continue
+                j = round(math.log(abs(fd) / abs(fkd)) / log_beta)
+                for dj in (-1, 0, 1):
+                    if delta == kd * field.pow_beta(j + dj):
+                        matched = True
+                        break
+                if matched:
+                    break
+            if matched:
+                hits += 1
+                continue
+            dt = vt - vt0
+            xs = [spec.xi * dt * field.pow_beta(-i) for i in range(field.m)]
+            if all(x.is_rational and x.is_integral for x in xs) and not dt.is_zero:
+                counterexamples.append({"bucket": list(bucket), "delta": [str(c) for c in dt.coords]})
+            else:
+                near_misses += 1
+    mode = max(histogram, key=lambda s: (histogram[s], s), default=0)
+    max_z, ok = _entropy_sanity(points, field.m, trials)
+    params = {"n_digits": n_digits, "trials": trials, "resolution": resolution, "seed": seed,
+              "xi_over_xi0": [str(c) for c in spec.ratio.coords]}
+    return InjectivityReport(params, histogram, mode, hits, near_misses, tuple(counterexamples), max_z, ok)

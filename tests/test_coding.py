@@ -520,3 +520,107 @@ def test_phi_window_matches_two_pass_form(name, request, monkeypatch):
                 assert ran <= field.m
                 total += ran
     assert total > 0
+
+
+XI = {  # coding parameters, each a function of the field
+    "xi0": lambda f: f.xi0, "1": lambda f: f.one, "-1": lambda f: -f.one, "2": lambda f: f.from_rational(2),
+    "b": lambda f: f.beta, "b^5": lambda f: f.pow_beta(5), "3xi0b": lambda f: 3 * f.xi0 * f.beta,
+    "1+b": lambda f: 1 + f.beta,
+}
+
+
+def _experiment_args(spec, trials, seed, n_digits, resolution=2.0 ** -20):
+    kernel = [a.coords for a, _ in kernel_values(spec) if not a.is_zero]
+    return (spec, range(trials), seed, n_digits, resolution / 4, resolution, 10 ** 6, kernel)
+
+
+class TestExperimentChunk:
+    # the chunk binds its torus map, window columns and kernel shifts once;
+    # the per-trial loop it replaced is kept in tests/oracles.py
+    @pytest.mark.parametrize(("name", "xi", "n_digits", "trials"), [
+        ("golden", "1", 48, 40),
+        ("tribonacci", "1", 36, 12),  # 46 kernel values in 44 classes modulo Z[beta]
+        ("plastic", "1", 36, 20),
+        ("cubic341", "xi0", 36, 20),
+        ("quartic", "xi0", 36, 20),
+        ("golden", "1", 1, 40),
+        ("golden", "1", 130, 10),  # 260 > _LEAF digits: value_of's general path
+    ])
+    def test_matches_per_trial_loop(self, name, xi, n_digits, trials, request):
+        from oracles import experiment_trials
+        from pisotcoding.coding import _experiment_chunk
+        from pisotcoding.numeration import _LEAF, _window_columns
+
+        field = request.getfixturevalue(name)
+        spec = HomoclinicSpec(field, XI[xi](field))
+        args = _experiment_args(spec, trials, 7, n_digits)
+        entries, points = _experiment_chunk(args)
+        want_entries, want_points = experiment_trials(args)
+        assert [b for b, _, _ in entries] == [b for b, _, _ in want_entries]
+        assert [(vt, vu) for _, vt, vu in entries] == [(vt, vu) for _, vt, vu in want_entries]
+        assert [[c.hex() for c in p] for p in points] == [[c.hex() for c in p] for p in want_points]
+        assert len(entries) == trials * len(kernel_values(spec))
+        assert (_window_columns(field, 2 * n_digits, n_digits) is None) == (2 * n_digits > _LEAF)
+
+
+class TestClassification:
+    @pytest.mark.parametrize(("name", "n_digits", "trials"), [("golden", 48, 40), ("golden", 3, 40), ("plastic", 36, 20)])
+    def test_coarse_buckets_match_search_only_report(self, name, n_digits, trials, request, monkeypatch):
+        # at 2^-2 every image collides: the lookup, the float-guided search
+        # and the near-miss path all run, the search never on a pair the
+        # lookup settles, and the report is the one the search alone gives
+        import pisotcoding.coding as coding
+        from oracles import searched_injectivity_report
+
+        field = request.getfixturevalue(name)
+        spec, back = HomoclinicSpec(field, field.one), field.pow_beta(1 - n_digits)
+        settled, search = [], coding._kernel_shift
+        monkeypatch.setattr(coding, "_kernel_shift", lambda d, diffs: settled.append(d * back in diffs) or search(d, diffs))
+        rep = injectivity_experiment(spec, n_digits, trials, resolution=2.0 ** -2, seed=4)
+        assert max(rep.collision_histogram) > 1 and settled and not any(settled) and rep.near_misses > 0
+        assert rep == searched_injectivity_report(spec, n_digits, trials, 2.0 ** -2, 4)
+
+    def test_cross_trial_collision_reaches_search(self, golden, golden_cert, monkeypatch):
+        # entries of one trial differ by beta^(n-1) times a kernel difference,
+        # so only pairs from different trials reach the search; here some of
+        # them are kernel shifts at other beta powers, which it confirms
+        import pisotcoding.coding as coding
+        from oracles import searched_injectivity_report
+
+        spec = HomoclinicSpec(golden, golden.one)
+        found, search = [], coding._kernel_shift
+        monkeypatch.setattr(coding, "_kernel_shift", lambda *a: found.append(search(*a)) or found[-1])
+        rep = injectivity_experiment(spec, 8, 200, resolution=2.0 ** -6, seed=0, certificate=golden_cert)
+        assert any(found) and not all(found)
+        assert rep == searched_injectivity_report(spec, 8, 200, 2.0 ** -6, 0)
+
+
+class TestKernelClassCount:
+    @pytest.mark.parametrize(("name", "xi"), [
+        *((name, xi) for name in ("golden", "tribonacci", "plastic", "cubic341") for xi in XI),
+        ("quartic", "xi0"), ("quartic", "3xi0b"), ("tetranacci", "xi0"), ("tetranacci", "3xi0b"),
+    ])
+    def test_classes_number_the_preimage_count(self, name, xi, request):
+        from pisotcoding.coding import _kernel_class_count
+        from pisotcoding.numeration import DEFAULT_ORBIT_CAP
+
+        field = make_field((1, 1, 1, 1)) if name == "tetranacci" else request.getfixturevalue(name)
+        spec = HomoclinicSpec(field, XI[xi](field))
+        assert _kernel_class_count(spec, DEFAULT_ORBIT_CAP) == predicted_preimage_count(spec)
+
+    def test_tribonacci_class_holds_several_points(self, tribonacci):
+        from pisotcoding.coding import _kernel_class_count
+        from pisotcoding.numeration import DEFAULT_ORBIT_CAP
+
+        spec = HomoclinicSpec(tribonacci, tribonacci.one)
+        assert (len(kernel_values(spec)), _kernel_class_count(spec, DEFAULT_ORBIT_CAP)) == (46, 44)
+
+    def test_dropped_kernel_point_raises(self, golden_cert, monkeypatch):
+        import pisotcoding.coding as coding
+        from pisotcoding import OracleMismatch
+
+        field = make_field((1, 1))  # a fresh store: no class count kept from another test
+        kernel = coding.kernel_values
+        monkeypatch.setattr(coding, "kernel_values", lambda *a: kernel(*a)[:-1])
+        with pytest.raises(OracleMismatch, match="4 classes .* predicted 5"):
+            injectivity_experiment(HomoclinicSpec(field, field.one), 8, 2, seed=0, certificate=golden_cert)
