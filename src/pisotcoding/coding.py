@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .errors import (
@@ -192,7 +193,7 @@ def _torus_map(spec, tolerance):
     enclosure is the full one minus floor * scale, the floor read off that enclosure where both
     ends share it, else by _floor_nums."""
     field, m = spec.field, spec.field.m
-    prec = max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
+    prec = _precision(tolerance)
     binv = field.pow_beta(-1)
     by_xi, by_binv = field._num_matrix(spec.xi.nums), field._num_matrix(binv.nums)
     xi_den, binv_den = spec.xi.den, binv.den
@@ -212,6 +213,11 @@ def _torus_map(spec, tolerance):
         return TorusPoint(tuple(coords), radius)
 
     return image
+
+
+def _precision(tolerance):
+    """The bits _torus_map asks of each coordinate's enclosure for this rounding radius."""
+    return max(8, int(math.ceil(-math.log2(max(tolerance, 1e-300)))) + 3)
 
 
 def _phi_periodic(spec, period):
@@ -297,29 +303,143 @@ def _is_rational_integer(x):
     return x.is_rational and x.is_integral
 
 
+def _frac_table(spec, lo, hi):
+    """frac(real(xi * beta^e)) for lo <= e < hi, each a float within 2^-53 of it modulo 1: the
+    midpoint of one 64-bit _real_enclosure, reduced modulo 1 in integers and rounded once
+    (2^-65 + 2^-54 < 2^-53).  Built once per xi and exponent range."""
+    field = spec.field
+
+    def build():
+        x, out = spec.xi * field.pow_beta(lo), []
+        for _ in range(lo, hi):
+            a, b, scale = field._real_enclosure(x.nums, x.den, 64)
+            out.append((a + b) % (2 * scale) / (2 * scale))
+            x = field.mul_by_beta(x)
+        return tuple(out)
+
+    return field.derived(("xi_fracs", spec.xi.coords, lo, hi), build)
+
+
+def _filter_delta(n_terms, digit_sum, prec):
+    """delta = (N + 2) u S + 2^-(prec+1) + 2^-54, u = 2^-53, for a window of N digits summing to
+    S: the bound |x_i - c_i| <= delta modulo 1 of the float pre-filter (_window_fracs), x_i its
+    float coordinate and c_i the one _torus_map gives at _precision(tolerance) = prec.
+
+    Coordinate i of a window is y_i = sum(d_k real(xi beta^(k-i))) mod 1 over its digits d_k at
+    beta^k, so x_i = frac(sum(map(mul, digits, r_i))), r_i[k] the float of _frac_table within u
+    of frac(real(xi beta^(k-i))), lies within (N + 0.6) u S of y_i modulo 1: just over u S / 2
+    from the table, u S from the products (none for digits 0 and 1, which select entries instead) and
+    gamma_(N-1) (1 + u) S from an N-term naive sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2); a compensated sum (CPython >= 3.12) does no worse.  c_i lies within
+    2^-(prec+1) + 2^-54 of y_i modulo 1: half the enclosure width _real_enclosure's stopping rule
+    allows, and the midpoint's rounding; _below_one moves it by up to 2^-53 only where y_i is
+    within that of an integer.  The u S to spare covers that and delta's own float evaluation
+    (under 2 u delta < u / 16 where the filter runs), and an all-zero word has x_i = c_i = 0."""
+    return (n_terms + 2) * digit_sum * 2.0 ** -53 + 2.0 ** -(prec + 1) + 2.0 ** -54
+
+
+def _window_fracs(spec, n_digits, prec):
+    """fracs(digits) = ([x_0, ..., x_(m-1)], delta) for a window whose last digit sits at beta^-n:
+    its float coordinates frac(sum(map(mul, digits, r_i))) and their bound (_filter_delta); None
+    past 2n + 2 digits, the exponents -n - m + 1 ... n + 1 that _frac_table holds (a truncated
+    mate's value is below beta^n + beta^(n-1) <= beta^(n+2), as beta^3 >= beta + 1 for every Pisot
+    number)."""
+    m, binary = spec.field.m, d_sequence(spec.field).floor_beta == 1
+    table = _frac_table(spec, -n_digits - (m - 1), n_digits + 2)
+    rows = [table[m - 1 - i:] for i in range(m)]  # rows[i][k] = frac(real(xi beta^(k - n - i)))
+
+    def fracs(digits):
+        if len(digits) > len(rows[0]):
+            return None
+        up = digits[::-1]
+        return ([(sum(compress(row, up)) if binary else sum(map(mul, up, row))) % 1.0 for row in rows],
+                _filter_delta(len(digits), sum(digits), prec))
+
+    return fracs
+
+
+def _window_place(spec, n_digits, tolerance, resolution):
+    """The float pre-filter of the experiment's buckets: place(digits) gives the bucket of a window
+    whose last digit sits at beta^-n, floor(c_i / resolution), and its entropy cell, floor(8 c_i)
+    (_cell), for c_i its float coordinates from _torus_map(spec, tolerance), or None where the
+    filter cannot decide them.  None in place of place where resolution is not 2^-bits, or where
+    delta 2^B >= 1/4 for the longest window, so that at least half the coordinates would go
+    undecided.  With B = max(bits, 3) and x_i, delta from _window_fracs: where x_i 2^B lies more
+    than delta 2^B from every integer (0 and 2^B among them), c_i 2^B lies in the same unit
+    interval, so floor(x_i 2^B) = floor(c_i 2^B); the bucket is that floor >> (B - bits) and the
+    cell that floor >> (B - 3).  The fraction t of x_i 2^B is exact in floats, as is 1 - t
+    wherever t > 1/2."""
+    mant, exp = math.frexp(resolution)
+    bits, prec, longest = 1 - exp, _precision(tolerance), 2 * n_digits + 2
+    top = max(bits, _CELL_BITS)
+    if mant != 0.5 or _filter_delta(longest, longest * d_sequence(spec.field).floor_beta, prec) >= 2.0 ** -(top + 2):
+        return None
+    fracs, big, to_bucket, to_cell = _window_fracs(spec, n_digits, prec), 2.0 ** top, top - bits, top - _CELL_BITS
+
+    def place(digits):
+        if (got := fracs(digits)) is None:
+            return None
+        xs, delta = got
+        margin, bucket, cell = delta * big, [], []
+        for x in xs:
+            x *= big
+            f = int(x)
+            if (t := x - f) <= margin or 1.0 - t <= margin:
+                return None
+            bucket.append(f >> to_bucket)
+            cell.append(f >> to_cell)
+        return tuple(bucket), tuple(cell)
+
+    return place
+
+
+_CELL_BITS = 3  # _entropy_sanity's cells: 2^3 a coordinate
+
+
+def _cell(coords):
+    """_entropy_sanity's cell of a torus point, floor(2^_CELL_BITS c) for each coordinate c < 1."""
+    return tuple(int(c * (1 << _CELL_BITS)) for c in coords)
+
+
 def _experiment_chunk(args):
-    """Trials t_range of injectivity_experiment: per trial, its 2n-digit window's
-    (bucket, v, v), then per nonzero kernel value alpha (bucket, vt, vu) for vu =
-    v + beta^(n-1) alpha truncated to vt; and the window's torus coordinates.  The
-    torus map, the window's value columns (_window_columns; none past _LEAF
-    digits, which take value_of's general path) and the shifts are bound once."""
+    """Trials t_range of injectivity_experiment: per trial, its 2n-digit window's entry
+    (bucket, v, v), then per nonzero kernel value alpha (bucket, vt, vu) for vu = v + beta^(n-1)
+    alpha truncated to vt; and each window's entropy cell (_cell).  Buckets and cells come from
+    the float pre-filter (_window_place) wherever it decides them, else from the exact image
+    _torus_map(spec, tol) of the entry's value.  A trial without mates that the filter decides
+    stores (bucket, word, None), its word in place of its value: injectivity_experiment builds
+    value_of(word, n) only where the bucket is shared.  The torus map, the window's value columns
+    (_window_columns; none past _LEAF digits, which take value_of's general path), the filter and
+    the shifts are bound once."""
     spec, t_range, seed, n_digits, tol, resolution, orbit_cap, kernel_coords = args
     field = spec.field
     chain, image = _parry_chain(field), _torus_map(spec, tol)
     cols = _window_columns(field, 2 * n_digits, n_digits)
     shifts = [field.pow_beta(n_digits - 1) * field.element(c) for c in kernel_coords]
-    out, pts = [], []
+    place = _window_place(spec, n_digits, tol, resolution) or (lambda digits: None)
+
+    def exact(value):
+        coords = image(value).coords
+        return tuple(math.floor(c / resolution) for c in coords), _cell(coords)
+
+    out, cells = [], []
     for t in t_range:
         word = sample(chain, 2 * n_digits, seed=_mix(seed, t))
+        placed = place(word)
+        if placed and not shifts:
+            out.append((placed[0], word, None))
+            cells.append(placed[1])
+            continue
         v = _column_value(field, word, cols) if cols else value_of(field, word, n_digits)
-        coords = image(v).coords
-        out.append((tuple(math.floor(c / resolution) for c in coords), v, v))
-        pts.append(coords)
+        bucket, cell = placed or exact(v)
+        out.append((bucket, v, v))
+        cells.append(cell)
         for shift in shifts:
             vu = v + shift
-            vt = _truncate_to_window(field, vu, n_digits, orbit_cap).value(field)
-            out.append((tuple(math.floor(c / resolution) for c in image(vt).coords), vt, vu))
-    return out, pts
+            win = _truncate_to_window(field, vu, n_digits, orbit_cap)
+            vt = win.value(field)
+            out.append(((place(win.digits) or exact(vt))[0], vt, vu))
+    return out, cells
 
 
 def injectivity_experiment(
@@ -348,8 +468,20 @@ def injectivity_experiment(
     the estimate log(|delta| / |kd|) / log(beta) is n - 1 far within 1/2, so
     j rounds to n - 1, confirmed exactly.  Other collisions are near misses,
     or counterexamples where the images agree exactly, which raise
-    CounterexampleFound.  Trials carry their own derived seeds, so the
-    report is identical for any jobs value."""
+    CounterexampleFound.  The kernel differences are kept once per field, xi
+    and cap (_kernel_diffs).
+
+    Buckets and entropy cells are read off one float pre-filter with a
+    derived error bound delta (_window_place): wherever x_i 2^B, x_i the
+    float sum of a window's digits against a table of frac(xi beta^e), lies
+    more than delta 2^B from every integer, it has the floor that the exact
+    path's float coordinate c_i would give, B = max(bits, 3) for resolution
+    2^-bits.  Undecided windows, other resolutions and those where delta 2^B
+    >= 1/4 take the exact image (_torus_map).  A window the filter places
+    without mates has no value until its bucket turns out shared; only then,
+    for the exact sort and deltas, is value_of built from its word.  So the
+    report has the bytes of exact bucketing throughout.  Trials carry their
+    own derived seeds, so the report is identical for any jobs value."""
     field = spec.field
     if spec.is_zero:
         raise ZeroHomoclinicPoint("zero parameter")
@@ -368,17 +500,9 @@ def injectivity_experiment(
     kern = kernel_values(spec, orbit_cap)
     if (classes := _kernel_class_count(spec, orbit_cap)) != (count := predicted_preimage_count(spec)):
         raise OracleMismatch(f"kernel values fall into {classes} classes modulo Z[beta], predicted {count}")
-    nonzero_kernel = [(a, e) for a, e in kern if not a.is_zero]
-    # signed difference lattice of kernel classes: mates of one fiber differ
-    # by these, scaled by a beta power
-    diffs = {}  # difference -> its float value, in first-seen order
-    for a, _ in kern:
-        for b, _ in kern:
-            d = a - b
-            if not d.is_zero and d not in diffs:
-                diffs[d] = field.float_value(d)
+    diffs = _kernel_diffs(spec, orbit_cap)
     tol = resolution / 4
-    kernel_coords = [a.coords for a, _ in nonzero_kernel]
+    kernel_coords = [a.coords for a, _ in kern if not a.is_zero]
     parts = max(jobs, 1)
     bounds = [(i * trials) // parts for i in range(parts + 1)]
     tasks = [
@@ -386,11 +510,10 @@ def injectivity_experiment(
         for i in range(parts)
         if bounds[i] < bounds[i + 1]
     ]
-    entries = []
-    sample_points = []
-    for chunk_entries, chunk_pts in _map_jobs(_experiment_chunk, tasks, jobs):
+    entries, cells = [], []
+    for chunk_entries, chunk_cells in _map_jobs(_experiment_chunk, tasks, jobs):
         entries.extend(chunk_entries)
-        sample_points.extend(chunk_pts)
+        cells.extend(chunk_cells)
     clusters = {}
     for bucket, vt, vu in entries:
         clusters.setdefault(bucket, []).append((vt, vu))
@@ -404,7 +527,8 @@ def injectivity_experiment(
         histogram[size] = histogram.get(size, 0) + 1
         if size < 2:
             continue
-        members = sorted(members, key=lambda p: p[0].coords)  # schedule-independent
+        members = [(value_of(field, vt, n_digits),) * 2 if vu is None else (vt, vu) for vt, vu in members]
+        members.sort(key=lambda p: p[0].coords)  # schedule-independent
         vt0, vu0 = members[0]
         for vt, vu in members[1:]:
             delta = vu - vu0
@@ -425,7 +549,7 @@ def injectivity_experiment(
             else:
                 near_misses += 1
     mode = max(histogram, key=lambda s: (histogram[s], s), default=0)
-    max_z, ok = _entropy_sanity(sample_points, field.m, trials)
+    max_z, ok = _entropy_sanity(cells, field.m, trials)
     report = InjectivityReport(
         params=params,
         collision_histogram=histogram,
@@ -441,12 +565,26 @@ def injectivity_experiment(
     return report
 
 
+def _kernel_diffs(spec, orbit_cap):
+    """The nonzero differences of kernel values, the signed difference lattice of kernel classes
+    (mates of one fiber differ by these, scaled by a beta power), as a frozenset kept once per
+    field, xi and cap."""
+
+    def build():
+        kern = [a for a, _ in kernel_values(spec, orbit_cap)]
+        return frozenset(a - b for a in kern for b in kern if a != b)
+
+    return spec.field.derived(("kernel_diffs", spec.xi.coords, orbit_cap), build)
+
+
 def _kernel_shift(delta, diffs):
-    """Whether delta = kd * beta^j for a kernel difference kd in diffs (kd -> its float
-    value): j from the float magnitudes, then j - 1, j, j + 1 confirmed exactly."""
+    """Whether delta = kd * beta^j for a kernel difference kd in diffs (_kernel_diffs): j from the
+    float magnitudes, then j - 1, j, j + 1 confirmed exactly.  The float values of diffs are
+    taken once per set, when the first collision reaches this search."""
     field = delta.field
     fd, log_beta = field.float_value(delta), math.log(field._float_roots[0].real)
-    for kd, fkd in diffs.items():
+    floats = field.derived(("kernel_diff_floats", diffs), lambda: tuple((kd, field.float_value(kd)) for kd in diffs))
+    for kd, fkd in floats:
         if fd * fkd > 0:
             j = round(math.log(abs(fd) / abs(fkd)) / log_beta)
             if any(delta == kd * field.pow_beta(j + dj) for dj in (-1, 0, 1)):
@@ -471,14 +609,16 @@ def _truncate_to_window(field, value, right_edge, orbit_cap):
     return Window(1 - nu, tuple(_window_walk(field, y.nums, y.den, n)[0][:n]))
 
 
-def _entropy_sanity(points, m, trials, cells_per_dim=8):
-    if not points:
+def _entropy_sanity(cells, m, trials):
+    """Largest |z| of the sampled windows' counts over the 2^(3m) cells (_cell; from the float
+    pre-filter where it decides them, see _window_place), unhit cells included, and whether it
+    stays below 6 + sqrt(2 log(cells)).  Only the cells are read, never the coordinates."""
+    if not cells:
         return 0.0, True
     counts = {}
-    for pt in points:
-        cell = tuple(min(cells_per_dim - 1, int(c * cells_per_dim)) for c in pt)
+    for cell in cells:
         counts[cell] = counts.get(cell, 0) + 1
-    n_cells = cells_per_dim ** m
+    n_cells = 1 << (_CELL_BITS * m)
     exp = trials / n_cells
     if exp <= 0:
         return 0.0, True

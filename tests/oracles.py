@@ -690,12 +690,28 @@ def experiment_trials(args):
     return out, pts
 
 
+def rebuilt_chunk(args):
+    """coding._experiment_chunk's output read back in the form it had before the float
+    pre-filter: (entries, points, cells), every entry with exact values (value_of of a stored
+    word at offset n) and, per trial, the _torus_map coordinates of its window's value."""
+    from pisotcoding.coding import _experiment_chunk, _torus_map
+    from pisotcoding.numeration import value_of
+
+    spec, _, _, n_digits, tol, _, _, kernel_coords = args
+    entries, cells = _experiment_chunk(args)
+    entries = [(b, *(value_of(spec.field, vt, n_digits),) * 2) if vu is None else (b, vt, vu)
+               for b, vt, vu in entries]
+    image = _torus_map(spec, tol)
+    points = [image(v).coords for _, v, _ in entries[::1 + len(kernel_coords)]]
+    return entries, points, cells
+
+
 def searched_injectivity_report(spec, n_digits, trials, resolution, seed, orbit_cap=10 ** 6):
     """injectivity_experiment's report from experiment_trials, every nonzero
     delta classified by the float-guided search over the kernel differences
     alone (no beta^(1-n) lookup first) and no class-count check; a
     counterexample is reported, not raised."""
-    from pisotcoding.coding import InjectivityReport, _entropy_sanity, kernel_values
+    from pisotcoding.coding import InjectivityReport, _cell, _entropy_sanity, kernel_values
 
     field = spec.field
     kern = kernel_values(spec, orbit_cap)
@@ -746,7 +762,7 @@ def searched_injectivity_report(spec, n_digits, trials, resolution, seed, orbit_
             else:
                 near_misses += 1
     mode = max(histogram, key=lambda s: (histogram[s], s), default=0)
-    max_z, ok = _entropy_sanity(points, field.m, trials)
+    max_z, ok = _entropy_sanity([_cell(p) for p in points], field.m, trials)
     params = {"n_digits": n_digits, "trials": trials, "resolution": resolution, "seed": seed,
               "xi_over_xi0": [str(c) for c in spec.ratio.coords]}
     return InjectivityReport(params, histogram, mode, hits, near_misses, tuple(counterexamples), max_z, ok)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -467,6 +468,16 @@ class TestParallelism:
         assert r1.verified_kernel_hits == r2.verified_kernel_hits
         assert r1.mode_multiplicity == r2.mode_multiplicity
 
+    def test_xi0_jobs_same_bytes(self, tribonacci):
+        # at 2^-3 most buckets are shared, so words placed by the pre-filter in the workers
+        # come back and are valued in the parent
+        import json
+
+        spec = HomoclinicSpec(tribonacci, tribonacci.xi0)
+        r1, r2 = (injectivity_experiment(spec, 36, 300, resolution=2.0 ** -3, seed=5, jobs=jobs) for jobs in (1, 2))
+        assert max(r1.collision_histogram) > 1
+        assert json.dumps(r1.to_jsonable(), sort_keys=True) == json.dumps(r2.to_jsonable(), sort_keys=True)
+
 
 class TestPhiEvalInputs:
     def test_finite_expansion_input(self, golden):
@@ -547,18 +558,20 @@ class TestExperimentChunk:
         ("golden", "1", 130, 10),  # 260 > _LEAF digits: value_of's general path
     ])
     def test_matches_per_trial_loop(self, name, xi, n_digits, trials, request):
-        from oracles import experiment_trials
-        from pisotcoding.coding import _experiment_chunk
+        # the chunk's filtered buckets and cells, its stored words rebuilt to values
+        from oracles import experiment_trials, rebuilt_chunk
+        from pisotcoding.coding import _cell
         from pisotcoding.numeration import _LEAF, _window_columns
 
         field = request.getfixturevalue(name)
         spec = HomoclinicSpec(field, XI[xi](field))
         args = _experiment_args(spec, trials, 7, n_digits)
-        entries, points = _experiment_chunk(args)
+        entries, points, cells = rebuilt_chunk(args)
         want_entries, want_points = experiment_trials(args)
         assert [b for b, _, _ in entries] == [b for b, _, _ in want_entries]
         assert [(vt, vu) for _, vt, vu in entries] == [(vt, vu) for _, vt, vu in want_entries]
         assert [[c.hex() for c in p] for p in points] == [[c.hex() for c in p] for p in want_points]
+        assert cells == [_cell(p) for p in want_points]
         assert len(entries) == trials * len(kernel_values(spec))
         assert (_window_columns(field, 2 * n_digits, n_digits) is None) == (2 * n_digits > _LEAF)
 
@@ -624,3 +637,119 @@ class TestKernelClassCount:
         monkeypatch.setattr(coding, "kernel_values", lambda *a: kernel(*a)[:-1])
         with pytest.raises(OracleMismatch, match="4 classes .* predicted 5"):
             injectivity_experiment(HomoclinicSpec(field, field.one), 8, 2, seed=0, certificate=golden_cert)
+
+
+FILTER_CASES = [(name, "xi0") for name in ("golden", "tribonacci", "plastic", "cubic341", "quartic")] + [
+    (name, "1") for name in ("golden", "tribonacci", "plastic", "cubic341")]  # kernels of 5, 46, 23, 58
+
+
+@functools.lru_cache(maxsize=None)
+def _filter_entries(field, xi, n_digits, trials=2000, mates=200):
+    """(digits, exact value) of sampled 2n-digit windows, then of about `mates` truncated mates
+    (the first trials' mates, every nonzero kernel value), then of 100 windows of 2n + 2 digits,
+    the longest the pre-filter's table holds (exponents n + 1 ... -n)."""
+    from pisotcoding.coding import _truncate_to_window
+    from pisotcoding.numeration import value_of
+    from pisotcoding.shift import _parry_chain, sample
+
+    chain, spec = _parry_chain(field), HomoclinicSpec(field, XI[xi](field))
+    entries = [(w, value_of(field, w, n_digits)) for w in (sample(chain, 2 * n_digits, s) for s in range(trials))]
+    kernel, shift = [a for a, _ in kernel_values(spec) if not a.is_zero], field.pow_beta(n_digits - 1)
+    for _, v in entries[:-(-mates // len(kernel))] if kernel else ():
+        for alpha in kernel:
+            win = _truncate_to_window(field, v + shift * alpha, n_digits, 10 ** 6)
+            entries.append((win.digits, win.value(field)))
+    tops = (sample(chain, 2 * n_digits + 2, trials + s) for s in range(100))
+    return tuple(entries) + tuple((w, value_of(field, w, n_digits + 2)) for w in tops)
+
+
+class TestPreFilter:
+    # the float pre-filter (_window_fracs, _window_place) against the exact torus map
+    @pytest.mark.parametrize("n_digits", [1, 36, 130])
+    @pytest.mark.parametrize(("name", "xi"), FILTER_CASES)
+    def test_fracs_within_delta(self, name, xi, n_digits, request):
+        # |x_i - c_i| <= delta modulo 1 on every coordinate; at 2^-200 delta is nearly all its
+        # float-summation term, which the exact path's own rounding does not cover
+        from pisotcoding.coding import _precision, _torus_map, _window_fracs
+
+        field = request.getfixturevalue(name)
+        spec = HomoclinicSpec(field, XI[xi](field))
+        entries = _filter_entries(field, xi, n_digits)
+        for tol in (2.0 ** -22, 2.0 ** -200):
+            fracs, image = _window_fracs(spec, n_digits, _precision(tol)), _torus_map(spec, tol)
+            for digits, v in entries[:200] + entries[-300:]:
+                xs, delta = fracs(digits)
+                for x, c in zip(xs, image(v).coords):
+                    assert min(abs(x - c), 1 - abs(x - c)) <= delta, (digits, tol)
+        assert fracs(entries[-1][0] + (0,)) is None  # past the table
+
+    @pytest.mark.parametrize("n_digits", [1, 36, 130])
+    @pytest.mark.parametrize(("name", "xi"), FILTER_CASES)
+    def test_placed_equals_exact(self, name, xi, n_digits, request):
+        # every bucket and cell the filter decides is the exact path's, at every resolution;
+        # bits 1, 2 and 3 share the exact path's precision, and bits < 3 make cells finer than buckets
+        from pisotcoding.coding import _cell, _torus_map, _window_place
+
+        field = request.getfixturevalue(name)
+        spec = HomoclinicSpec(field, XI[xi](field))
+        entries = _filter_entries(field, xi, n_digits)
+        for bits in (1, 2, 3, 20, 30):
+            res = 2.0 ** -bits
+            place, image = _window_place(spec, n_digits, res / 4, res), _torus_map(spec, res / 4)
+            decided = 0
+            for digits, v in entries:
+                if (got := place(digits)) is not None:
+                    coords = image(v).coords
+                    assert got == (tuple(math.floor(c / res) for c in coords), _cell(coords)), (digits, bits)
+                    decided += 1
+            assert decided > 0.75 * len(entries) or n_digits == 1  # a handful of distinct 2-digit words
+
+    def test_both_paths_taken(self, tribonacci, golden, monkeypatch):
+        # most windows and mates are placed by the filter, the rest by the exact image;
+        # a resolution other than 2^-bits, or too fine for the filter, takes the exact path only
+        import pisotcoding.coding as coding
+
+        calls, torus_map = [], coding._torus_map
+
+        def counted(spec, tol):
+            image = torus_map(spec, tol)
+            return lambda v: calls.append(v) or image(v)
+
+        monkeypatch.setattr(coding, "_torus_map", counted)
+        for field, xi, res in ((tribonacci, tribonacci.xi0, 2.0 ** -20), (golden, golden.one, 2.0 ** -20),
+                               (tribonacci, tribonacci.xi0, 1e-6), (tribonacci, tribonacci.xi0, 2.0 ** -60)):
+            spec = HomoclinicSpec(field, xi)
+            del calls[:]
+            entries, cells = coding._experiment_chunk(_experiment_args(spec, 400, 1, 36, res))
+            words = sum(vu is None for _, _, vu in entries)
+            if res in (1e-6, 2.0 ** -60):
+                assert coding._window_place(spec, 36, res / 4, res) is None
+                assert coding._window_place(spec, 36, 0.0, 2.0 ** -1074) is None  # 2^1074 is no float
+                assert len(calls) == len(entries) and words == 0
+            else:
+                assert 0 < len(calls) < 0.2 * len(entries)
+                assert words == (len(cells) - len(calls) if xi == field.xi0 else 0)
+
+    @pytest.mark.parametrize(("name", "n_digits"), [("golden", 36), ("tribonacci", 36), ("plastic", 130)])
+    def test_shared_buckets_build_values(self, name, n_digits, request, monkeypatch):
+        # a filtered xi0 trial keeps its word; value_of runs for exactly the stored words in shared
+        # buckets, many at 2^-2 and none at 2^-20, and the report is the exact path's
+        import pisotcoding.coding as coding
+        from collections import Counter
+
+        from oracles import searched_injectivity_report
+
+        field = request.getfixturevalue(name)
+        spec = HomoclinicSpec(field, field.xi0)
+        built, value_of = [], coding.value_of
+        monkeypatch.setattr(coding, "value_of", lambda *a: built.append(a) or value_of(*a))
+        for res, trials in ((2.0 ** -2, 200), (2.0 ** -20, 100)):
+            del built[:]
+            entries, _ = coding._experiment_chunk(_experiment_args(spec, trials, 2, n_digits, res))
+            in_chunk, sizes = len(built), Counter(b for b, _, _ in entries)  # n = 130: fallback windows
+            shared_words = sum(vu is None and sizes[b] > 1 for b, _, vu in entries)
+            del built[:]
+            rep = injectivity_experiment(spec, n_digits, trials, resolution=res, seed=2)
+            assert len(built) - in_chunk == shared_words
+            assert shared_words > trials // 2 if res == 2.0 ** -2 else shared_words == 0
+            assert rep == searched_injectivity_report(spec, n_digits, trials, res, 2)

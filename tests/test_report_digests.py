@@ -6,7 +6,9 @@ speedup must leave every one of them in place.  golden, tribonacci and
 plastic have Z_beta = {0}, so their tail rows read 1.0 whatever is sampled;
 the quartic's tail rows and the sampled points of the injectivity trials
 (buckets, exact values and float coordinates) pin the sampler and the
-window-to-torus map directly.
+window-to-torus map directly.  The chunk keeps a word in place of the values
+of a trial its float pre-filter places, and the coordinates of no window, so
+tests/oracles.rebuilt_chunk rebuilds both before hashing.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from pisotcoding import (
     kernel_values,
     tail_invariance_experiment,
 )
-from pisotcoding.coding import _experiment_chunk
+from oracles import rebuilt_chunk
 
 SEEDS = (3, 11)
 
@@ -92,8 +94,7 @@ def test_tail_report_digest(name, seed, certs, request):
 def test_trial_points_digest(name, xi, seed, request):
     spec = _spec(request.getfixturevalue(name), xi)
     kernel = [a.coords for a, _ in kernel_values(spec) if not a.is_zero]
-    entries, points = _experiment_chunk(
-        (spec, range(40), seed, 36, 2.0 ** -22, 2.0 ** -20, 10 ** 6, kernel))
+    entries, points, _ = rebuilt_chunk((spec, range(40), seed, 36, 2.0 ** -22, 2.0 ** -20, 10 ** 6, kernel))
     doc = [[list(b), [str(c) for c in vt.coords], [str(c) for c in vu.coords]] for b, vt, vu in entries]
     doc.append([[repr(c) for c in p] for p in points])
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == POINTS[(name, xi, seed)]
