@@ -344,7 +344,7 @@ def _window_fracs(spec, n_digits, prec):
     past 2n + 2 digits, the exponents -n - m + 1 ... n + 1 that _frac_table holds (a truncated
     mate's value is below beta^n + beta^(n-1) <= beta^(n+2), as beta^3 >= beta + 1 for every Pisot
     number)."""
-    m, binary = spec.field.m, d_sequence(spec.field).floor_beta == 1
+    m, binary = spec.field.m, spec.field.floor_beta == 1  # 0/1 digits: compress sums a row 2.5x faster
     table = _frac_table(spec, -n_digits - (m - 1), n_digits + 2)
     rows = [table[m - 1 - i:] for i in range(m)]  # rows[i][k] = frac(real(xi beta^(k - n - i)))
 
@@ -372,7 +372,7 @@ def _window_place(spec, n_digits, tolerance, resolution):
     mant, exp = math.frexp(resolution)
     bits, prec, longest = 1 - exp, _precision(tolerance), 2 * n_digits + 2
     top = max(bits, _CELL_BITS)
-    if mant != 0.5 or _filter_delta(longest, longest * d_sequence(spec.field).floor_beta, prec) >= 2.0 ** -(top + 2):
+    if mant != 0.5 or _filter_delta(longest, longest * spec.field.floor_beta, prec) >= 2.0 ** -(top + 2):
         return None
     fracs, big, to_bucket, to_cell = _window_fracs(spec, n_digits, prec), 2.0 ** top, top - bits, top - _CELL_BITS
 
