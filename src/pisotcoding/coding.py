@@ -481,7 +481,11 @@ def injectivity_experiment(
     without mates has no value until its bucket turns out shared; only then,
     for the exact sort and deltas, is value_of built from its word.  So the
     report has the bytes of exact bucketing throughout.  Trials carry their
-    own derived seeds, so the report is identical for any jobs value."""
+    own derived seeds, so the report is identical for any jobs value.
+    A resolution that is not finite or is below 2^-1023 raises ValueError: from 2^-1023 up,
+    floor(c / resolution) is a float for every coordinate c in [0, 1)."""
+    if not (math.isfinite(resolution) and resolution >= 2.0 ** -1023):
+        raise ValueError(f"resolution must be finite and at least 2^-1023, got {resolution!r}")
     field = spec.field
     if spec.is_zero:
         raise ZeroHomoclinicPoint("zero parameter")

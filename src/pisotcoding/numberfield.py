@@ -6,8 +6,7 @@ terms.  Each ring operation works on the integers and reduces once, by one
 gcd; .coords is the rational view.  The norm is the fraction-free
 determinant (polyops.mat_det) of the integer multiplication matrix.  Every
 quotient, the inverse too, is one _divide: Cramer's rule on cofactors from
-one memoised Laplace expansion, with no division before the final gcd, or
-for a wide dividend and divisor a guess mod a prime, checked exactly.
+one memoised Laplace expansion, with no division before the final gcd.
 Zero tests are numerator tests.
 Every sign, floor and float value is decided in integers: for K bits the
 field's one store, NumberField.derived, keeps integers L_i with L_i <= 2^K
@@ -41,7 +40,6 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 _PRECISION_CAP = 1 << 16  # bits; safety valve, not a tuning knob
 _FIXED_BITS = 64  # the smallest fixed-point table; larger ones double it
-_MODULUS = (1 << 127) - 1  # a prime: wider quotients are first guessed modulo it
 
 
 @dataclass(frozen=True)
@@ -226,19 +224,6 @@ class FieldElement:
         return f"<{body}{approx}>"
 
 
-def _lift(u, q):
-    """(a, b) with a == b u (mod q, a prime), |a| <= B and 0 < b <= B for
-    B = sqrt(q/2), or None: the half-extended Euclid on (q, u), stopped at
-    the first remainder <= B; 2 B^2 < q makes such a fraction unique (Wang)."""
-    bound = math.isqrt(q >> 1)
-    r0, r1, t0, t1 = q, u, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    if abs(t1) <= bound:
-        return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
 def _floor_rule(lo, hi, scale):
     f = lo // scale
     return f if f == hi // scale else None
@@ -411,23 +396,8 @@ class NumberField:
         return self._divide([a.den] + [0] * (self.m - 1), a.nums)
 
     def _divide(self, num, den):
-        """sum(num_i beta^i) / sum(den_i beta^i) in lowest terms (den != 0).  For
-        num and den both wider than q = _MODULUS (a long periodic value, not
-        the inverse of a wide element, whose quotient is as wide as den), first
-        a guess z/d: the quotient mod q by the cofactors of den mod q, each
-        coordinate lifted to a/b (_lift), d the lcm of the b's, taken only if
-        den * z == d * num exactly; else Cramer."""
-        q = _MODULUS
-        if max(map(abs, den)) > q and max(map(abs, num)) > q:
-            cof, det = self._cofactors([x % q for x in den])
-            if det % q:
-                inv = pow(det, -1, q)
-                lifted = [_lift(x * inv % q, q) for x in self._mul_nums([x % q for x in num], cof)]
-                if None not in lifted:
-                    d = math.lcm(*(b for _, b in lifted))
-                    z = [a * (d // b) for a, b in lifted]
-                    if self._mul_nums(den, z) == [d * x for x in num]:
-                        return self._from_nums(z, d)
+        """sum(num_i beta^i) / sum(den_i beta^i) in lowest terms (den != 0), by
+        Cramer: num times the cofactors of den, over their determinant."""
         cof, det = self._cofactors(den)
         return self._from_nums(self._mul_nums(num, cof), det)
 

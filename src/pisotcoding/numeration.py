@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import mul
 
 from . import polyops
@@ -282,10 +282,16 @@ def _window_columns(field, length, offset):
 
 
 def _column_value(field, word, cols):
-    """The value of word from its window's columns (_window_columns): m dot
-    products in C of its nonzero digits against the entries at their places."""
-    nonzero = list(compress(word, word))  # a list, as in _word_nums
-    return field._from_nums([sum(map(mul, nonzero, compress(col, word))) for col in cols])
+    """The value of word from its window's columns (_window_columns)."""
+    return field._from_nums(_leaf_nums(word, cols))
+
+
+def _leaf_nums(digits, cols):
+    """m dot products in C of the nonzero digits against their entries in each column of cols."""
+    nonzero = list(compress(digits, digits))  # not a tuple: CPython keeps thousands of freed short ones
+    if nonzero.count(1) == len(nonzero):  # 0/1 digits: the sums of the entries they select
+        return [sum(compress(col, digits)) for col in cols]
+    return [sum(map(mul, nonzero, compress(col, digits))) for col in cols]
 
 
 _LEAF = 256  # digits summed directly from the columns of beta^0 .. beta^(_LEAF-1)
@@ -309,39 +315,84 @@ def _word_nums(field, word, lo, hi, cols):
     by binary splitting: nums(uv) = nums(u) * beta^|v| + nums(v), where v
     is the largest power-of-two number of _LEAF-digit blocks shorter than
     uv, so every beta^|v| is some beta^(_LEAF * 2^j), shared by all words
-    through the field's power cache.  A leaf of at most _LEAF digits is m
-    dot products in C: its nonzero digits, reversed, against the entries at
-    their places in each column of cols (_leaf_columns)."""
+    through the field's power cache.  A leaf of at most _LEAF digits is its
+    digits, reversed, against cols (_leaf_columns, _leaf_nums).  A long
+    period takes these products only where its checked guess fails."""
     if hi - lo <= _LEAF:
-        rev = word[lo:hi][::-1]
-        nonzero = list(compress(rev, rev))  # not a tuple: CPython keeps thousands of freed short ones
-        return [sum(map(mul, nonzero, compress(col, rev))) for col in cols]
+        return _leaf_nums(word[lo:hi][::-1], cols)
     mid = hi - (_LEAF << ((-((lo - hi) // _LEAF) - 1).bit_length() - 1))
     left = field._mul_nums(_word_nums(field, word, lo, mid, cols), field.pow_beta(hi - mid).nums)
     return [a + b for a, b in zip(left, _word_nums(field, word, mid, hi, cols))]
+
+
+_MODULUS = (1 << 127) - 1  # a prime: long periodic values are first guessed modulo it
+
+
+def _lift(u, q):
+    """(a, b) with a == b u (mod q, a prime), |a| <= B and 0 < b <= B for
+    B = sqrt(q/2), or None: the half-extended Euclid on (q, u), stopped at
+    the first remainder <= B; 2 B^2 < q makes such a fraction unique (Wang)."""
+    bound = math.isqrt(q >> 1)
+    r0, r1, t0, t1 = q, u, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    if abs(t1) <= bound:
+        return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _checked_guess(field, per, cols):
+    """Q / (beta^p - 1) for Q = nums(per) and p = len(per), or None.  Leaves C: the first p mod
+    _LEAF (or _LEAF) digits, then _LEAF at a time.  Guess mod q = _MODULUS: Q by Horner's rule on the
+    leaves, beta^p by square and multiply, the quotient by the cofactors, each coordinate lifted to
+    a/b (_lift), z/d over the lcm d of the b's.  Proof: the walk Y <- beta^l Y - d C over the leaves
+    (l digits each) from Y = z ends at beta^p z - d Q, so at z exactly when z/d is the quotient."""
+    q, p = _MODULUS, len(per)
+    first = p % _LEAF or _LEAF
+    leaves = [_leaf_nums(per[max(hi - _LEAF, 0):hi][::-1], cols) for hi in range(first, p + 1, _LEAF)]
+    head, step = (field._num_matrix(field.pow_beta(n).nums) for n in (first, _LEAF))
+    acc = [x % q for x in leaves[0]]
+    for c in leaves[1:]:
+        acc = [(sum(map(mul, row, acc)) + b) % q for row, b in zip(step, c)]
+
+    def mul_mod(a, b):
+        return [x % q for x in field._mul_nums(a, b)]
+
+    den = polyops.power(field.pow_beta(_LEAF).nums, len(leaves) - 1, mul_mod, field.pow_beta(first).nums)  # beta^p
+    den[0] -= 1
+    cof, det = field._cofactors(den)
+    if det % q:
+        inv = pow(det, -1, q)
+        lifted = [_lift(x * inv % q, q) for x in field._mul_nums(acc, cof)]
+        if None not in lifted:
+            d = math.lcm(*(b for _, b in lifted))
+            y = z = [a * (d // b) for a, b in lifted]
+            for rows, c in zip(chain((head,), repeat(step)), leaves):  # each Y is d times an orbit point
+                y = [sum(map(mul, row, y)) - d * b for row, b in zip(rows, c)]
+            if y == z:
+                return field._from_nums(z, d)
+    return None
 
 
 def expansion_value(field, exp):
     """Exact value of an eventually periodic expansion: with P = nums(pre)
     and Q = nums(per) from _word_nums and p = len(per),
 
-        value = beta^-|pre| * (P + Q / (beta^p - 1))
-              = (P * (beta^p - 1) + Q) / ((beta^p - 1) * beta^|pre|),
+        value = beta^-|pre| * (P + Q / (beta^p - 1)).
 
-    one NumberField._divide: a guess modulo a fixed prime, checked exactly,
-    for a long period, else the cofactors.  O(M(n) log n) for n = len(pre) + len(per)."""
+    A period of more than one leaf is first a checked guess, linear in its digits
+    (_checked_guess); else, or if that fails, binary splitting and one NumberField._divide
+    by the exact beta^p - 1, O(M(n) log n) for n = len(pre) + len(per)."""
     pre, per = exp.pre, exp.per
     if not per:
         return value_of(field, pre)
     cols = _leaf_columns(field)
-    den = list(field.pow_beta(len(per)).nums)
-    den[0] -= 1
-    num = _word_nums(field, per, 0, len(per), cols)
+    value = _checked_guess(field, per, cols) if len(per) > _LEAF else None
+    if value is None:
+        value = field._divide(_word_nums(field, per, 0, len(per), cols), (field.pow_beta(len(per)) - 1).nums)
     if pre:
-        shifted = field._mul_nums(_word_nums(field, pre, 0, len(pre), cols), den)
-        num = [a + b for a, b in zip(shifted, num)]
-        den = field._mul_nums(den, field.pow_beta(len(pre)).nums)
-    return field._divide(num, den)
+        value = (field._from_nums(_word_nums(field, pre, 0, len(pre), cols)) + value) * field.pow_beta(-len(pre))
+    return value
 
 
 # -- greedy expansion ---------------------------------------------------------

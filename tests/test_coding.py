@@ -416,6 +416,25 @@ class TestInjectivity:
         b = numeration._block_limit(golden)
         assert 0 < walked[0] <= kept[0] + (b - 1) * windows[0]
 
+    @pytest.mark.parametrize(
+        "resolution",
+        [0.0, -0.0, -0.5, math.inf, -math.inf, math.nan, 2.0 ** -1024, 2.0 ** -1030, 2.0 ** -1074],
+    )
+    def test_unusable_resolution_raises_value_error(self, golden, golden_cert, resolution):
+        # zero, negative, infinite, NaN, or below 2^-1023, where floor(c / resolution)
+        # leaves float range for some coordinate c in [0, 1)
+        spec = HomoclinicSpec(golden, golden.xi0)
+        with pytest.raises(ValueError, match="resolution must be finite and at least 2"):
+            injectivity_experiment(spec, 8, 5, resolution=resolution, certificate=golden_cert)
+
+    def test_finest_cli_resolution_runs(self, golden, golden_cert):
+        # --resolution-bits 1023 passes 2^-1023, a subnormal, which still buckets every window
+        from oracles import searched_injectivity_report
+
+        spec = HomoclinicSpec(golden, golden.xi0)
+        rep = injectivity_experiment(spec, 8, 5, resolution=2.0 ** -1023, certificate=golden_cert)
+        assert rep == searched_injectivity_report(spec, 8, 5, 2.0 ** -1023, 0)
+
 
 class TestTruncation:
     @pytest.mark.parametrize(("name", "forced_b"), [

@@ -29,7 +29,7 @@ from pisotcoding import (
     is_irreducible,
     make_field,
 )
-from pisotcoding import polyops
+from pisotcoding import numeration, polyops
 
 
 class TestMakeField:
@@ -188,12 +188,12 @@ class TestRingOps:
 
     def test_wide_invert_skips_the_modular_guess(self, quartic, monkeypatch):
         # 1/a for a = beta^400 + k (184-bit numerators) is as wide as a, so no
-        # guess mod q could lift; a.den, the numerator of the quotient, is
-        # narrow, and Cramer alone decides it
-        monkeypatch.setattr(nf, "_lift", lambda u, q: pytest.fail("modular guess tried"))
+        # guess mod q could lift; the guess belongs to periodic values alone,
+        # and Cramer alone decides the inverse
+        monkeypatch.setattr(numeration, "_lift", lambda u, q: pytest.fail("modular guess tried"))
         for k in range(1, 41):
             a = quartic.pow_beta(400) + k
-            assert max(map(abs, a.nums)) > nf._MODULUS
+            assert max(map(abs, a.nums)) > numeration._MODULUS
             cof, det = quartic._cofactors(a.nums)
             cramer = quartic._from_nums(quartic._mul_nums([a.den, 0, 0, 0], cof), det)
             assert quartic.invert(a) == cramer
@@ -668,4 +668,4 @@ def test_lift_finds_exactly_the_small_fractions(q):
     small = {a * pow(b, -1, q) % q: (a, b) for a, b in fracs}
     assert len(small) == len(fracs)  # distinct residues: 2 bound^2 < q
     for u in range(q):
-        assert nf._lift(u, q) == small.get(u), u
+        assert numeration._lift(u, q) == small.get(u), u

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -27,7 +28,7 @@ from oracles import (
     suffix_scan_admissible,
     word_compare,
 )
-from pisotcoding import numberfield, numeration
+from pisotcoding import numeration
 from pisotcoding import (
     Expansion,
     OutOfRange,
@@ -431,15 +432,16 @@ def _spy_cofactors(monkeypatch):
 
 
 def test_long_period_value_is_a_checked_guess(monkeypatch):
-    # den = (beta^88920 - 1) beta^14 has 41k-bit numerators; the value's
-    # coordinates 1/2, -1/5, 1/7 lift from their residues mod q, and no
-    # cofactor expansion of the wide den is taken
+    # beta^88920 - 1 has 41k-bit numerators; the periodic part's coordinates,
+    # over the denominator 70, lift from their residues mod q, no cofactor
+    # expansion of a wide den is taken, and beta^88920 is never built
     field = make_field((1, 0, 0, 1))
     x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
     exp = beta_expand(x)
     widths = _spy_cofactors(monkeypatch)
     assert expansion_value(field, exp) == x
-    assert widths and max(widths) <= numberfield._MODULUS, [w.bit_length() for w in widths]
+    assert widths and max(widths) <= numeration._MODULUS, [w.bit_length() for w in widths]
+    assert ("pow_beta", len(exp.per)) not in field._derived
 
 
 def test_high_periodic_value_takes_the_cofactors(monkeypatch):
@@ -451,9 +453,75 @@ def test_high_periodic_value_takes_the_cofactors(monkeypatch):
     per = tuple(rng.randint(0, 1) for _ in range(400))
     widths = _spy_cofactors(monkeypatch)
     value = expansion_value(field, Expansion((), per))
-    assert max(widths) > numberfield._MODULUS
+    assert max(widths) > numeration._MODULUS
     assert max(map(abs, (*value.nums, value.den))).bit_length() > 128
     assert value * (field.pow_beta(400) - field.one) == value_of(field, per, 400)
+
+
+def _spy_guesses(monkeypatch, off_by_one=False):
+    """Return the list of what each _checked_guess returns; with off_by_one,
+    lift the first coordinate of every guess to (a + 1) / b in place of a / b."""
+    guess, lift, guesses, lifts = numeration._checked_guess, numeration._lift, [], []
+
+    def spied_guess(*args):
+        lifts.clear()
+        guesses.append(guess(*args))
+        return guesses[-1]
+
+    def off_by_one_lift(u, q):
+        lifts.append(lift(u, q))
+        return (lifts[0][0] + 1, lifts[0][1]) if len(lifts) == 1 and lifts[0] else lifts[-1]
+
+    monkeypatch.setattr(numeration, "_checked_guess", spied_guess)
+    if off_by_one:
+        monkeypatch.setattr(numeration, "_lift", off_by_one_lift)
+    return guesses
+
+
+def test_off_by_one_lift_falls_back_to_the_exact_value(monkeypatch):
+    # the quartic's 88,920-digit period lifted one off in one coordinate: the
+    # walk does not return to z, and binary splitting and the cofactors give x
+    field = _field((1, 0, 0, 1))
+    x = field.element([Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7), 0])
+    exp = beta_expand(x)
+    guesses = _spy_guesses(monkeypatch, off_by_one=True)
+    assert expansion_value(field, exp) == x
+    assert guesses == [None]
+
+
+@pytest.mark.parametrize("kvec", VALUE_FIELDS)
+def test_signed_digit_long_periods_match_horner(kvec, monkeypatch):
+    # random signed-digit periods of 257-1,200 digits, whose wide values no
+    # guess lifts, and short signed words repeated to that length, whose small
+    # values' guesses are taken, with the true lift and then with one
+    # coordinate off by one, which no guess survives: each value satisfies
+    # the Horner identity
+    field = _field(kvec)
+    rng = random.Random(f"signed periods/{kvec}")
+    for off_by_one in (False, True):
+        guesses = _spy_guesses(monkeypatch, off_by_one)
+        for _ in range(3):
+            p = rng.randint(257, 1200)
+            word = [rng.randint(-2, 3) for _ in range(rng.randint(1, 8))]
+            for per in (tuple(rng.randint(-2, 3) for _ in range(p)), tuple(word * -(-p // len(word)))):
+                v = expansion_value(field, Expansion((), per))
+                Q = field.element(horner_value(kvec, per, len(per)))
+                assert v * (field.pow_beta(len(per)) - 1) == Q, (off_by_one, per)
+        assert [g is not None for g in guesses] == [False, not off_by_one] * 3, off_by_one
+
+
+@settings(max_examples=60)
+@given(k=st.sampled_from(VALUE_FIELDS + [(1,) * 8]), data=st.data())
+def test_leaf_sums_match_the_products(k, data):
+    # a leaf of 0/1 digits sums the column entries it selects; words over
+    # {0, 1}, over {0..floor(beta)} and with negative digits give the plain
+    # dot products of the digits against each column
+    field = _field(k)
+    cols = numeration._leaf_columns(field)
+    top = field.floor_beta
+    for digits in (st.integers(0, 1), st.integers(0, top), st.integers(-top - 1, top)):
+        word = tuple(data.draw(st.lists(digits, max_size=numeration._LEAF)))
+        assert numeration._leaf_nums(word, cols) == [sum(map(operator.mul, word, col)) for col in cols]
 
 
 def test_hundred_thousand_digit_period_value(quartic):
@@ -464,12 +532,15 @@ def test_hundred_thousand_digit_period_value(quartic):
     assert expansion_value(quartic, exp) == x
 
 
-def _divide_route(widths, lifted):
-    """How one _divide went, from the _cofactors calls and the _lift results
-    it made: one call alone is the narrow route or an accepted guess; two
-    calls are a guess that fell back, with nothing lifted when det = 0 mod q."""
-    if len(widths) == 1:
-        return "accepted" if lifted else "narrow"
+def _guess_route(guesses, lifted):
+    """How one periodic value went, from its _checked_guess and _lift results:
+    no guess is the narrow route (one leaf, the cofactors alone); a guess
+    returned is accepted; else it fell back to binary splitting and the
+    cofactors, with nothing lifted when det = 0 mod q."""
+    if not guesses:
+        return "narrow"
+    if guesses[-1] is not None:
+        return "accepted"
     if not lifted:
         return "singular"
     return "no lift" if None in lifted else "false guess"
@@ -489,9 +560,9 @@ def test_value_with_forced_wrong_guesses_matches_horner(k, q, data):
     field = _field(k)
     digits = st.integers(0, field.floor_beta)
     pre = tuple(data.draw(st.lists(digits, max_size=40)))
-    per = tuple(data.draw(st.lists(digits, min_size=1, max_size=200)))
+    per = tuple(data.draw(st.lists(digits, min_size=1, max_size=3 * numeration._LEAF)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numberfield, "_MODULUS", q)
+        mp.setattr(numeration, "_MODULUS", q)
         v = expansion_value(field, Expansion(pre, per))
     P = field.element(horner_value(k, pre, len(pre)))
     Q = field.element(horner_value(k, per, len(per)))
@@ -501,29 +572,34 @@ def test_value_with_forced_wrong_guesses_matches_horner(k, q, data):
 def test_forced_wrong_guesses_reach_every_route(monkeypatch):
     # seeded points of small denominator and random words under the small
     # moduli: each value equals the point or the Horner identity, whichever
-    # route _divide took, and every route is taken
+    # route the periodic value took, and every route is taken
     rng = random.Random("forced wrong guesses")
-    widths = _spy_cofactors(monkeypatch)
-    lift, lifted = numberfield._lift, []
+    guess, guesses = numeration._checked_guess, []
+    lift, lifted = numeration._lift, []
+
+    def spied_guess(*args):
+        guesses.append(guess(*args))
+        return guesses[-1]
 
     def spied_lift(u, q):
         lifted.append(lift(u, q))
         return lifted[-1]
 
-    monkeypatch.setattr(numberfield, "_lift", spied_lift)
+    monkeypatch.setattr(numeration, "_checked_guess", spied_guess)
+    monkeypatch.setattr(numeration, "_lift", spied_lift)
     routes = set()
 
     def value_and_route(field, exp):
-        widths.clear()
+        guesses.clear()
         lifted.clear()
         value = expansion_value(field, exp)
-        routes.add(_divide_route(widths, lifted))
+        routes.add(_guess_route(guesses, lifted))
         return value
 
     for k in VALUE_FIELDS + [(1,) * 8]:
         field = _field(k)
         for q in _SMALL_MODULI:
-            monkeypatch.setattr(numberfield, "_MODULUS", q)
+            monkeypatch.setattr(numeration, "_MODULUS", q)
             for _ in range(6):
                 den = rng.randint(2, 12)
                 x = field.element([Fraction(rng.randrange(1, den), den)] + [0] * (field.m - 1))
@@ -533,7 +609,7 @@ def test_forced_wrong_guesses_reach_every_route(monkeypatch):
                     continue
                 if exp.per:
                     assert value_and_route(field, exp) == x, (k, q, x)
-            per = tuple(rng.randint(0, field.floor_beta) for _ in range(rng.randint(1, 120)))
+            per = tuple(rng.randint(0, field.floor_beta) for _ in range(rng.randint(1, 3 * numeration._LEAF)))
             v = value_and_route(field, Expansion((), per))
             assert v * (field.pow_beta(len(per)) - 1) == value_of(field, per, len(per)), (k, q)
     assert routes == {"narrow", "accepted", "singular", "no lift", "false guess"}, routes
