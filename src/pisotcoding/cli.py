@@ -467,6 +467,10 @@ _positive_list.__name__ = "comma-separated int"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")  # "-1/3" is an element, not an option
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -320,11 +320,11 @@ class NumberField:
 
     @property
     def zero(self):
-        return self.from_rational(0)
+        return self.derived(("zero",), lambda: self.from_rational(0))
 
     @property
     def one(self):
-        return self.from_rational(1)
+        return self.derived(("one",), lambda: self.from_rational(1))
 
     @property
     def beta(self):
@@ -351,7 +351,7 @@ class NumberField:
 
     @property
     def floor_beta(self):
-        return self.floor(self.beta)
+        return self.derived(("floor_beta",), lambda: self.floor(self.beta))
 
     # -- exact ring operations ----------------------------------------------
 

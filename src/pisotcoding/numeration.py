@@ -8,16 +8,16 @@ repetition.  Every digit comes from one greedy walk on integer numerators
 (_greedy_orbit), which carries a fixed-point enclosure from step to step
 and takes the exact step (_greedy_step, NumberField._decide) wherever that
 cannot settle the floor, or steps b digits by one certified bisection in
-a table of word values (the length-b cylinders tile [0, 1) in order).  A
-long orbit takes blocks of a b dividing r_s, the arithmetic period of its
-state mod den, which divides its period: the first repeat among block
-boundaries is then one period back, and a scan back from it finds the
-least preperiod (_expand_orbit); those digits wait in a byte buffer, one
-byte a digit, until the pre and per tuples are built.  Where a greedy
-orbit ends (Z_beta, the coding kernels, the carry length) is asked of one
-memoised orbit walk (_orbit_class); whether it ends by digit n (the tail
-rows of shift), of the ceil(n / b) blocks that window truncation walks
-too (_window_walk).
+a table of word values (the length-b cylinders tile [0, 1) in order).  An
+orbit over den > 1 takes, from its first digit, blocks of a b dividing r_s,
+the arithmetic period of its state mod den, which divides its period: the
+first repeat among block boundaries is then one period back, and a scan
+back from it finds the least preperiod (_expand_orbit); those digits wait
+in a byte buffer, one byte a digit, until the pre and per tuples are
+built.  Where a greedy orbit ends (Z_beta, the coding kernels, the carry
+length) is asked of one memoised orbit walk (_orbit_class); whether it
+ends by digit n (the tail rows of shift), of the ceil(n / b) blocks that
+window truncation walks too (_window_walk).
 Every admissibility question (words, expansions, word enumeration, splice
 checks, and the automaton in shift) goes through one rule, Parry's
 single-track automaton read off the quasi-greedy d (_parry_walk).
@@ -380,16 +380,20 @@ def expansion_value(field, exp):
 
         value = beta^-|pre| * (P + Q / (beta^p - 1)).
 
-    A period of more than one leaf is first a checked guess, linear in its digits
-    (_checked_guess); else, or if that fails, binary splitting and one NumberField._divide
-    by the exact beta^p - 1, O(M(n) log n) for n = len(pre) + len(per)."""
+    A period of at most one leaf takes Q times the cofactors of beta^p - 1 over their
+    determinant, the element NumberField._divide gives, from the store entry
+    ("period_cofactors", p).  A longer one is first a checked guess, linear in its digits
+    (_checked_guess); if that fails, binary splitting and one _divide by the exact
+    beta^p - 1, O(M(n) log n) for n = len(pre) + len(per)."""
     pre, per = exp.pre, exp.per
     if not per:
         return value_of(field, pre)
-    cols = _leaf_columns(field)
-    value = _checked_guess(field, per, cols) if len(per) > _LEAF else None
-    if value is None:
-        value = field._divide(_word_nums(field, per, 0, len(per), cols), (field.pow_beta(len(per)) - 1).nums)
+    cols, p = _leaf_columns(field), len(per)
+    if p <= _LEAF:
+        cof, det = field.derived(("period_cofactors", p), lambda: field._cofactors((field.pow_beta(p) - 1).nums))
+        value = field._from_nums(field._mul_nums(_word_nums(field, per, 0, p, cols), cof), det)
+    elif (value := _checked_guess(field, per, cols)) is None:
+        value = field._divide(_word_nums(field, per, 0, p, cols), (field.pow_beta(p) - 1).nums)
     if pre:
         value = (field._from_nums(_word_nums(field, pre, 0, len(pre), cols)) + value) * field.pow_beta(-len(pre))
     return value
@@ -401,50 +405,37 @@ def expansion_value(field, exp):
 def beta_expand(x, orbit_cap=DEFAULT_ORBIT_CAP):
     """Canonical expansion of x in [0, 1), exact digits and exact periodicity."""
     field = x.field
-    if field.sign(x) < 0 or not (x < field.one):
+    if field._floor_nums(x.nums, x.den) != 0:  # one exact floor decides 0 <= x < 1
         raise OutOfRange("beta_expand requires 0 <= x < 1")
     return _expand_orbit(field, x.nums, x.den, orbit_cap)
-
-
-_BLOCK_START = 128  # single steps first, past the typical short orbit; 64 to 256 measured alike
 
 
 def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exceeded the cap"):
     """Greedy orbit of nums / den in [0, 1) with a fixed denominator (kept by
     the greedy map) as pre, per; OrbitCapExceeded iff max(1, |pre| + |per|)
-    > orbit_cap.  Distinct states have distinct tails, so the first repeat
-    closes the least preperiod and a primitive period, and the digit that
-    reaches state 0 is nonzero unless x = 0.  Past _BLOCK_START digits it
-    walks blocks of the largest b <= _block_limit dividing r_s
-    (_period_divisors, a few products mod den once its tests are built):
-    T^p x = x puts (beta^p - 1) x in Z[beta], so r_s | p, the same r_s for
-    every state (each is beta^t s mod den), and never a 0 state if r_s > 1.
-    So the first repeat among block boundaries lies exactly p digits back,
-    and the least preperiod k is found by scanning back: x_(t-1) = (x_t +
-    d_t) / beta, so states equal at t and t + p are equal at t - 1 iff d_t
-    = d_(t+p)."""
-    digits, seen = [], {tuple(nums): 0}
-    for n, (dig, state) in enumerate(islice(_greedy_orbit(field, nums, den), orbit_cap), 1):
-        digits.append(dig)
-        if not any(state):
-            return Expansion(tuple(digits), ()) if dig else ZERO_EXPANSION
-        j = seen.setdefault(state, n)
-        if j < n:
-            return Expansion(tuple(digits[:j]), tuple(digits[j:]))
-        # den = 1 has r_s = 1; it is also the d-sequence's walk, which _block_limit reads
-        if n == _BLOCK_START and den > 1:
-            if (b := _period_divisors(field, state, den, _block_limit(field))[-1]) > 1:
-                break
-    else:
-        raise OrbitCapExceeded(cap_message)
+    > orbit_cap.  Distinct states have distinct tails, so a repeat closes a
+    period, and the digit that reaches state 0 is nonzero unless x = 0.
+    From the first digit it walks blocks of the largest b <= _block_limit
+    dividing r_s (_period_divisors, a few products mod den once its tests
+    are built; b = 1 for den = 1, the d-sequence's walk, which _block_limit
+    reads): T^p x = x puts (beta^p - 1) x in Z[beta], so r_s | p, the same
+    r_s for every state (each is beta^t s mod den), and never a 0 state if
+    r_s > 1.  So the first repeat among block boundaries lies exactly p
+    digits back, and the least preperiod k is found by scanning back: x_(t-1)
+    = (x_t + d_t) / beta, so states equal at t and t + p are equal at t - 1
+    iff d_t = d_(t+p)."""
+    b = _period_divisors(field, nums, den, _block_limit(field))[-1] if den > 1 else 1
     # b > 1 puts the d_1 (d_1 + 1) admissible words of length 2 within _BLOCK_WORDS: digits < 64
-    digits = bytearray(digits)  # one byte a digit until the tuples are built
-    seen, stop = {state: n}, n + b + orbit_cap  # a cycle with k + p <= orbit_cap repeats by then
-    for word, state in _greedy_orbit(field, state, den, b):
-        digits.extend(word)  # a bytes word or a fallback tuple
-        if (j := seen.setdefault(state, len(digits))) < len(digits) or len(digits) >= stop:
+    digits = bytearray() if b > 1 else []  # one byte a digit until the tuples are built
+    add = digits.extend if b > 1 else digits.append  # a bytes word, a fallback tuple, or a digit
+    seen = {tuple(nums): 0}  # b | p: the first repeat, at ceil((k + p) / b) b, comes by the cap's boundary
+    for word, state in _greedy_orbit(field, nums, den, b):
+        add(word)
+        if not any(state) and len(digits) <= orbit_cap:  # b = 1 here
+            return Expansion(tuple(digits), ()) if word else ZERO_EXPANSION
+        if (j := seen.setdefault(state, len(digits))) < len(digits) or len(digits) >= orbit_cap:
             break
-    k, p = j, len(digits) - j  # p = 0: no repeat by the stop
+    k, p = j, len(digits) - j  # p = 0: no repeat by the cap
     while p and k and digits[k - 1] == digits[k - 1 + p]:
         k -= 1
     if not p or k + p > orbit_cap:

@@ -148,6 +148,12 @@ class TestExitCodes:
             main(["sample", "1,1"])  # missing -n
         assert ei.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("element", ["1", "-1/3", "b"])
+    def test_expand_out_of_range_is_math_rejection(self, element, capsys):
+        # a leading minus and a digit is read as an element, not an option
+        assert main(["expand", "1,1", element]) == EXIT_MATH
+        assert capsys.readouterr().err == "rejected: beta_expand requires 0 <= x < 1\n"
+
     def test_bad_element_is_usage(self, capsys):
         assert main(["expand", "1,1", "nonsense^^"]) == EXIT_USAGE
 

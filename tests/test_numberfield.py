@@ -669,3 +669,16 @@ def test_lift_finds_exactly_the_small_fractions(q):
     assert len(small) == len(fracs)  # distinct residues: 2 bound^2 < q
     for u in range(q):
         assert numeration._lift(u, q) == small.get(u), u
+
+
+def test_field_constants_are_built_once(monkeypatch):
+    # floor(beta), 0 and 1 are store entries: one exact floor per field, and
+    # every read after the first returns the same element
+    field = make_field((3, 4, 1))  # fresh: nothing derived yet
+    decide, calls = nf.NumberField._decide, []
+    monkeypatch.setattr(nf.NumberField, "_decide", lambda *a: calls.append(a[3]) or decide(*a))
+    assert [field.floor_beta for _ in range(3)] == [4] * 3
+    assert calls.count(nf._floor_rule) == 1
+    assert field.zero is field.zero and field.one is field.one and field.pow_beta(0) is field.one
+    assert (field.zero.nums, field.zero.den, field.one.nums, field.one.den) == ((0, 0, 0), 1, (1, 0, 0), 1)
+    assert field.sign(field.one) == GREATER and len(calls) == 2

@@ -1188,6 +1188,10 @@ def test_orbit_split_is_canonical(k):
         exp = _expand_orbit(field, nums, den, 10 ** 6)
         assert exp == _exact_orbit_split(field, nums, den), (nums, den)
     assert _expand_orbit(field, (0,) * field.m, 3, 10 ** 6) is ZERO_EXPANSION
+    for x, want in ((field.zero, ZERO_EXPANSION), (field.pow_beta(-1), Expansion((1,), ()))):
+        assert _expand_orbit(field, x.nums, x.den, 1) == want  # state 0 after one digit: cap 1 passes, 0 raises
+        with pytest.raises(OrbitCapExceeded):
+            _expand_orbit(field, x.nums, x.den, 0)
 
 
 @settings(max_examples=120)
@@ -1378,26 +1382,22 @@ def _block_cases(field, rng, count, orbit_cap=2500):
 
 
 @pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, -1), (1, 0, 0, 1), (2, 2)])
-def test_block_split_matches_exact_walk(k, monkeypatch):
-    # _BLOCK_START moved down so short orbits take the block path: the
-    # switch lands before the preperiod ends, one block before the cycle
-    # closes and just before it; the cap rule holds at its edge
+def test_block_split_matches_exact_walk(k):
+    # blocks from the first digit, on short orbits too: the preperiod ends
+    # inside a block, the cycle closes at a boundary one period back, and
+    # the cap rule holds at its edge
     field = _field(k)
     limit = numeration._block_limit(field)
     blocked = deep = 0
-    for nums, den in _block_cases(field, random.Random(f"block_split/{k}"), 8):
+    for nums, den in _block_cases(field, random.Random(f"block_split/{k}"), 24):
         want = _exact_orbit_split(field, nums, den)
         deep += len(want.pre) > 8
         need = max(1, len(want.pre) + len(want.per))
-        b = numeration._period_divisors(field, nums, den, limit)[-1]
-        for start in sorted({8, max(1, need - b), max(1, need - 1)}):
-            monkeypatch.setattr(numeration, "_BLOCK_START", start)
-            blocked += b > 1 and start < need
-            assert _expand_orbit(field, nums, den, 10 ** 6) == want, (nums, den, start)
-            if start < need - 1:
-                assert _expand_orbit(field, nums, den, need) == want
-                with pytest.raises(OrbitCapExceeded):
-                    _expand_orbit(field, nums, den, need - 1)
+        blocked += numeration._period_divisors(field, nums, den, limit)[-1] > 1
+        assert _expand_orbit(field, nums, den, 10 ** 6) == want, (nums, den)
+        assert _expand_orbit(field, nums, den, need) == want
+        with pytest.raises(OrbitCapExceeded):
+            _expand_orbit(field, nums, den, need - 1)
     assert blocked >= 12 and (deep >= 2 or not field.is_unit_field)
 
 
@@ -1423,7 +1423,7 @@ def test_period_is_a_multiple_of_the_arithmetic_order(k):
 @pytest.mark.parametrize("k", [(1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1)])
 def test_default_block_start_matches_exact_walk(k):
     # the fields of the benchmark's expand workload, orbits of 100 to 2,048
-    # digits: past _BLOCK_START they take blocks at the default start
+    # digits: beta_expand walks them in blocks from the first digit
     field = _field(k)
     rng, limit = random.Random(f"block_start/{k}"), numeration._block_limit(field)
     checked = blocked = 0
@@ -1439,6 +1439,45 @@ def test_default_block_start_matches_exact_walk(k):
         blocked += numeration._period_divisors(field, x.nums, x.den, limit)[-1] > 1
         assert beta_expand(x) == want, (x.nums, x.den)
     assert checked == 12 and blocked >= 3, blocked
+
+
+EXPAND_KS = [(1, 1), (1, 1, 1), (0, 1, 1), (3, 4, 1), (3, -1), (1, 0, 0, 1)]  # the expand workload's fields
+
+
+@pytest.mark.parametrize("k", EXPAND_KS)
+def test_stored_period_cofactors_give_the_divide_element(k):
+    # a period of p <= _LEAF digits is valued from the stored (cof, det) of
+    # beta^p - 1: the element NumberField._divide gives, for every p
+    field = _field(k)
+    rng, cols = random.Random(f"period_cofactors/{k}"), numeration._leaf_columns(field)
+    for p in range(1, numeration._LEAF + 1):
+        per = tuple(rng.randint(0, field.floor_beta) for _ in range(p))
+        want = field._divide(numeration._word_nums(field, per, 0, p, cols), (field.pow_beta(p) - 1).nums)
+        got = expansion_value(field, Expansion((), per))
+        assert (got.nums, got.den) == (want.nums, want.den), p
+        assert field._derived[("period_cofactors", p)] == field._cofactors((field.pow_beta(p) - 1).nums)
+
+
+@pytest.mark.parametrize("k", EXPAND_KS)
+def test_range_check_agrees_with_compare(k):
+    # beta_expand takes x iff floor(x) = 0: the same verdict as sign and
+    # compare on both ends, at beta^-60 from either side and at rationals
+    # next to 0 and 1; a rejection keeps its type and message
+    field = _field(k)
+    tiny = field.pow_beta(-60)
+    points = [field.zero, field.one, field.beta - 1, tiny, field.one - tiny, -tiny]
+    for q in (2, 3, 7, 10 ** 6 + 3):
+        points += [field.from_rational(Fraction(n, q)) for n in (-1, 1, q - 1, q + 1)]
+    for x in points:
+        inside = field.sign(x) >= 0 and field.compare(x, field.one) < 0
+        if inside and x.den < 100:
+            assert expansion_value(field, beta_expand(x)) == x
+        elif inside:  # a long period: taken, then stopped by the cap
+            with pytest.raises(OrbitCapExceeded):
+                beta_expand(x, orbit_cap=100)
+        else:
+            with pytest.raises(OutOfRange, match=r"^beta_expand requires 0 <= x < 1$"):
+                beta_expand(x)
 
 
 def test_period_tests_built_once_per_denominator(monkeypatch):
@@ -1462,7 +1501,7 @@ def test_period_tests_built_once_per_denominator(monkeypatch):
         x = field._from_nums([1, rng.randint(1, den - 1), 0, 0], den)
         x = x - field.floor(x)
         exp = beta_expand(x)
-        assert len(exp.pre) + len(exp.per) > numeration._BLOCK_START and expansion_value(field, exp) == x
+        assert expansion_value(field, exp) == x
     assert counts == {21: 1, 35: 1, 24: 1}
 
 
