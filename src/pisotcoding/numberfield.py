@@ -605,13 +605,14 @@ def make_field(poly, precision=128, require_unit=False):
     Acceptance rests on one certificate, the certified root boxes (one real
     root above 1, every other root strictly inside the unit circle), and one
     exact cross-check, a Schur-Cohn disk count.  A Pisot certificate also
-    proves irreducibility, so the factor search runs only on rejection, to
-    name a witness: the error is Reducible (with a witness factor) if g
-    factors, else NotPisot (with the offending approximate root box).
-    Non-unit Pisot polynomials are allowed unless require_unit is set;
-    downstream coding and forms operations check the unit flag themselves.
+    proves irreducibility, so only a rejection seeks a factor: Reducible names
+    the least-degree one, found from the root boxes of g's squarefree part,
+    else NotPisot names the offending approximate root box.  A coefficient
+    that is not an integer is a ValueError.  Non-unit Pisot polynomials are
+    allowed unless require_unit is set; downstream coding and forms
+    operations check the unit flag themselves.
     """
-    k = poly.k if isinstance(poly, MinimalPolynomial) else tuple(int(c) for c in poly)
+    k = poly.k if isinstance(poly, MinimalPolynomial) else tuple(polyops.integer_coefficients(poly))
     if len(k) < 2:
         raise ValueError("degree must be at least 2")
     poly = MinimalPolynomial(k)
@@ -665,7 +666,8 @@ def _pisot_certificate(g, precision):
 
 def is_irreducible(coeffs_or_poly):
     """(True, None) if the monic integer polynomial has no monic integer
-    factorization, else (False, witness): polyops.irreducible_or_witness."""
+    factorization, else (False, witness), the least-degree factor read off the
+    root boxes of its squarefree part: polyops.irreducible_or_witness."""
     if isinstance(coeffs_or_poly, MinimalPolynomial):
         g = coeffs_or_poly.g_coeffs()
     else:

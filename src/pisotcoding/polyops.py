@@ -8,8 +8,10 @@ seeds supplied by callers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 
 from .errors import SchurCohnDegenerate
 
@@ -261,24 +263,26 @@ def _integer_divides(d, g):
     return not r
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            out.update({i, n // i, -i, -(n // i)})
-    return sorted(out)
+def integer_coefficients(coeffs):
+    """The coefficients as ints; ValueError names the first that is not an integer."""
+    if bad := [c for c in coeffs if c != int(c)]:
+        raise ValueError(f"coefficient {bad[0]} is not an integer")
+    return [int(c) for c in coeffs]
 
 
 def irreducible_or_witness(g):
-    """Irreducibility of a monic integer polynomial by bounded factor search.
+    """(True, None) for an irreducible monic integer polynomial g, else (False,
+    witness) with witness x if g(0) = 0, else the monic factor of least degree
+    d: x - r for the least integer root r if d = 1, else the least by
+    (c_1, ..., c_(d-1), c_0).  Being irreducible, it is a product of x - z over
+    distinct roots z of g / gcd(g, g'), whose certified boxes have centres
+    within 2^-bits of them.  As |z| < R = cauchy_bound(g), a product of
+    d <= m/2 centre factors has each coefficient off by less than
+    d (2R + 2)^(d-1) 2^-bits <= 1/2, so rounding finds every factor of degree
+    d, and _integer_divides keeps nothing else."""
+    from .numberfield import _certified_root_boxes  # numberfield imports polyops
 
-    Returns (True, None) or (False, witness) with witness a monic integer
-    factor in ascending coefficients.  Exhaustive over candidate monic factor
-    degrees d <= deg/2; candidate coefficients are constrained by the constant
-    term dividing g(0) and by binomial height bounds on divisor coefficients.
-    """
-    g = [int(x) for x in strip(g)]
+    g = integer_coefficients(strip(g))
     m = len(g) - 1
     if g[-1] != 1:
         raise ValueError("expected a monic integer polynomial")
@@ -286,39 +290,17 @@ def irreducible_or_witness(g):
         return True, None
     if g[0] == 0:
         return False, (0, 1)
-    # degree-1 factors: rational root theorem
-    for r in _divisors(g[0]):
-        if sign_at(g, r) == 0:
-            return False, (-r, 1)
-    radius = cauchy_bound(g)
-    r_ceil = int(radius) + 1
-    for d in range(2, m // 2 + 1):
-        bounds = [comb(d, d - i) * r_ceil ** (d - i) for i in range(d)]
-        const_candidates = _divisors(g[0])
-        witness = _search_factor(g, d, bounds, const_candidates)
-        if witness is not None:
-            return False, tuple(witness)
-    return True, None
-
-
-def _search_factor(g, d, bounds, const_candidates):
-    # candidate factor x^d + c_{d-1} x^{d-1} + ... + c_0, with c_0 | g(0)
-    mids = [range(-b, b + 1) for b in bounds[1:]]
-
-    def rec(idx, acc):
-        if idx == len(mids):
-            for c0 in const_candidates:
-                cand = [c0] + acc + [1]
-                if _integer_divides(cand, g):
-                    return cand
-            return None
-        for v in mids[idx]:
-            got = rec(idx + 1, acc + [v])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [])
+    q = poly_divmod(g, sturm_chain(g)[-1])[0]
+    bits = (m * (2 * ceil(cauchy_bound(g)) + 2) ** (m // 2)).bit_length() + 1
+    boxes = _certified_root_boxes([c / q[-1] for c in q], bits)
+    centres = [((b.re_lo + b.re_hi) / 2, (b.im_lo + b.im_hi) / 2) for b in boxes]
+    factors = [[-re, 1] if im == 0 else [re * re + im * im, -2 * re, 1] for re, im in centres if im >= 0]
+    found = set()
+    for chosen in itertools.chain.from_iterable(itertools.combinations(factors, k) for k in range(1, m // 2 + 1)):
+        cand = tuple(round(c) for c in functools.reduce(poly_mul, chosen))
+        if len(cand) <= m // 2 + 1 and _integer_divides(cand, g):
+            found.add(cand)
+    return not found, min(found, key=lambda c: (len(c), c[1:-1] + c[:1] if c[2:] else (-c[0],)), default=None)
 
 
 def frac_sqrt_lower(q):

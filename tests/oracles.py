@@ -766,3 +766,67 @@ def searched_injectivity_report(spec, n_digits, trials, resolution, seed, orbit_
     params = {"n_digits": n_digits, "trials": trials, "resolution": resolution, "seed": seed,
               "xi_over_xi0": [str(c) for c in spec.ratio.coords]}
     return InjectivityReport(params, histogram, mode, hits, near_misses, tuple(counterexamples), max_z, ok)
+
+
+def searched_factor_witness(g):
+    """Irreducibility of a monic integer polynomial by bounded factor search.
+
+    Returns (True, None) or (False, witness) with witness a monic integer
+    factor in ascending coefficients.  Exhaustive over candidate monic factor
+    degrees d <= deg/2; candidate coefficients are constrained by the constant
+    term dividing g(0) and by binomial height bounds on divisor coefficients.
+    """
+    from pisotcoding.polyops import _integer_divides, cauchy_bound, sign_at, strip
+
+    g = [int(x) for x in strip(g)]
+    m = len(g) - 1
+    if g[-1] != 1:
+        raise ValueError("expected a monic integer polynomial")
+    if m <= 1:
+        return True, None
+    if g[0] == 0:
+        return False, (0, 1)
+    # degree-1 factors: rational root theorem
+    for r in _divisors(g[0]):
+        if sign_at(g, r) == 0:
+            return False, (-r, 1)
+    radius = cauchy_bound(g)
+    r_ceil = int(radius) + 1
+    for d in range(2, m // 2 + 1):
+        bounds = [math.comb(d, d - i) * r_ceil ** (d - i) for i in range(d)]
+        const_candidates = _divisors(g[0])
+        witness = _search_factor(g, d, bounds, const_candidates)
+        if witness is not None:
+            return False, tuple(witness)
+    return True, None
+
+
+def _divisors(n):
+    n = abs(n)
+    out = set()
+    for i in range(1, math.isqrt(n) + 1):
+        if n % i == 0:
+            out.update({i, n // i, -i, -(n // i)})
+    return sorted(out)
+
+
+def _search_factor(g, d, bounds, const_candidates):
+    # candidate factor x^d + c_{d-1} x^{d-1} + ... + c_0, with c_0 | g(0)
+    from pisotcoding.polyops import _integer_divides
+
+    mids = [range(-b, b + 1) for b in bounds[1:]]
+
+    def rec(idx, acc):
+        if idx == len(mids):
+            for c0 in const_candidates:
+                cand = [c0] + acc + [1]
+                if _integer_divides(cand, g):
+                    return cand
+            return None
+        for v in mids[idx]:
+            got = rec(idx + 1, acc + [v])
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, [])

@@ -60,6 +60,11 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field([2])
 
+    def test_non_integral_k_rejected(self):
+        # (1.7, 1) used to be truncated to the golden field (1, 1)
+        with pytest.raises(ValueError, match="coefficient 1.7 is not an integer"):
+            make_field((1.7, 1))
+
 
 class TestIrreducibility:
     def test_examples(self):
@@ -67,6 +72,11 @@ class TestIrreducibility:
         ok, witness = is_irreducible([-4, 0, 1])
         assert not ok and tuple(witness) in {(-2, 1), (2, 1)}
         assert is_irreducible([-1, 0, 0, -1, 1])[0]
+
+    def test_non_integral_coefficient_is_rejected(self):
+        # x^2 + 1/2 used to be truncated to x^2 and named the factor x
+        with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
+            is_irreducible([Fraction(1, 2), 0, 1])
 
 
 # (k, error, witness): each rejection keeps the type it had when the factor
@@ -79,6 +89,8 @@ REJECTIONS = [
     ((1, -1, 1), Reducible, (-1, 1)),  # (x - 1)(x^2 + 1)
     ((1, 1, 1, -1), NotPisot, None),  # Salem: a complex pair on the unit circle
     ((0, 0, 0, 0, 0, 0, 1, 1), NotPisot, None),  # x^8 - x - 1
+    ((3, 0, -1, -1, -3, 2, 1, -1), Reducible, (-1, -1, 0, 0, 1)),  # (x^4 - x - 1)(x^4 - 3x^3 + 2x - 1)
+    ((0,) * 10 + (1, 1), NotPisot, None),  # x^12 - x - 1
 ]
 
 # theta of each accepted field, as certified with the factor search in place

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_horner, fraction_roots_in_disk
+from oracles import fraction_horner, fraction_roots_in_disk, searched_factor_witness
 from pisotcoding import polyops
 from pisotcoding.errors import SchurCohnDegenerate
 
@@ -175,6 +176,53 @@ def test_irreducibility_witness_x_minus_2():
     ok, witness = polyops.irreducible_or_witness([-4, 0, 1])
     assert not ok
     assert tuple(witness) in {(-2, 1), (2, 1)}
+
+
+def _product(*factors):
+    return functools.reduce(polyops.poly_mul, factors)
+
+
+def test_witness_matches_the_factor_search():
+    # products of random monic factors of degree 1-3, coefficients -2..2, each
+    # doubled with probability 0.3, total degree <= 6: the root-box witness is
+    # the one the bounded search finds first, or both say irreducible.  150
+    # products keep the search near 3 s
+    rng = random.Random(32)
+    for _ in range(150):
+        factors, deg = [], 0
+        while True:
+            f = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] + [1]
+            reps = 2 if rng.random() < 0.3 else 1
+            if factors and deg + reps * (len(f) - 1) > 6:
+                break
+            factors, deg = factors + [f] * reps, deg + reps * (len(f) - 1)
+            if rng.random() < 0.3:
+                break
+        g = _product(*factors)
+        assert polyops.irreducible_or_witness(g) == searched_factor_witness(g), g
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        ([-1, -1] + [0] * 10 + [1], (True, None)),  # x^12 - x - 1 (Selmer)
+        ([-2, 4000, -2000000, 0, 0, 0, 0, 0, 1], (True, None)),  # Mignotte: x^8 - 2 (1000x - 1)^2
+        (_product([-1, -10 ** 9, 1], [10 ** 9, 1, 1]), (False, (-1, -1000000000, 1))),
+        (_product(*[[-2, 0, 1]] * 4), (False, (-2, 0, 1))),  # (x^2 - 2)^4
+        (_product(*[[2, 1]] * 6), (False, (2, 1))),  # (x + 2)^6
+        (_product(*[[-1, 1]] * 4), (False, (-1, 1))),  # (x - 1)^4
+        ([4, 0, 0, 0, 1], (False, (2, -2, 1))),  # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
+        ([-6, 11, -6, 1], (False, (-1, 1))),  # (x - 1)(x - 2)(x - 3): the least root
+    ],
+)
+def test_witness_on_hard_inputs(g, expected):
+    assert polyops.irreducible_or_witness(g) == expected
+
+
+def test_non_integral_coefficient_is_rejected():
+    # x^2 + 1/2 has no factor x; the coefficient must not be truncated to 0
+    with pytest.raises(ValueError, match="coefficient 1/2 is not an integer"):
+        polyops.irreducible_or_witness([Fraction(1, 2), 0, 1])
 
 
 def test_sqrt_bounds():
