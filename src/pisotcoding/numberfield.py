@@ -606,11 +606,10 @@ def make_field(poly, precision=128, require_unit=False):
     root above 1, every other root strictly inside the unit circle), and one
     exact cross-check, a Schur-Cohn disk count.  A Pisot certificate also
     proves irreducibility, so only a rejection seeks a factor: Reducible names
-    the least-degree one, found from the root boxes of g's squarefree part,
-    else NotPisot names the offending approximate root box.  A coefficient
-    that is not an integer is a ValueError.  Non-unit Pisot polynomials are
-    allowed unless require_unit is set; downstream coding and forms
-    operations check the unit flag themselves.
+    the least-degree one, read off the root boxes of g's squarefree part, else
+    NotPisot names the offending root box.  Non-integer coefficients are a
+    ValueError.  Non-unit Pisot polynomials are allowed unless require_unit is
+    set; downstream coding and forms operations check the unit flag themselves.
     """
     k = poly.k if isinstance(poly, MinimalPolynomial) else tuple(polyops.integer_coefficients(poly))
     if len(k) < 2:
@@ -665,9 +664,8 @@ def _pisot_certificate(g, precision):
 
 
 def is_irreducible(coeffs_or_poly):
-    """(True, None) if the monic integer polynomial has no monic integer
-    factorization, else (False, witness), the least-degree factor read off the
-    root boxes of its squarefree part: polyops.irreducible_or_witness."""
+    """(True, None) if the monic integer polynomial is irreducible, else
+    (False, a least-degree factor): polyops.irreducible_or_witness."""
     if isinstance(coeffs_or_poly, MinimalPolynomial):
         g = coeffs_or_poly.g_coeffs()
     else:
@@ -704,9 +702,9 @@ def _ordered_float_roots(g, n_real):
 
 
 def _certified_root_boxes(g, prec):
-    """Isolating boxes of width <= 2^-prec in _ordered_float_roots order: sign
-    changes for real roots, exact-rational Newton plus a Weierstrass
-    a-posteriori radius for the rest."""
+    """Isolating boxes of width <= 2^-prec in _ordered_float_roots order, by sign
+    changes (real roots) and exact Newton with Weierstrass radii (the rest).
+    prec doubles while the boxes overlap, up to Mahler's root separation bound."""
     m = polyops.degree(g)
     width = Fraction(1, 2 ** prec)
     real_ivs = polyops.isolate_real_roots(g)
@@ -721,7 +719,6 @@ def _certified_root_boxes(g, prec):
     cplx = [(_dyadic(z.real, scale), _dyadic(z.imag, scale)) for z in uppers]
 
     gd = polyops.derivative(g)
-    radii = []
     for _ in range(64):
         cplx = [_newton_step(g, gd, re, im, scale) for re, im in cplx]
         pts = approx + [(re, im) for re, im in cplx] + [(re, -im) for re, im in cplx]
@@ -740,9 +737,14 @@ def _certified_root_boxes(g, prec):
 
     # Weierstrass: a disk disjoint from all m disks holds exactly one root
     disks = [Box(re - r, re + r, im - r, im + r) for (re, im), r in zip(pts, radii)]
-    if not (_pairwise_disjoint(boxes) and _pairwise_disjoint(disks)):
-        raise AssertionError("root boxes are not pairwise disjoint")
-    return boxes
+    if _pairwise_disjoint(boxes) and _pairwise_disjoint(disks):
+        return boxes
+    # Mahler: roots of g (scaled to integer G) lie over m^(-(m+2)/2) |G|_2^(1-m)
+    # apart; widths under a 4(m + 1)-th of that separate every box and disk
+    den = math.lcm(*(Fraction(c).denominator for c in g))
+    if 4 ** prec < 16 * (m + 1) ** 2 * m ** (m + 2) * sum((c * den) ** 2 for c in g) ** (m - 1):
+        return _certified_root_boxes(g, 2 * prec)
+    raise AssertionError("root boxes are not pairwise disjoint")
 
 
 def _pairwise_disjoint(boxes):

@@ -8,9 +8,9 @@ seeds supplied by callers.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, product
 from math import ceil, gcd, isqrt, lcm
 
 from .errors import SchurCohnDegenerate
@@ -250,16 +250,13 @@ def _count_unit_disk(c):
 
 def _integer_divides(d, g):
     """Exact test: does the monic integer polynomial d divide monic integer g?"""
-    r = [int(x) for x in strip(g)]
-    dd = [int(x) for x in strip(d)]
+    r, dd = strip(g), strip(d)
     while len(r) >= len(dd):
         f = r[-1]  # d is monic, so the quotient step stays integral
         off = len(r) - len(dd)
         for i, dc in enumerate(dd):
             r[i + off] -= f * dc
         r = strip(r)
-        if not r:
-            return True
     return not r
 
 
@@ -271,15 +268,13 @@ def integer_coefficients(coeffs):
 
 
 def irreducible_or_witness(g):
-    """(True, None) for an irreducible monic integer polynomial g, else (False,
-    witness) with witness x if g(0) = 0, else the monic factor of least degree
-    d: x - r for the least integer root r if d = 1, else the least by
-    (c_1, ..., c_(d-1), c_0).  Being irreducible, it is a product of x - z over
-    distinct roots z of g / gcd(g, g'), whose certified boxes have centres
-    within 2^-bits of them.  As |z| < R = cauchy_bound(g), a product of
-    d <= m/2 centre factors has each coefficient off by less than
-    d (2R + 2)^(d-1) 2^-bits <= 1/2, so rounding finds every factor of degree
-    d, and _integer_divides keeps nothing else."""
+    """(True, None) for an irreducible monic integer g, else (False, witness):
+    x if g(0) = 0, else the monic factor of least degree d, x - r for the least
+    root r if d = 1, else the least by (c_1, ..., c_(d-1), c_0).  It is a product
+    of x - z over roots z of g / gcd(g, g'), whose certified boxes have centres
+    within 2^-bits of them.  As |z| < R = cauchy_bound(g), d <= m/2 such centre
+    factors have coefficients off by < d (2R + 2)^(d-1) 2^-bits <= 1/2: rounding
+    finds every factor of degree d, and _integer_divides keeps nothing else."""
     from .numberfield import _certified_root_boxes  # numberfield imports polyops
 
     g = integer_coefficients(strip(g))
@@ -294,13 +289,20 @@ def irreducible_or_witness(g):
     bits = (m * (2 * ceil(cauchy_bound(g)) + 2) ** (m // 2)).bit_length() + 1
     boxes = _certified_root_boxes([c / q[-1] for c in q], bits)
     centres = [((b.re_lo + b.re_hi) / 2, (b.im_lo + b.im_hi) / 2) for b in boxes]
-    factors = [[-re, 1] if im == 0 else [re * re + im * im, -2 * re, 1] for re, im in centres if im >= 0]
-    found = set()
-    for chosen in itertools.chain.from_iterable(itertools.combinations(factors, k) for k in range(1, m // 2 + 1)):
-        cand = tuple(round(c) for c in functools.reduce(poly_mul, chosen))
-        if len(cand) <= m // 2 + 1 and _integer_divides(cand, g):
-            found.add(cand)
-    return not found, min(found, key=lambda c: (len(c), c[1:-1] + c[:1] if c[2:] else (-c[0],)), default=None)
+    linear = [[-re, 1] for re, im in centres if im == 0]
+    quadratic = [[re * re + im * im, -2 * re, 1] for re, im in centres if im > 0]
+    for d in range(1, m // 2 + 1):
+        found = []
+        for j in range(d // 2 + 1):  # j conjugate pairs and d - 2j real roots
+            for pairs, reals in product(combinations(quadratic, j), combinations(linear, d - 2 * j)):
+                cand = tuple(round(c) for c in reduce(poly_mul, pairs + reals))
+                if _integer_divides(cand, g):
+                    found.append(cand)
+        if found and d == 1:
+            return False, min(found, key=lambda c: -c[0])  # the least root
+        if found:
+            return False, min(found, key=lambda c: c[1:-1] + c[:1])
+    return True, None
 
 
 def frac_sqrt_lower(q):

@@ -91,6 +91,8 @@ REJECTIONS = [
     ((0, 0, 0, 0, 0, 0, 1, 1), NotPisot, None),  # x^8 - x - 1
     ((3, 0, -1, -1, -3, 2, 1, -1), Reducible, (-1, -1, 0, 0, 1)),  # (x^4 - x - 1)(x^4 - 3x^3 + 2x - 1)
     ((0,) * 10 + (1, 1), NotPisot, None),  # x^12 - x - 1
+    # x^3 - 2 (10^7 x - 1)^2 shifted by x -> x - 2: three real roots above 1, two very close
+    ((200000000000006, -800000040000012, 800000080000010), NotPisot, None),
 ]
 
 # theta of each accepted field, as certified with the factor search in place
@@ -118,6 +120,13 @@ class TestPisotCertificate:
             assert ei.value.factor == witness
             g = nf.MinimalPolynomial(k).g_coeffs()
             assert polyops.poly_divmod(g, list(witness))[1] == []
+
+    @pytest.mark.parametrize("k, error, witness", REJECTIONS[-3:])
+    def test_rejection_contract_at_precision_one(self, k, error, witness):
+        # boxes of width 1/2 do not separate these roots; they must refine, not fail
+        with pytest.raises(error) as ei:
+            make_field(k, precision=1)
+        assert getattr(ei.value, "factor", None) == witness
 
     @pytest.mark.parametrize("k, theta", ACCEPTED_THETA.items())
     def test_accepting_path_runs_no_factor_search(self, monkeypatch, k, theta):

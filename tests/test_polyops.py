@@ -213,6 +213,9 @@ def test_witness_matches_the_factor_search():
         (_product(*[[-1, 1]] * 4), (False, (-1, 1))),  # (x - 1)^4
         ([4, 0, 0, 0, 1], (False, (2, -2, 1))),  # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)
         ([-6, 11, -6, 1], (False, (-1, 1))),  # (x - 1)(x - 2)(x - 3): the least root
+        # x^3 - 2 (10^7 x - 1)^2: two real roots about 2^-57 apart, closer than 2^-bits
+        ([-2, 4 * 10 ** 7, -2 * 10 ** 14, 1], (True, None)),
+        (_product(*[[-i, 1] for i in range(1, 15)]), (False, (-1, 1))),  # (x - 1)...(x - 14)
     ],
 )
 def test_witness_on_hard_inputs(g, expected):
