@@ -26,7 +26,7 @@ class NotUnit(PisotCodingError):
 
 
 class PrecisionCapExceeded(PisotCodingError):
-    """Refinement hit the precision cap: the input needs more bits than the cap allows."""
+    """Newton refinement of the complex root boxes did not converge in its step budget."""
 
 
 class OrbitCapExceeded(PisotCodingError):

@@ -13,8 +13,8 @@ field's one store, NumberField.derived, keeps integers L_i with L_i <= 2^K
 beta^i <= L_i + w (i < m), rounded outward from the certified dominant-root
 interval (another entry), so the value is enclosed by sum(n_i L_i) +- w *
 sum(|n_i|) over den * 2^K.  An answer is returned only when that enclosure
-settles it, with K grown until it does; rational values are decided
-directly, so every comparison this module reports is exact.
+settles it, with K doubled until it does (by a bound from |N(y)| >= 1, _decide);
+rational values are decided directly, so every comparison here is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_PRECISION_CAP = 1 << 16  # bits; safety valve, not a tuning knob
 _FIXED_BITS = 64  # the smallest fixed-point table; larger ones double it
 
 
@@ -219,8 +218,8 @@ class FieldElement:
             body = f"integers up to {max(map(abs, (*self.nums, self.den))).bit_length()} bits"
         try:
             approx = f" ~ {float(self):.10g}"
-        except (OverflowError, PrecisionCapExceeded):
-            approx = ""  # beyond float range, or too close to 0 to resolve
+        except OverflowError:
+            approx = ""  # beyond float range
         return f"<{body}{approx}>"
 
 
@@ -436,19 +435,11 @@ class NumberField:
     # -- certified real embedding -------------------------------------------
 
     def beta_interval(self, prec):
-        """Dominant-root interval of width <= 2^-prec (exact endpoints): the root box
-        bisected to that width, so a function of prec alone.  The entries
-        ("beta_interval", p) lie on that one bisection tree, so resuming from the
-        largest p < prec, found on a copy of the store, gives the same endpoints."""
-
-        def build():
-            box = self.root_intervals[0]
-            coarser = [(key[1], iv) for key, iv in self._derived.copy().items()
-                       if key[0] == "beta_interval" and key[1] < prec]
-            lo, hi = max(coarser)[1] if coarser else (box.re_lo, box.re_hi)
-            return polyops.refine_root_interval(self._g, lo, hi, Fraction(1, 2 ** prec))
-
-        return self.derived(("beta_interval", prec), build)
+        """Dominant-root interval of width <= 2^-prec (exact endpoints): the cell that
+        bisecting the root box ends in, a function of prec alone, reached by Newton."""
+        box = self.root_intervals[0]
+        return self.derived(("beta_interval", prec), lambda: polyops.refine_root_interval(
+            self._g, box.re_lo, box.re_hi, Fraction(1, 1 << prec)))
 
     def root_boxes(self, prec):
         """Certified root boxes of width <= 2^-prec, in root_intervals order."""
@@ -488,8 +479,6 @@ class NumberField:
             if (ahi - alo) << prec <= scale:
                 return alo, ahi, scale
             rp *= 2
-            if rp > _PRECISION_CAP:
-                raise PrecisionCapExceeded("real_interval refinement cap hit")
 
     def float_value(self, a):
         """The real embedding of a as a float: the midpoint of the integer
@@ -519,19 +508,20 @@ class NumberField:
 
     def _decide(self, nums, den, rule):
         """rule(lo, hi, den << K) on an enclosure lo <= den 2^K x <= hi of
-        x = sum(nums[i] beta^i) / den, with K grown until rule answers.
-
-        K starts at _FIXED_BITS, or at the first doubling of it that exceeds
-        the bit length of sum(|n_i|) by 32, and doubles up to _PRECISION_CAP.
-        A rational x is decided exactly: an integer is never separated from
-        itself by an enclosure."""
+        x = sum(nums[i] beta^i) / den, K doubled from _enclosure's start until
+        rule answers; a rational x is decided exactly.  The doubling ends: a
+        nonzero y = sum(c_i beta^i) in Z[beta] has |N(y)| >= 1 and m - 1 other
+        conjugates of modulus <= sum|c_i| (beta is Pisot), so |y| >=
+        sum|c_i|^-(m-1).  A = sum|n_i| + (|f| + 1) den, f = floor(x), bounds
+        sum|c_i| for y = den x, den (x - f) and den (f + 1 - x), and the
+        half-width w sum|n_i| (w <= 2, _fixed_table) is at most 2^-54 of each
+        2^K |y| once K >= m bitlen(A) + bitlen(w) + 54, which settles every
+        rule: K never passes twice that bound or its start."""
         if not any(nums[1:]):
             return rule(nums[0], nums[0], den)  # exact: K = 0, no error
         s, e, bits, _, _ = self._enclosure(nums)
         while (got := rule(s - e, s + e, den << bits)) is None:
             bits <<= 1
-            if bits > _PRECISION_CAP:
-                raise PrecisionCapExceeded("fixed-point refinement cap hit")
             low, width, _ = self._fixed_table(bits)
             s, e = sum(map(mul, nums, low)), width * sum(map(abs, nums))
         return got
@@ -543,8 +533,6 @@ class NumberField:
         bits = _FIXED_BITS
         while bits < mag.bit_length() + 32:
             bits <<= 1
-        if bits > _PRECISION_CAP:
-            raise PrecisionCapExceeded("fixed-point refinement cap hit")
         low, width, b_hi = self._derived.get(("fixed", bits)) or self._fixed_table(bits)
         return sum(map(mul, nums, low)), width * mag, bits, low[1], b_hi
 
@@ -557,7 +545,7 @@ class NumberField:
 
         def build():
             hi0 = self.root_intervals[0].re_hi
-            guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # keeps w small
+            guard = (self.m * math.ceil(hi0) ** self.m).bit_length()  # hi^i - lo^i < 2^-bits, so w <= 2
             lo, hi = self.beta_interval(bits + guard)
             one = 1 << bits
             low = tuple(math.floor(lo ** i * one) for i in range(self.m))

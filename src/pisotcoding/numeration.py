@@ -36,8 +36,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import mul
 
 from . import polyops
-from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange, PrecisionCapExceeded
-from .numberfield import _FIXED_BITS, _PRECISION_CAP, FieldElement
+from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange
+from .numberfield import _FIXED_BITS, FieldElement
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
@@ -594,13 +594,12 @@ def _period_divisors(field, state, den, limit):
 
 
 def _period_tests(field, den, limit):
-    """(l, [matrix of beta^(N / l^(v-a)) mod den for a = 0, 1, ...]) for each
-    prime l <= limit; none where _period_divisors answers [1].  N = lcm over q^e || den of lcm(q^d - 1, d <=
-    m) q^(e-1+m) is a multiple of the order of beta mod den (a unit of
-    F_q[x]/(f^a), deg f = d, a <= m, has order dividing (q^d - 1) q^a, and
-    lifting to q^e multiplies that by at most q^(e-1)).  So r_s | N, and for
-    l prime, l^(a+1) | r_s iff beta^(N / l^(v-a)) s != s (mod den), v =
-    v_l(N), for every a < v with l^(a+1) <= limit."""
+    """(l, [matrix of beta^(N / l^(v-a)) mod den for a = 0, 1, ...]) for each prime
+    l <= limit dividing N; none where _period_divisors answers [1].  N = lcm over q^e || den
+    of lcm(q^d - 1, d <= m) q^(e-1+m) is a multiple of the order of beta mod den (a unit of
+    F_q[x]/(f^a), deg f = d, a <= m, has order dividing (q^d - 1) q^a, and lifting to q^e
+    multiplies that by at most q^(e-1)).  So r_s | N, and for l prime, l^(a+1) | r_s iff
+    beta^(N / l^(v-a)) s != s (mod den), v = v_l(N), for every a < v with l^(a+1) <= limit."""
     m, factors, rest = field.m, Counter(), den
     for q in range(2, _FACTOR_BOUND):
         while rest % q == 0:
@@ -615,7 +614,7 @@ def _period_tests(field, den, limit):
                             [1] + [0] * (m - 1))
         return [[x % den for x in row] for row in field._num_matrix(acc)]
 
-    primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p))]
+    primes = [p for p in range(2, limit + 1) if all(p % f for f in range(2, p)) and big % p == 0]
     vals = {ell: next(i for i in count() if big % ell ** (i + 1)) for ell in primes}
     return [(ell, [power(big // ell ** (v - a)) for a in range(v) if ell ** (a + 1) <= limit])
             for ell, v in vals.items()]
@@ -761,8 +760,6 @@ def _region_points(field, basis, den):
     bits = _REGION_BITS
     while (form := _region_form(field, basis, den, bits)) is None:
         bits *= 2
-        if bits > _PRECISION_CAP:
-            raise PrecisionCapExceeded("periodic-point region did not settle")
     gram, bound = form
     m = len(gram) - 1  # coordinates y_0 ... y_(m-1), and y_m = 1
     # gram = low diag low^T makes term j diag_j (y_j + sum(low_ij y_i, i > j))^2;

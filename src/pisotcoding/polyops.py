@@ -2,7 +2,7 @@
 
 Coefficient lists are ascending: coeffs[i] is the coefficient of x^i.  The
 real-root code works on integer polynomials, every sign one integer Horner
-(_sign_homogeneous); poly_divmod stays rational.  Floats only appear as
+(_homogeneous); poly_divmod stays rational.  Floats only appear as
 seeds supplied by callers.
 """
 
@@ -100,9 +100,10 @@ def mat_det(a):
 
 
 def sign_at(coeffs, x):
-    """Sign of the polynomial at the rational x, by _sign_homogeneous."""
+    """Sign of the polynomial at the rational x, by _homogeneous."""
     x = Fraction(x)
-    return _sign_homogeneous(coeffs, x.numerator, x.denominator)
+    v = _homogeneous(coeffs, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def sturm_chain(coeffs):
@@ -128,12 +129,12 @@ def count_real_roots(coeffs, a=None, b=None, chain=None):
     """Number of distinct real roots in the half-open interval (a, b].
 
     a=None means -infinity, b=None means +infinity, the points -1/0 and 1/0
-    of _sign_homogeneous.  Endpoints must not be roots when finite
+    of _homogeneous.  Endpoints must not be roots when finite
     (squarefree inputs let callers nudge instead).
     """
     chain = chain or sturm_chain(coeffs)
-    va = _variations([_sign_homogeneous(p, -1, 0) if a is None else sign_at(p, a) for p in chain])
-    vb = _variations([_sign_homogeneous(p, 1, 0) if b is None else sign_at(p, b) for p in chain])
+    va = _variations([_homogeneous(p, -1, 0) if a is None else sign_at(p, a) for p in chain])
+    vb = _variations([_homogeneous(p, 1, 0) if b is None else sign_at(p, b) for p in chain])
     return va - vb
 
 
@@ -168,36 +169,50 @@ def isolate_real_roots(coeffs):
 
 
 def refine_root_interval(coeffs, lo, hi, width):
-    """Bisection refinement of a sign-change bracket down to the given width.
+    """Plain bisection's pair for the root r of squarefree p at its one sign
+    change in (lo, hi]: the cell of the grid lo + j (hi - lo) / 2^k, k least
+    with (hi - lo) / 2^k <= width, that holds r, or (r, r) if r = lo or r is
+    on that grid.  By safeguarded Newton with precision doubling (Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010, 4.2) on grid indices a < b
+    of level l, p of sign slo at a and not at b: a step goes to level
+    min(k, max(l + 1, 2 (l - bitlen(b - a - 1)))), probes the two grid points
+    around Newton's point from the last one, then bisects if (a, b) did not
+    halve.  Every probe is an exact sign, and a zero is r."""
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    p = strip([int(c * scale) for c in map(Fraction, coeffs)])  # a positive multiple: same signs and steps
+    d = lcm(lo.denominator, hi.denominator)  # lo, hi and width are ints or Fractions
+    a0, span, k = int(lo * d), int((hi - lo) * d), (max(-((lo - hi) // width), 1) - 1).bit_length()
 
-    The bracket is kept as integers a/d, b/d over one denominator that
-    doubles each step, so the steps take no gcd; the endpoints are those of
-    plain rational bisection."""
-    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    slo = _sign_homogeneous(coeffs, a, d)
-    if slo == 0:
-        return lo, lo
-    while (b - a) * width.denominator > width.numerator * d:
-        mid, d = a + b, 2 * d
-        sm = _sign_homogeneous(coeffs, mid, d)
-        if sm == 0:
-            # exact rational root; collapse
-            return Fraction(mid, d), Fraction(mid, d)
-        a, b = (mid, 2 * b) if sm == slo else (2 * a, mid)
-    return Fraction(a, d), Fraction(b, d)
+    def point(l, j):  # numerator and denominator of the grid point j of level l
+        return (a0 << l) + j * span, d << l
+
+    if not (vlo := _homogeneous(p, a0, d)):
+        return Fraction(lo), Fraction(lo)
+    l, a, b, x = 0, 0, 1, 0
+    while (l, b - a) != (k, 1):
+        up = min(k, max(l + 1, 2 * (l - (b - a - 1).bit_length()))) - l
+        l, a, b, x, w = l + up, a << up, b << up, x << up, (b - a) << up
+        q = span * _homogeneous(derivative(p), *point(l, x))
+        t = x - _homogeneous(p, *point(l, x)) // q if q else (a + b) // 2  # Newton's point, rounded up
+        for j in (t - 1, t, None):
+            if j is None:  # bisect if Newton's probes left more than half of (a, b)
+                j = (a + b) // 2 if 2 * (b - a) > w else a
+            if a < j < b:
+                if not (v := _homogeneous(p, *point(l, j))):
+                    return Fraction(*point(l, j)), Fraction(*point(l, j))
+                a, b = (j, b) if (v > 0) == (vlo > 0) else (a, j)
+        x = min(max(t, a), b)
+    return Fraction(*point(k, a)), Fraction(*point(k, b))
 
 
-def _sign_homogeneous(coeffs, c, d):
-    """Sign of the polynomial at c/d: Horner on d^n p(c/d), by products and
-    sums alone, so Fraction coefficients give the sign too.  d > 0, or d = 0
-    and c = -1 or 1 on stripped coeffs: the sign at -infinity or +infinity."""
+def _homogeneous(coeffs, c, d):
+    """d^n p(c/d), n = len(coeffs) - 1, by products and sums alone (p's sign for Fraction
+    coeffs too); d > 0, or d = 0 and c = +-1 on stripped coeffs: the sign at +-infinity."""
     acc, dp = 0, 1
     for coef in reversed(coeffs):
         acc = acc * c + coef * dp
         dp *= d
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def count_roots_in_disk(coeffs, radius):

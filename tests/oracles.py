@@ -830,3 +830,30 @@ def _search_factor(g, d, bounds, const_candidates):
         return None
 
     return rec(0, [])
+
+
+def bisected_root_interval(coeffs, lo, hi, width):
+    """Plain rational bisection of a sign-change bracket down to the given
+    width, over one denominator that doubles each step; a root probed
+    exactly collapses the pair to it.  The reference for polyops'
+    refinement."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+
+    def sign(c, d):
+        acc, dp = 0, 1
+        for coef in reversed(coeffs):
+            acc, dp = acc * c + coef * dp, dp * d
+        return (acc > 0) - (acc < 0)
+
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    slo = sign(a, d)
+    if slo == 0:
+        return lo, lo
+    while (b - a) * width.denominator > width.numerator * d:
+        mid, d = a + b, 2 * d
+        sm = sign(mid, d)
+        if sm == 0:
+            return Fraction(mid, d), Fraction(mid, d)
+        a, b = (mid, 2 * b) if sm == slo else (2 * a, mid)
+    return Fraction(a, d), Fraction(b, d)

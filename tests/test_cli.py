@@ -235,12 +235,10 @@ class TestExitCodes:
         assert ei.value.code == EXIT_USAGE
         assert "error: argument " in capsys.readouterr().err
 
-    def test_exceeded_precision_cap_is_math_rejection(self, monkeypatch, capsys):
-        from pisotcoding import numberfield
-
-        monkeypatch.setattr(numberfield, "_PRECISION_CAP", 64)
-        assert main(["expand", "1,1", "b^-200"]) == EXIT_MATH
-        assert capsys.readouterr().err.startswith("rejected: ")
+    def test_large_power_is_out_of_range(self, capsys):
+        # beta^100000 is decided to be >= 1, past the 2^16-bit tables
+        assert main(["expand", "1,1", "b^100000"]) == EXIT_MATH
+        assert capsys.readouterr().err == "rejected: beta_expand requires 0 <= x < 1\n"
 
 
 class TestConfig:

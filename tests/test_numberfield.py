@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pisotcoding.numberfield as nf
 from oracles import (
     _det,
+    bisected_root_interval,
     exact_floor,
     fraction_real_interval,
     poly_inverse_mod,
@@ -629,30 +630,62 @@ def test_store_hands_racing_threads_one_object():
     assert got[0][0] == make_field((1, 0, 0, 1)).beta ** -300
 
 
-def test_precision_cap_exits_leave_the_store_clean(monkeypatch):
+def test_answers_do_not_depend_on_store_history():
+    # values whose first K is 128, 256 and past 2^16 bits, and a steep
+    # real_interval, answered on a field warmed out of order and on a fresh one
     field = make_field((1, 1))
     tiny = field.pow_beta(-130)  # 90-bit numerators, about 2^-90: undecided at K = 128
-    wide = field.element([2 ** 200, 1])  # its first K would be 256
+    wide = field.element([2 ** 200, 1])  # its first K is 256
     steep = field.element([1, 2 ** 200])  # real_interval(steep, 200) needs rp = 416
-    with monkeypatch.context() as patch:
-        patch.setattr(nf, "_PRECISION_CAP", 128)
-        assert field._enclosure(tiny.nums)[2] == 128  # so _decide's doubling loop raises
-        for decide in (field.floor, field.float_value, field.sign):
-            with pytest.raises(nf.PrecisionCapExceeded):
-                decide(tiny)
-        with pytest.raises(nf.PrecisionCapExceeded):  # _enclosure's check
-            field.floor(wide)
-        assert max(_store_entries(field, "fixed")) == 128
-        patch.setattr(nf, "_PRECISION_CAP", 256)
-        with pytest.raises(nf.PrecisionCapExceeded):  # _real_enclosure's loop
-            field.real_interval(steep, 200)
-        assert max(_store_entries(field, "beta_ends")) == 208
+    deep = field.pow_beta(-48000)  # 33,000-bit numerators, about 2^-33,000: K = 2^17
+    field.floor(deep)
+    field.real_interval(steep, 700)
+    field.beta_interval(5000)
+    field.sign(tiny)
+    assert max(_store_entries(field, "fixed")) == 1 << 17
 
     def answers(f):
-        xs = [f.element(x.coords) for x in (tiny, wide, steep)]
-        return [(f.floor(x), f.float_value(x), f.real_interval(x, 200)) for x in xs]
+        xs = [f.element(x.coords) for x in (tiny, wide, steep, deep)]
+        return [(f.floor(x), f.float_value(x), f.sign(x), f.real_interval(x, 200)) for x in xs]
 
     assert answers(field) == answers(make_field((1, 1)))
+
+
+@pytest.mark.parametrize("n", [20000, 48000, 100000])
+def test_golden_powers_match_lucas_numbers(n):
+    # beta^n = L_n - (-1/beta)^n with L_n the Lucas numbers, so floor(beta^n)
+    # is L_n - 1 for even n and L_n for odd n, and L_n - beta^n has the sign
+    # of (-1)^n; these decide past the 2^16-bit tables, on a fresh field
+    lucas, nxt = 2, 1
+    for _ in range(n):
+        lucas, nxt = nxt, lucas + nxt
+    field = make_field((1, 1))
+    for e in (n, n + 1):
+        power, small = field.pow_beta(e), field.pow_beta(-e)
+        even = e % 2 == 0
+        assert field.floor(power) == lucas - even
+        assert field.sign(power) == GREATER
+        with pytest.raises(OverflowError):
+            field.float_value(power)
+        assert (field.floor(small), field.sign(small), field.float_value(small)) == (0, GREATER, 0.0)
+        rest = lucas - power  # (-1/beta)^e
+        assert (field.floor(rest), field.sign(rest)) == ((0, GREATER) if even else (-1, LESS))
+        # _decide's bound m bitlen(A) + bitlen(w) + 54, with m = 2, w <= 2 and A
+        # largest for floor(power); rest needs more than half of it
+        bound = 2 * (sum(map(abs, power.nums)) + lucas + 1).bit_length() + 2 + 54
+        assert bound / 2 < max(_store_entries(field, "fixed")) < 2 * bound
+        lucas, nxt = nxt, lucas + nxt
+
+
+@settings(max_examples=24)
+@given(st.sampled_from(((1, 1), (1, 1, 1), (1, 0, 0, 1), (1,) * 5, (1,) * 6, (1,) * 7, (1,) * 8, (3, 4, 1))),
+       st.integers(64, 4096))
+def test_beta_interval_is_the_bisection_cell(k, prec):
+    # beta's Newton refinement from its root box returns bisection's cell
+    field = _decider_field(k)
+    box = field.root_intervals[0]
+    want = bisected_root_interval(field._g, box.re_lo, box.re_hi, Fraction(1, 2 ** prec))
+    assert make_field(k).beta_interval(prec) == want
 
 
 @st.composite

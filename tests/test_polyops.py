@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_horner, fraction_roots_in_disk, searched_factor_witness
+from oracles import bisected_root_interval, fraction_horner, fraction_roots_in_disk, searched_factor_witness
 from pisotcoding import polyops
 from pisotcoding.errors import SchurCohnDegenerate
 
@@ -145,6 +145,50 @@ def test_isolated_intervals_match_fraction_horner(poly):
         assert _sign(fraction_horner(coeffs, lo)) * _sign(fraction_horner(coeffs, hi)) < 0
         width = (hi - lo) / 1000
         assert polyops.refine_root_interval(coeffs, lo, hi, width) == polyops.refine_root_interval(ints, lo, hi, width)
+
+
+@st.composite
+def refinement_cases(draw):
+    """(coeffs, lo, hi, width) with one root of coeffs in [lo, hi]: a planted
+    rational root at lo, at hi, at a grid point lo + j (hi - lo) / 2^e or off
+    the grid (integer or Fraction coefficients), or an isolating interval of
+    a squarefree integer polynomial with irrational roots; widths from above
+    hi - lo down to 2^-300 of it, and fixed widths down to 10^-12."""
+    if draw(st.booleans()):
+        coeffs, roots = draw(known_root_polys().filter(lambda poly: poly[1]))
+        i = draw(st.integers(0, len(roots) - 1))
+        r = roots[i]
+        left = roots[i - 1] if i else r - 4
+        right = roots[i + 1] if i + 1 < len(roots) else r + 4
+        span = min(r - left, right - r) * draw(st.fractions(0, 1, max_denominator=50).filter(lambda u: 0 < u < 1))
+        e = draw(st.integers(1, 40))
+        lo = {
+            "lo": r,
+            "hi": r - span,
+            "grid": r - span * Fraction(draw(st.integers(1, 2 ** e - 1)), 2 ** e),
+            "off": r - span * draw(st.fractions(0, 1, max_denominator=999).filter(lambda u: 0 < u < 1)),
+        }[draw(st.sampled_from(("lo", "hi", "grid", "off")))]
+        hi = lo + span
+    else:
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=8).filter(lambda c: c[-1]))
+        assume(polyops.degree(polyops.sturm_chain(coeffs)[-1]) == 0)  # squarefree
+        ivs = polyops.isolate_real_roots(coeffs)
+        assume(ivs)
+        lo, hi = draw(st.sampled_from(ivs))
+    width = draw(st.one_of(
+        st.fractions(0, 3, max_denominator=10 ** 6).filter(bool).map(lambda u: (hi - lo) * u),
+        st.integers(0, 300).map(lambda e: (hi - lo) / 2 ** e),
+        st.integers(1, 10 ** 12).map(lambda n: Fraction(1, n)),
+    ))
+    return coeffs, lo, hi, width
+
+
+@settings(max_examples=300)
+@given(refinement_cases())
+def test_refinement_returns_the_bisection_pair(case):
+    # Newton's refinement ends in the cell bisection ends in, collapsed at
+    # the same rational roots
+    assert polyops.refine_root_interval(*case) == bisected_root_interval(*case)
 
 
 def test_schur_cohn_degenerate_raises():
