@@ -21,21 +21,7 @@ from fractions import Fraction
 from . import coding as coding_mod
 from . import forms as forms_mod
 from . import numeration, shift
-from .errors import (
-    CharPolyMismatch,
-    NotAUnit,
-    NotInHomoclinicGroup,
-    NotPisot,
-    NotUnimodular,
-    NotUnit,
-    OracleMismatch,
-    OrbitCapExceeded,
-    OutOfRange,
-    PrecisionCapExceeded,
-    Reducible,
-    SearchBudgetExceeded,
-    ZeroHomoclinicPoint,
-)
+from .errors import PisotCodingError, SearchBudgetExceeded
 from .numberfield import format_element, make_field
 
 EXIT_OK = 0
@@ -43,23 +29,6 @@ EXIT_INTERNAL = 1
 EXIT_MATH = 2
 EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
-
-_MATH_ERRORS = (
-    Reducible,
-    NotPisot,
-    NotUnit,
-    NotAUnit,
-    NotInHomoclinicGroup,
-    NotUnimodular,
-    CharPolyMismatch,
-    OutOfRange,
-    ZeroHomoclinicPoint,
-    OracleMismatch,
-    OrbitCapExceeded,
-    PrecisionCapExceeded,
-    SearchBudgetExceeded,
-    ZeroDivisionError,
-)
 
 SEED_ENV = "PISOTCODING_SEED"
 
@@ -142,6 +111,7 @@ _MAX_DIGITS = 4300  # CPython's default int() limit, kept here on interpreters w
 # passes only n with beta^n < 1 or with at most about the default orbit cap's
 # 10^6 digits, while beta^(10^9) would square for minutes
 _MAX_POWER_BITS = 1 << 20
+_TABLE_ENTRIES = 4 * 10 ** 6  # states x alphabet the automaton report prints, counted first
 
 
 def _tokenize(text):
@@ -326,6 +296,8 @@ def cmd_wf_check(cfg, args):
 def cmd_automaton(cfg, args):
     field = make_field(parse_poly(args.poly), cfg.precision)
     auto = shift.build_automaton(numeration.d_sequence(field, cfg.orbit_cap))
+    if (entries := auto.n_states * auto.alphabet_size) > _TABLE_ENTRIES:
+        raise SearchBudgetExceeded(f"{entries} table entries (states x alphabet) exceed the budget {_TABLE_ENTRIES}")
     chain = shift.max_entropy_chain(auto)
     result = {
         "states": auto.n_states,
@@ -589,7 +561,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except _MATH_ERRORS as exc:
+    except (PisotCodingError, ZeroDivisionError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
     except ValueError as exc:

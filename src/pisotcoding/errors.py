@@ -58,7 +58,8 @@ class NotUnimodular(PisotCodingError):
 
 
 class SearchBudgetExceeded(PisotCodingError):
-    """An exhaustive search box holds more points than its path's budget."""
+    """Work counted before it starts exceeds a fixed budget: an exhaustive search
+    box's points, estimate_L1's words or the automaton report's table entries."""
 
 
 class NotConjugatePair(PisotCodingError):

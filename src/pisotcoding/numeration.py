@@ -32,16 +32,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, takewhile
 from operator import mul
 
 from . import polyops
-from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange
+from .errors import NotUnit, OracleMismatch, OrbitCapExceeded, OutOfRange, SearchBudgetExceeded
 from .numberfield import _FIXED_BITS, FieldElement
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
 DEFAULT_WF_DEPTH = 30
+_L1_WORDS = 10 ** 4  # the most admissible words estimate_L1 pairs
 _CARRY_SLACK = 16  # _greedy_orbit re-anchors once its error exceeds den * 2^(K - 16)
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")  # digit byte -> its ASCII character
 
@@ -175,7 +176,7 @@ def _d_sequence(field, orbit_cap):
 def _parry_walk(dseq, digits, state=0):
     """Parry's single-track automaton on the quasi-greedy d = d_1 d_2 ...,
     the one admissibility rule (Parry, Acta Math. Acad. Sci. Hungar. 11,
-    1960); build_automaton tabulates it.
+    1960); build_automaton stores it as one row per state.
 
     States are 0 ... ell + p - 1 for ell = |d.pre| and p = |d.per|: state i
     means the last i digits equal d_1 ... d_i.  Digit e in state i steps
@@ -394,8 +395,10 @@ def expansion_value(field, exp):
         value = field._from_nums(field._mul_nums(_word_nums(field, per, 0, p, cols), cof), det)
     elif (value := _checked_guess(field, per, cols)) is None:
         value = field._divide(_word_nums(field, per, 0, p, cols), (field.pow_beta(p) - 1).nums)
-    if pre:
-        value = (field._from_nums(_word_nums(field, pre, 0, len(pre), cols)) + value) * field.pow_beta(-len(pre))
+    if pre:  # beta^-|pre| (P + value): one product, one reduction
+        shift = field.pow_beta(-len(pre))
+        head = [a * value.den + b for a, b in zip(_word_nums(field, pre, 0, len(pre), cols), value.nums)]
+        value = field._from_nums(field._mul_nums(head, shift.nums), value.den * shift.den)
     return value
 
 
@@ -523,18 +526,23 @@ _BLOCK_WORDS = 4096  # the most words one block table holds
 _FACTOR_BOUND = 1 << 10  # den is factored by trial division below this
 
 
+def _word_counts(field):
+    """Parry's counts c_0, c_1, ... of the admissible words of each length,
+    c_n = 1 + sum(d_i c_(n-i), i = 1 ... n) for the quasi-greedy d: a word of
+    length n follows d throughout, or first drops below it at some i (d_i
+    choices there, c_(n-i) words after).  They increase, as d_1 >= 1."""
+    d, counts = d_sequence(field).d, [1]  # counts[n] = c_n
+    while True:
+        yield counts[-1]
+        counts.append(1 + sum(d.digit(i) * counts[-i] for i in range(1, len(counts) + 1)))
+
+
 def _block_limit(field):
     """The largest b >= 1 with at most _BLOCK_WORDS admissible words of
-    length b, or 1, built once per field, by Parry's count c_n = 1 +
-    sum(d_i c_(n-i), i = 1 ... n) for the quasi-greedy d: a word of length n
-    follows d throughout, or first drops below it at some i (d_i choices
-    there, c_(n-i) words after)."""
+    length b (_word_counts), or 1, built once per field."""
 
     def build():
-        d, counts = d_sequence(field).d, [1]  # counts[n] = c_n
-        while counts[-1] <= _BLOCK_WORDS:
-            counts.append(1 + sum(d.digit(i) * counts[-i] for i in range(1, len(counts) + 1)))
-        return max(len(counts) - 2, 1)
+        return max(sum(1 for _ in takewhile(lambda c: c <= _BLOCK_WORDS, _word_counts(field))) - 1, 1)
 
     return field.derived(("block_limit", _BLOCK_WORDS), build)
 
@@ -1161,8 +1169,12 @@ def estimate_L1(field, length_cap, orbit_cap=DEFAULT_ORBIT_CAP):
     the greedy map keeps (beta is an algebraic integer); each fractional sum
     is walked by _orbit_class through one memo shared by every pair, so
     every state is stepped once, and counts iff its cycle is the one at 0.
-    Computed once per field and caps.
+    Computed once per field and caps.  More than _L1_WORDS words, counted
+    first (_word_counts), raise SearchBudgetExceeded: the pairs grow as their square.
     """
+    words = sum(islice(_word_counts(field), 1, length_cap + 1))
+    if words > _L1_WORDS:
+        raise SearchBudgetExceeded(f"{words} admissible words up to length {length_cap} exceed the budget {_L1_WORDS}")
     key = ("estimate_L1", length_cap, orbit_cap)
     return field.derived(key, lambda: _carry_length(field, length_cap, orbit_cap))
 

@@ -1,11 +1,14 @@
 """Sofic presentation of the beta-shift, Parry chain, and sampling.
 
-The automaton is the table of the admissibility rule owned by numeration
-(_parry_walk, Parry's single-track automaton over the quasi-greedy
-expansion of 1).  That table is already minimal: the tails of the
-quasi-greedy d are distinct, so no two states are equivalent.
-The maximal-entropy measure is realized as the Markov chain with edge
-weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix.
+The automaton is Parry's admissibility rule (numeration._parry_walk, his
+single-track automaton over the quasi-greedy expansion d of 1) stored as one
+row per state: state i sends each digit below d_(i+1) to state 0 and
+d_(i+1) to the walk's next state, and rejects larger digits.  The rows are
+already minimal: the tails of d are distinct, so no two states are
+equivalent.  The maximal-entropy measure is the Markov chain with edge
+weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix,
+two per row: one shared by the digits below d_(i+1), one for d_(i+1).
+Only the per-digit views the automaton report prints grow with the alphabet.
 A tail row asks whether each sampled sum's greedy expansion ends by digit
 n + L, by ceil((n + L) / b) certified blocks of the one greedy kernel in
 numeration (_ends_within); the alpha = 0 rows are 1.0 by Parry's criterion
@@ -38,98 +41,72 @@ from .numeration import (
 
 @dataclass(frozen=True)
 class SoficAutomaton:
-    """Deterministic partial automaton; state 0 is initial and synchronizing."""
+    """Deterministic partial automaton; state 0 is initial and synchronizing.
+    State s reads digits below top[s] to 0, top[s] to advance[s], no other."""
 
-    n_states: int
-    alphabet_size: int
-    transitions: tuple  # transitions[s][e] -> target state or None
+    top: tuple
+    advance: tuple
 
-    def step(self, state, digit):
-        return self.transitions[state][digit]
+    @property
+    def n_states(self):
+        return len(self.top)
+
+    @property
+    def alphabet_size(self):
+        return max(self.top) + 1
 
     def accepts(self, word):
         s = 0
         for e in word:
-            if e < 0 or e >= self.alphabet_size:
+            if not 0 <= e <= self.top[s]:
                 return False
-            s = self.transitions[s][e]
-            if s is None:
-                return False
+            s = 0 if e < self.top[s] else self.advance[s]
         return True
 
-    def edges(self):
-        for s, row in enumerate(self.transitions):
-            for e, t in enumerate(row):
-                if t is not None:
-                    yield s, e, t
-
-    def adjacency(self):
-        a = np.zeros((self.n_states, self.n_states))
-        for s, _, t in self.edges():
-            a[s, t] += 1.0
-        return a
-
-    def is_irreducible(self):
-        n = self.n_states
-        fwd = {s: set() for s in range(n)}
-        bwd = {s: set() for s in range(n)}
-        for s, _, t in self.edges():
-            fwd[s].add(t)
-            bwd[t].add(s)
-
-        def reach(adj):
-            seen = {0}
-            todo = [0]
-            while todo:
-                for t in adj[todo.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        todo.append(t)
-            return seen
-
-        return len(reach(fwd)) == n and len(reach(bwd)) == n
+    @cached_property
+    def transitions(self):
+        """transitions[s][e] -> target state or None, one entry per digit."""
+        k = self.alphabet_size
+        return tuple((0,) * c + (t,) + (None,) * (k - 1 - c) for c, t in zip(self.top, self.advance))
 
 
 def build_automaton(dseq):
-    """Admissibility automaton: the table of Parry's single-track rule
-    (numeration._parry_walk), state i and digit e going to the walk's next
-    state, None where it rejects.  Minimal, and numbered in breadth-first
-    digit order from state 0, since the walk's states are the distinct
-    tails of d and digit d_(i+1) leads from state i to i + 1."""
-    alphabet = dseq.alphabet
-    trans = tuple(
-        tuple(_parry_walk(dseq, (e,), i)[0] for e in alphabet)
-        for i in range(len(dseq.d.pre) + len(dseq.d.per))
-    )
-    return SoficAutomaton(len(trans), len(alphabet), trans)
+    """Admissibility automaton: the rows of Parry's single-track rule
+    (numeration._parry_walk), state i reading digit d_(i+1) to the walk's
+    next state.  Minimal, and numbered in breadth-first digit order from
+    state 0, since the walk's states are the distinct tails of d and digit
+    d_(i+1) leads from state i to i + 1."""
+    top = dseq.d.pre + dseq.d.per
+    return SoficAutomaton(top, tuple(_parry_walk(dseq, (c,), i)[0] for i, c in enumerate(top)))
 
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Maximal-entropy chain on the admissibility automaton."""
+    """Maximal-entropy chain on the admissibility automaton: from state s, each
+    digit below top[s] has probability below[s], and top[s] has at_top[s]."""
 
     automaton: SoficAutomaton
     perron_value: float
-    right_vector: tuple
     stationary: tuple
-    edge_probs: tuple  # edge_probs[s][e], 0.0 where the edge is absent
+    below: tuple
+    at_top: tuple
 
     @cached_property
     def cumulative(self):
-        """Running sums of stationary and of each edge_probs row, each row cut
-        at its last state or present edge, whose entry is infinite.  Rows sum
-        to a little under 1 in floating point, so a draw past every finite
-        sum must land on an edge that exists, not on the alphabet's last
-        digit."""
+        """Running sums of stationary, the last state's entry infinite (they sum
+        to a little under 1 in floating point), and per state the sampling row
+        (top * below, where the digits under the top end; below; top; advance)."""
+        auto = self.automaton
+        cuts = [c * b for c, b in zip(auto.top, self.below)]
+        return (*accumulate(self.stationary[:-1]), math.inf), tuple(zip(cuts, self.below, auto.top, auto.advance))
 
-        def run(w, last):
-            return (*accumulate(w[:last]), math.inf)
-
-        rows = (
-            run(w, max(e for e, t in enumerate(targets) if t is not None))
-            for w, targets in zip(self.edge_probs, self.automaton.transitions)
+    @cached_property
+    def edge_probs(self):
+        """edge_probs[s][e], 0.0 where the edge is absent, one entry per digit."""
+        k = self.automaton.alphabet_size
+        return tuple(
+            (b,) * c + (t,) + (0.0,) * (k - 1 - c) for c, b, t in zip(self.automaton.top, self.below, self.at_top)
         )
-        return run(self.stationary, len(self.stationary) - 1), tuple(rows)
 
     def entropy_rate(self):
         h = 0.0
@@ -165,29 +142,32 @@ def _power_iteration(a, tol, max_iter=500000):
 
 
 def max_entropy_chain(automaton, tol=1e-12):
-    """Perron-weighted chain; requires an irreducible automaton."""
-    if not automaton.is_irreducible():
+    """Perron-weighted chain; requires an irreducible automaton: state 0's
+    advance orbit (all it reaches) covers every state, and its cycle holds
+    state 0 or a digit below a top, the way back to state 0."""
+    top, advance = automaton.top, automaton.advance
+    orbit, s = {}, 0
+    while s not in orbit:
+        orbit[s] = len(orbit)
+        s = advance[s]
+    if len(orbit) < len(top) or not any(t == 0 or top[t] for t in list(orbit)[orbit[s]:]):
         raise ValueError("automaton must be irreducible")
-    a = automaton.adjacency()
+    a = np.zeros((len(top), len(top)))
+    for s, (c, t) in enumerate(zip(top, advance)):
+        a[s, 0] += c
+        a[s, t] += 1.0
     lam, u = _power_iteration(a, tol)
     _, v = _power_iteration(a.T, tol)
     u = np.abs(u)
     v = np.abs(v)
     pi = u * v
     pi /= pi.sum()
-    probs = []
-    for s in range(automaton.n_states):
-        row = []
-        for e in range(automaton.alphabet_size):
-            t = automaton.transitions[s][e]
-            row.append(0.0 if t is None else float(u[t] / (lam * u[s])))
-        probs.append(tuple(row))
     return MarkovChain(
         automaton=automaton,
         perron_value=float(lam),
-        right_vector=tuple(float(x) for x in u),
         stationary=tuple(float(x) for x in pi),
-        edge_probs=tuple(probs),
+        below=tuple(float(u[0] / (lam * u[s])) for s in range(len(top))),
+        at_top=tuple(float(u[t] / (lam * u[s])) for s, t in enumerate(advance)),
     )
 
 
@@ -202,24 +182,32 @@ def sample(chain, n, seed):
     """Stationary sample path of length n; deterministic for a fixed seed.
 
     The generator is Python's Mersenne Twister (random.Random) driven only
-    through random(), so output is reproducible across platforms.  A draw
-    takes the first entry of MarkovChain.cumulative above random(): the
-    last state, or the state's last present edge, when the weights before it
-    sum to no more than the draw.  Every path is therefore a word of the
-    automaton's language.
+    through random(), so output is reproducible across platforms.  The start
+    state is the first entry of the running sums of stationary above one
+    draw (the last state when the sums before it are no more than the draw).
+    Each digit takes one draw r from the state's row: r below top * below,
+    the digits under the top's share, gives digit min(floor(r / below),
+    top - 1) and state 0; any other r gives the top digit and the advance.
+    Every path is therefore a word of the automaton's language.
     """
     return _sample_path(random.Random(seed), chain, n)
 
 
 def _sample_path(rng, chain, n):
     """n digits of the chain from a stationary start, drawn from rng."""
-    (start, rows), trans, draw = chain.cumulative, chain.automaton.transitions, rng.random
+    (start, rows), draw, floor = chain.cumulative, rng.random, math.floor
     word = []
     state = bisect_right(start, draw())
     for _ in range(n):
-        e = bisect_right(rows[state], draw())
-        word.append(e)
-        state = trans[state][e]
+        cut, p, c, advance = rows[state]
+        r = draw()
+        if r < cut:
+            e = floor(r / p)
+            word.append(e if e < c else c - 1)
+            state = 0
+        else:
+            word.append(c)
+            state = advance
     return tuple(word)
 
 
@@ -252,7 +240,8 @@ def _child_seed(seed, n, ai):
     return ((seed * 1000003 + n) * 1000003 + ai) & 0x7FFFFFFFFFFFFFFF
 
 
-def _tail_row(field, n, ai, alpha_coords, label, trials, seed, window):
+def _tail_row(args):
+    field, n, ai, alpha_coords, label, trials, seed, window = args
     chain = _parry_chain(field)
     rng = random.Random(_child_seed(seed, n, ai))
     acoords = [int(c) for c in alpha_coords]
@@ -309,16 +298,12 @@ def tail_invariance_experiment(
         for n, ai, alpha, label in cells
         if not alpha.is_zero
     ]
-    sampled = iter(_map_jobs(_tail_row_star, tasks, jobs))
+    sampled = iter(_map_jobs(_tail_row, tasks, jobs))
     rows = tuple(
         (n, label, 1.0, trials) if alpha.is_zero else next(sampled)
         for n, _, alpha, label in cells
     )
     return TailReport(L=window, L1=l1, L2_ceil=l2, rows=rows)
-
-
-def _tail_row_star(args):
-    return _tail_row(*args)
 
 
 def _map_jobs(fn, tasks, jobs):

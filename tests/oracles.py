@@ -235,6 +235,19 @@ def moore_minimize(transitions):
     return tuple(out)
 
 
+def parry_table(dseq):
+    """Parry's single-track rule (numeration._parry_walk) tabulated per state
+    and digit, table[i][e] the walk's state after digit e from state i, None
+    where it rejects: the automaton's table as it was first built, one walk
+    per entry."""
+    from pisotcoding.numeration import _parry_walk
+
+    return tuple(
+        tuple(_parry_walk(dseq, (e,), i)[0] for e in dseq.alphabet)
+        for i in range(len(dseq.d.pre) + len(dseq.d.per))
+    )
+
+
 def poly_mul_mod(a, b, g):
     """Coordinates over 1, x, ..., x^(m-1) of a*b modulo the monic g of
     degree m; all polynomials are ascending coefficient lists."""

@@ -22,6 +22,7 @@ from pisotcoding.cli import (
 )
 import pisotcoding.cli as cli
 import pisotcoding.forms as forms
+from pisotcoding.errors import ConvergenceFailure, CounterexampleFound
 from pisotcoding.numberfield import make_field
 
 
@@ -234,6 +235,48 @@ class TestExitCodes:
             main(argv)
         assert ei.value.code == EXIT_USAGE
         assert "error: argument " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["automaton", "1000000000,1"],
+            ["tails", "10,1", "--n-list", "5", "--trials", "10"],
+            ["tails", "1000000,1", "--n-list", "5", "--trials", "10"],
+        ],
+    )
+    def test_oversize_work_is_rejected_by_its_budget(self, argv, capsys):
+        # the automaton table (states x alphabet) and estimate_L1's words are
+        # counted before any is built
+        started = time.perf_counter()
+        assert main(argv) == EXIT_MATH
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: ") and "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["sample", "1000000000,1", "-n", "3"], ["coding", "1000000000,1", "--simulate", "--trials", "3"]]
+    )
+    def test_huge_alphabet_answers(self, argv, capsys):
+        # the chain keeps two weights per state, whatever the alphabet
+        started = time.perf_counter()
+        assert main(argv) == EXIT_OK
+        assert time.perf_counter() - started < 5.0
+
+    def test_convergence_failure_is_math_rejection(self, monkeypatch, capsys):
+        def fail(automaton):
+            raise ConvergenceFailure("power iteration did not reach the tolerance")
+
+        monkeypatch.setattr(cli.shift, "max_entropy_chain", fail)
+        assert main(["automaton", "1,1"]) == EXIT_MATH
+        assert capsys.readouterr().err == "rejected: power iteration did not reach the tolerance\n"
+
+    def test_counterexample_is_math_rejection(self, monkeypatch, capsys):
+        def fail(spec, **kwargs):
+            raise CounterexampleFound(report=None)
+
+        monkeypatch.setattr(cli.coding_mod, "injectivity_experiment", fail)
+        assert main(["coding", "1,1", "--simulate", "--trials", "5"]) == EXIT_MATH
+        assert capsys.readouterr().err == "rejected: unexplained collision in injectivity experiment\n"
 
     def test_large_power_is_out_of_range(self, capsys):
         # beta^100000 is decided to be >= 1, past the 2^16-bit tables

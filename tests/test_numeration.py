@@ -48,7 +48,7 @@ from pisotcoding import (
     validate_weak_finitarity,
     value_of,
 )
-from pisotcoding.errors import OracleMismatch, OrbitCapExceeded
+from pisotcoding.errors import OracleMismatch, OrbitCapExceeded, SearchBudgetExceeded
 from pisotcoding.numberfield import NumberField
 from pisotcoding.numeration import (
     ZERO_EXPANSION,
@@ -889,6 +889,24 @@ class TestEstimateL1:
         for k in self.PINNED:
             field = make_field(k)
             assert estimate_L1(field, 4) == _all_pairs_carry_length(field, 4), k
+
+    def test_word_counts_match_enumeration(self):
+        # Parry's c_n against the listed words, and the totals up to length 6
+        # that the budget weighs
+        for k in [*self.PINNED, (3, 4, 1)]:
+            field = make_field(k)
+            lengths = [len(w) for w in enumerate_admissible_words(field, 6)]
+            counts = list(islice(numeration._word_counts(field), 7))
+            assert counts == [1] + [lengths.count(n) for n in range(1, 7)], k
+        assert sum(islice(numeration._word_counts(make_field((3, 4, 1))), 1, 7)) == 7483
+        assert sum(islice(numeration._word_counts(make_field((10, 1))), 1, 7)) == 1281526
+
+    def test_over_budget_is_rejected_before_listing(self, monkeypatch):
+        monkeypatch.setattr(numeration, "_carry_length", lambda *a: pytest.fail("listed words past the budget"))
+        with pytest.raises(SearchBudgetExceeded, match="1281526 admissible words .* budget 10000"):
+            estimate_L1(make_field((10, 1)), 6)
+        with pytest.raises(SearchBudgetExceeded):
+            estimate_L1(make_field((1, 1)), 20)  # 28,656 words
 
 
 def _all_pairs_carry_length(field, length_cap):

@@ -16,6 +16,7 @@ from oracles import (
     languages_agree,
     moore_minimize,
     naive_admissible,
+    parry_table,
     pick_path,
     tail_unchanged_count,
 )
@@ -58,10 +59,23 @@ class TestAutomaton:
         assert build_automaton(d_sequence(tribonacci)).n_states == 3
 
     def test_language_equality_all_lengths(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
-        # product-graph equivalence against the definitional subset tracker
-        for field in (golden, tribonacci, quartic, phi_squared, cubic341, plastic):
-            auto = build_automaton(d_sequence(field))
-            assert languages_agree(auto, AdmissibilityTracker(d_sequence(field))) is None
+        # product-graph equivalence against the definitional subset tracker,
+        # and the rows' per-digit view against the walk tabulated per digit,
+        # on the fixtures and on the Pisot fields among seeded k-vectors
+        fields = [golden, tribonacci, quartic, phi_squared, cubic341, plastic]
+        rng = random.Random(12)
+        for _ in range(200):
+            k = [rng.randint(-2, 3) for _ in range(rng.randint(2, 5))]
+            try:
+                fields.append(make_field(k))
+            except (NotPisot, Reducible, ValueError):
+                continue
+        assert len(fields) > 30
+        for field in fields:
+            ds = d_sequence(field)
+            auto = build_automaton(ds)
+            assert auto.transitions == parry_table(ds), field
+            assert languages_agree(auto, AdmissibilityTracker(ds)) is None, field
 
     def test_exhaustive_agreement_to_length_12(self, golden, quartic, plastic):
         import itertools
@@ -106,8 +120,13 @@ class TestAutomaton:
             assert moore_minimize(auto.transitions) == auto.transitions, field
 
     def test_irreducible(self, golden, quartic, phi_squared):
+        # the rows of every Parry automaton pass the check, as do rows whose
+        # advance cycle (states 1 and 2 here) avoids state 0 but holds a digit
+        # below its top
         for field in (golden, quartic, phi_squared):
-            assert build_automaton(d_sequence(field)).is_irreducible()
+            max_entropy_chain(build_automaton(d_sequence(field)))
+        chain = max_entropy_chain(SoficAutomaton((1, 0, 1), (1, 2, 1)))
+        assert all(p > 0 for p in chain.stationary)
 
 
 class TestChain:
@@ -119,7 +138,7 @@ class TestChain:
         assert abs(sum(freqs) - 1.0) < 1e-12
 
     def test_full_shift_uniform(self):
-        auto = SoficAutomaton(1, 3, ((0, 0, 0),))
+        auto = SoficAutomaton((2,), (0,))  # digits 0 and 1 to state 0, digit 2 advancing to it
         chain = max_entropy_chain(auto)
         assert abs(chain.perron_value - 3.0) < 1e-12
         assert all(abs(p - 1 / 3) < 1e-12 for p in chain.edge_probs[0])
@@ -143,15 +162,17 @@ class TestChain:
         for t in range(auto.n_states):
             inflow = sum(
                 pi[s] * chain.edge_probs[s][e]
-                for s, e, tt in auto.edges()
+                for s, row in enumerate(auto.transitions)
+                for e, tt in enumerate(row)
                 if tt == t
             )
             assert abs(inflow - pi[t]) < 1e-10
 
     def test_reducible_rejected(self):
-        auto = SoficAutomaton(2, 2, ((0, 1), (None, 1)))
-        with pytest.raises(ValueError):
-            max_entropy_chain(auto)
+        # state 1 never returns to state 0; state 1 is never reached from state 0
+        for auto in (SoficAutomaton((1, 0), (1, 1)), SoficAutomaton((1, 1), (0, 0))):
+            with pytest.raises(ValueError):
+                max_entropy_chain(auto)
 
 
 class _TopOfRow:
@@ -159,6 +180,13 @@ class _TopOfRow:
 
     def random(self):
         return math.nextafter(1.0, 0.0)
+
+
+class _Draws:
+    """A stub generator whose draws are the given floats, in turn."""
+
+    def __init__(self, *draws):
+        self.random = iter(draws).__next__
 
 
 class TestSampling:
@@ -187,6 +215,14 @@ class TestSampling:
         sigma = math.sqrt(p * (1 - p) * n)
         assert abs(ones - p * n) < 3 * sigma + 3 * math.sqrt(n) * 0.05
 
+    def test_huge_alphabet_keeps_two_weights_per_state(self):
+        # k1 = 10^9: d = (10^9 0)^inf, two states; sampling builds no
+        # per-digit view
+        chain = shift._parry_chain(make_field((10 ** 9, 1)))
+        assert chain.automaton.top == (10 ** 9, 0) and chain.automaton.advance == (1, 0)
+        word = sample(chain, 50, 5)
+        assert chain.automaton.accepts(word) and max(word) > 10 ** 8
+        assert "edge_probs" not in vars(chain) and "transitions" not in vars(chain.automaton)
 
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic", "cubic341", "phi_squared"])
     def test_bisection_matches_linear_scan(self, name, request):
@@ -197,11 +233,11 @@ class TestSampling:
             assert rng.random() == ref.random()  # the same number of draws
 
     def test_short_rows_and_zero_weights_match_linear_scan(self):
-        # row sums below 1 send some draws past every running sum, to the last
-        # entry, here one of weight 0
-        auto = SoficAutomaton(2, 4, ((0, 1, 1, 0), (1, 0, 1, 0)))
-        chain = MarkovChain(auto, 1.0, (1.0, 1.0), (0.0, 0.25),
-                            ((0.0, 0.3, 0.0, 0.0), (0.5, 0.0, 0.25, 0.0)))
+        # row sums below 1 send some draws past every running sum, to the top
+        # digit, in state 1 one of weight 0; state 2, whose top is 0, always
+        # advances, and state 0, of stationary weight 0, is never a start
+        auto = SoficAutomaton((3, 2, 0), (1, 2, 0))
+        chain = MarkovChain(auto, 1.0, (0.0, 0.25, 0.5), (0.3, 0.25, 0.7), (0.05, 0.0, 0.1))
         drawn = set()
         for seed in range(200):
             rng, ref = random.Random(seed), random.Random(seed)
@@ -221,21 +257,30 @@ class TestSampling:
             assert chain.automaton.accepts(word), field
             assert word == pick_path(_TopOfRow(), chain, 60)
 
+    def test_draw_just_below_the_cut_stays_below_the_top(self):
+        # r / below can round up to top for r just under top * below: that
+        # draw still takes digit top - 1 and state 0
+        below = 0.26738631226364734
+        cut = 3 * below
+        r = math.nextafter(cut, 0.0)
+        assert math.floor(r / below) == 3
+        chain = MarkovChain(SoficAutomaton((3,), (0,)), 1.0, (1.0,), (below,), (1 - cut,))
+        assert shift._sample_path(_Draws(0.5, r, cut), chain, 2) == (2, 3)
+
     @settings(max_examples=100)
     @given(
         st.lists(
-            st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=1, max_size=5),
+            st.tuples(st.integers(0, 4), *[st.one_of(st.just(0.0), st.floats(0, 1))] * 2),
             min_size=1, max_size=4,
         ),
         st.integers(0, 2 ** 32),
     )
     def test_random_rows_match_linear_scan(self, rows, seed):
-        k = max(map(len, rows))
-        probs = tuple(tuple(r) + (0.0,) * (k - len(r)) for r in rows)
-        n = len(rows)
-        trans = tuple(tuple((s + e) % n for e in range(k)) for s in range(n))
-        stationary = tuple(r[0] for r in probs)
-        chain = MarkovChain(SoficAutomaton(n, k, trans), 1.0, (1.0,) * n, stationary, probs)
+        # arbitrary tops and weights, below weights that overfill their row
+        # included; the two rules agree but for rounding at a cell's edge
+        top, below, at_top = zip(*rows)
+        auto = SoficAutomaton(top, tuple((s + 1) % len(top) for s in range(len(top))))
+        chain = MarkovChain(auto, 1.0, below, below, at_top)  # any weights serve as stationary
         rng, ref = random.Random(seed), random.Random(seed)
         assert shift._sample_path(rng, chain, 40) == pick_path(ref, chain, 40)
 
