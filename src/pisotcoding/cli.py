@@ -295,7 +295,7 @@ def cmd_wf_check(cfg, args):
 
 def cmd_automaton(cfg, args):
     field = make_field(parse_poly(args.poly), cfg.precision)
-    auto = shift.build_automaton(numeration.d_sequence(field, cfg.orbit_cap))
+    auto = numeration.d_sequence(field, cfg.orbit_cap).automaton
     if (entries := auto.n_states * auto.alphabet_size) > _TABLE_ENTRIES:
         raise SearchBudgetExceeded(f"{entries} table entries (states x alphabet) exceed the budget {_TABLE_ENTRIES}")
     chain = shift.max_entropy_chain(auto)
@@ -316,7 +316,7 @@ def cmd_automaton(cfg, args):
 
 def cmd_sample(cfg, args):
     field = make_field(parse_poly(args.poly), cfg.precision)
-    chain = shift.max_entropy_chain(shift.build_automaton(numeration.d_sequence(field, cfg.orbit_cap)))
+    chain = shift.max_entropy_chain(numeration.d_sequence(field, cfg.orbit_cap).automaton)
     word = shift.sample(chain, args.length, cfg.seed)
     _emit(
         cfg,

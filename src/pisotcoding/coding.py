@@ -17,9 +17,11 @@ from itertools import compress
 from operator import mul
 
 from .errors import (
+    CharPolyMismatch,
     CounterexampleFound,
     NotAUnit,
     NotInHomoclinicGroup,
+    NotUnit,
     OracleMismatch,
     OrbitCapExceeded,
     ZeroHomoclinicPoint,
@@ -66,8 +68,6 @@ class HomoclinicSpec:
 
     def __init__(self, field, xi, z_coordinate=None):
         if not field.is_unit_field:
-            from .errors import NotUnit
-
             raise NotUnit("codings require a unit Pisot field")
         self.field = field
         self.xi = xi
@@ -127,8 +127,6 @@ def unit_to_matrix(u, M):
         raise NotAUnit("centraliser correspondence needs a unit")
     M = mat(M)
     if char_poly_k(M) != tuple(field.min_poly.k):
-        from .errors import CharPolyMismatch
-
         raise CharPolyMismatch("matrix root does not match the field")
     m = field.m
     acc = mat_scale(identity(m), 0)
@@ -148,9 +146,9 @@ def phi_eval(spec, window, tolerance=1e-9):
 
     Finite windows are exact up to the requested rounding radius.  A purely
     periodic Expansion with period w denotes the two-sided sequence with
-    eps_k = w[(k - 1) % |w|], accepted iff Parry's walk rejects no digit of
-    w repeated forever (checked on ell + p + 1 copies of w, ell + p the
-    walk's state count).  Its image is exact: with R = expansion_value(|w),
+    eps_k = w[(k - 1) % |w|], accepted iff Parry's automaton rejects no
+    digit of w repeated forever (checked on one copy of w more than the
+    automaton has states).  Its image is exact: with R = expansion_value(|w),
     the right half tends to R in the real embedding and the left half to -R
     in every other one, and the trace of xi * beta^-i times any finite
     window is an integer, so coordinate i is Tr(R * xi * beta^-i) mod 1, a
@@ -165,7 +163,7 @@ def phi_eval(spec, window, tolerance=1e-9):
         if window.is_finite:
             window = Window(1, window.pre)
         elif window.is_purely_periodic:
-            if not is_admissible(window.per * (len(ds.d.pre) + len(ds.d.per) + 1), ds):
+            if not is_admissible(window.per * (ds.automaton.n_states + 1), ds):
                 raise ValueError("periodic sequence is not admissible")
             return _phi_periodic(spec, window.per)
         else:

@@ -26,6 +26,7 @@ from .polyops import mat_det, power
 
 SLAB_BUDGET = 10 ** 8  # search box points: about 4 s on the numpy slabs at m = 4
 EXACT_BUDGET = 2 * 10 ** 4  # search box points: about 3.5 s of exact determinants at m = 8
+_REPORT_SOLUTIONS = 64  # the most unimodular solutions a form report lists
 
 
 def mat(rows):
@@ -338,7 +339,7 @@ class FormReport:
         }
 
 
-def build_form_report(M, search_height, field=None, max_solutions=64):
+def build_form_report(M, search_height, field=None):
     M = mat(M)
     k, _ = _units(M, field)
     fld = field or make_field(k)  # validates Pisot irreducible input
@@ -353,7 +354,7 @@ def build_form_report(M, search_height, field=None, max_solutions=64):
         matrix=M,
         k=tuple(k),
         expansion=expansion,
-        solutions=tuple(sols[:max_solutions]),
+        solutions=tuple(sols[:_REPORT_SOLUTIONS]),
         search_height=search_height,
         certificate=cert,
         certificate_n=cert_n,

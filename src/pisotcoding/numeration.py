@@ -19,8 +19,9 @@ length) is asked of one memoised orbit walk (_orbit_class); whether it
 ends by digit n (the tail rows of shift), of the ceil(n / b) blocks that
 window truncation walks too (_window_walk).
 Every admissibility question (words, expansions, word enumeration, splice
-checks, and the automaton in shift) goes through one rule, Parry's
-single-track automaton read off the quasi-greedy d (_parry_walk).
+checks, block tables, and the chain in shift) reads one stored form of one
+rule, Parry's single-track automaton read off the quasi-greedy d: the
+SoficAutomaton that d_sequence builds once per field, one row per state.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import chain, compress, count, islice, repeat, takewhile
 from operator import mul
 
@@ -43,6 +44,7 @@ DEFAULT_ORBIT_CAP = 10 ** 6
 DEFAULT_PERIOD_CAP = 40
 DEFAULT_WF_DEPTH = 30
 _L1_WORDS = 10 ** 4  # the most admissible words estimate_L1 pairs
+_TAILS_PER_BUCKET = 400  # the most repair tails one certificate bucket tries
 _CARRY_SLACK = 16  # _greedy_orbit re-anchors once its error exceeds den * 2^(K - 16)
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")  # digit byte -> its ASCII character
 
@@ -143,12 +145,62 @@ ZERO_EXPANSION = Expansion((), ())
 
 
 @dataclass(frozen=True)
+class SoficAutomaton:
+    """Parry's single-track automaton on the quasi-greedy d = d_1 d_2 ...
+    (Acta Math. Acad. Sci. Hungar. 11, 1960), one row per state: state s
+    reads digits below top[s] to state 0 (strictly below d), top[s] to
+    advance[s], and rejects larger digits; state 0 is initial.  Read off d,
+    state i means the last i digits equal d_1 ... d_i: top[i] = d_(i+1) and
+    advance[i] = i + 1, ell = |d.pre| after the last state.  The tails of d
+    are distinct, so the rows are minimal, in breadth-first digit order."""
+
+    top: tuple
+    advance: tuple
+
+    @property
+    def n_states(self):
+        return len(self.top)
+
+    @property
+    def alphabet_size(self):
+        return max(self.top) + 1
+
+    def walk(self, digits, state=0):
+        """The state after digits (None at a rejection) and whether some step
+        went strictly below d.  Below is the outcome of the comparison, not
+        the target: the advance out of the last state of a purely periodic d
+        also lands in state 0."""
+        top, advance, below = self.top, self.advance, False
+        for e in digits:
+            c = top[state]
+            if e < c:
+                state, below = 0, True
+            elif e > c:
+                return None, below
+            else:
+                state = advance[state]
+        return state, below
+
+    def accepts(self, word):
+        """Whether the rows accept the digit sequence word (no negative digit)."""
+        return min(word, default=0) >= 0 and self.walk(word)[0] is not None
+
+    @cached_property
+    def transitions(self):
+        """transitions[s][e] -> target state or None, one entry per digit."""
+        k = self.alphabet_size
+        return tuple((0,) * c + (t,) + (None,) * (k - 1 - c) for c, t in zip(self.top, self.advance))
+
+
+@dataclass(frozen=True)
 class DSequence:
-    """Greedy (d') and quasi-greedy (d) expansions of 1."""
+    """Greedy (d') and quasi-greedy (d) expansions of 1, and the automaton
+    of Parry's rule read off d."""
 
     d_prime: Expansion
     d: Expansion
     floor_beta: int
+    automaton: SoficAutomaton
 
     @property
     def alphabet(self):
@@ -170,43 +222,16 @@ def _d_sequence(field, orbit_cap):
         d = canonical_expansion((), tuple(body))
     else:
         d = d_prime
-    return DSequence(d_prime=d_prime, d=d, floor_beta=field.floor_beta)
-
-
-def _parry_walk(dseq, digits, state=0):
-    """Parry's single-track automaton on the quasi-greedy d = d_1 d_2 ...,
-    the one admissibility rule (Parry, Acta Math. Acad. Sci. Hungar. 11,
-    1960); build_automaton stores it as one row per state.
-
-    States are 0 ... ell + p - 1 for ell = |d.pre| and p = |d.per|: state i
-    means the last i digits equal d_1 ... d_i.  Digit e in state i steps
-    strictly below d, to state 0, when e < d_(i+1); advances to i + 1 (to
-    ell after the last state) when e = d_(i+1); and is rejected above.
-    Returns the state after digits (None at a rejection) and whether some
-    step went strictly below d.  Below is the outcome of the comparison, not
-    the target: the advance out of the last state of a purely periodic d
-    also lands in state 0.
-    """
-    d = dseq.d
-    dd, ell = d.pre + d.per, len(d.pre)
-    n = len(dd)
-    below = False
-    for e in digits:
-        c = dd[state]
-        if e < c:
-            state, below = 0, True
-        elif e > c:
-            return None, below
-        else:
-            state = state + 1 if state + 1 < n else ell
-    return state, below
+    top = d.pre + d.per
+    automaton = SoficAutomaton(top, (*range(1, len(top)), len(d.pre)))
+    return DSequence(d_prime=d_prime, d=d, floor_beta=field.floor_beta, automaton=automaton)
 
 
 def is_admissible(word_or_expansion, dseq):
     """Parry admissibility: every suffix strictly below d.
 
     A word stands for its zero-extended string; it is admissible iff
-    _parry_walk never rejects a digit, since its zero tail is never
+    the automaton never rejects a digit, since its zero tail is never
     rejected and steps below d within ell + p digits.  An Expansion walks
     pre, then whole periods until the state at a period start repeats; it
     is admissible iff no digit is rejected and the closed cycle of periods
@@ -220,34 +245,34 @@ def is_admissible(word_or_expansion, dseq):
         pre, per = tuple(word_or_expansion), ()
     if any(part and (min(part) < 0 or max(part) > dseq.floor_beta) for part in (pre, per)):
         raise ValueError("digit outside the alphabet")
-    state, _ = _parry_walk(dseq, pre)
+    walk = dseq.automaton.walk
+    state, _ = walk(pre)
     if not per or state is None:
         return state is not None
     first_pass = {}  # state at a period start -> index of the pass from it
     below = []  # whether each pass stepped below d
     while state is not None and state not in first_pass:
         first_pass[state] = len(below)
-        state, b = _parry_walk(dseq, per, state)
+        state, b = walk(per, state)
         below.append(b)
     return state is not None and any(below[first_pass[state]:])
 
 
 def _admissible_words(dseq, max_len, first=0):
     """Admissible words of length 1 ... max_len whose first digit is at
-    least first, in (length, word) order: breadth first over the states of
-    _parry_walk, digits ascending."""
+    least first, in (length, word) order: breadth first over the automaton's
+    rows, digits ascending."""
+    top, advance = dseq.automaton.top, dseq.automaton.advance
     frontier = [((), 0)]
     for length in range(1, max_len + 1):
         grown = []
         for word, state in frontier:
-            for e in dseq.alphabet[first if length == 1 else 0:]:
-                nxt, _ = _parry_walk(dseq, (e,), state)
-                if nxt is None:
-                    break  # every larger digit lies above d as well
+            c = top[state]
+            for e in range(first if length == 1 else 0, c + 1):
                 w = word + (e,)
                 yield w
                 if length < max_len:
-                    grown.append((w, nxt))
+                    grown.append((w, 0 if e < c else advance[state]))
         frontier = grown
 
 
@@ -419,7 +444,7 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
     > orbit_cap.  Distinct states have distinct tails, so a repeat closes a
     period, and the digit that reaches state 0 is nonzero unless x = 0.
     From the first digit it walks blocks of the largest b <= _block_limit
-    dividing r_s (_period_divisors, a few products mod den once its tests
+    dividing r_s (_period_divisor, a few products mod den once its tests
     are built; b = 1 for den = 1, the d-sequence's walk, which _block_limit
     reads): T^p x = x puts (beta^p - 1) x in Z[beta], so r_s | p, the same
     r_s for every state (each is beta^t s mod den), and never a 0 state if
@@ -427,7 +452,7 @@ def _expand_orbit(field, nums, den, orbit_cap, cap_message="expansion orbit exce
     digits back, and the least preperiod k is found by scanning back: x_(t-1)
     = (x_t + d_t) / beta, so states equal at t and t + p are equal at t - 1
     iff d_t = d_(t+p)."""
-    b = _period_divisors(field, nums, den, _block_limit(field))[-1] if den > 1 else 1
+    b = _period_divisor(field, nums, den, _block_limit(field)) if den > 1 else 1
     # b > 1 puts the d_1 (d_1 + 1) admissible words of length 2 within _BLOCK_WORDS: digits < 64
     digits = bytearray() if b > 1 else []  # one byte a digit until the tuples are built
     add = digits.extend if b > 1 else digits.append  # a bytes word, a fallback tuple, or a digit
@@ -553,8 +578,8 @@ def _block_table(field, b):
     (word j at words[j b:(j + 1) b]; b > 1 leaves at most _BLOCK_WORDS words
     of length 2, so digits are below 64); their W(w) = sum(w_i beta^(b-i)),
     flat in one array('q') (W(w_j) at nums[j m:(j + 1) m]), built as W(w e)
-    = beta W(w) + e along one depth-first path of _parry_walk, digits
-    ascending; and lo <= 2^K W <= lo + span sum(|W|) at K = _FIXED_BITS, with
+    = beta W(w) + e along one depth-first path of the automaton's rows,
+    digits ascending; and lo <= 2^K W <= lo + span sum(|W|) at K = _FIXED_BITS, with
     beta^b as one more lo.  W(w) < beta^b, near the word count, and beta is
     Pisot, so its conjugates stay small and so do its numerators (at most 10
     bits on 14 fields of degree 2 to 8 at their block limits); array('q')
@@ -562,7 +587,7 @@ def _block_table(field, b):
     field and b."""
 
     def build():
-        dseq, words, nums, lo = d_sequence(field), bytearray(), array("q"), []
+        auto, words, nums, lo = d_sequence(field).automaton, bytearray(), array("q"), []
         low, width, _ = field._fixed_table(_FIXED_BITS)
 
         def grow(word, state, w):
@@ -571,12 +596,11 @@ def _block_table(field, b):
                 nums.extend(w)
                 lo.append(sum(map(mul, w, low)) - width * sum(map(abs, w)))
                 return
-            for e in dseq.alphabet:
-                if (nxt := _parry_walk(dseq, (e,), state)[0]) is None:
-                    break  # every larger digit lies above d as well
+            c = auto.top[state]
+            for e in range(c + 1):
                 v = field._shift_reduce(w)
                 v[0] += e
-                grow(word + [e], nxt, v)
+                grow(word + [e], 0 if e < c else auto.advance[state], v)
 
         grow([], 0, [0] * field.m)
         top = field.pow_beta(b).nums
@@ -586,9 +610,9 @@ def _block_table(field, b):
     return field.derived(("block_table", b, _FIXED_BITS), build)
 
 
-def _period_divisors(field, state, den, limit):
-    """The b <= limit dividing r_s, the least r >= 1 with beta^r s = s (mod
-    den); [1] if beta is not a unit mod den or den has a prime factor of
+def _period_divisor(field, state, den, limit):
+    """The largest b <= limit dividing r_s, the least r >= 1 with beta^r s =
+    s (mod den); 1 if beta is not a unit mod den or den has a prime factor of
     _FACTOR_BOUND or more.  Each test of _period_tests is one m x m integer
     matrix-vector product mod den, the matrices built once per den."""
     part = 1
@@ -598,12 +622,12 @@ def _period_divisors(field, state, den, limit):
                                     for row, x in zip(mats[a], state)):
             a += 1
         part *= ell ** a
-    return [b for b in range(1, limit + 1) if part % b == 0]
+    return next(b for b in range(limit, 0, -1) if part % b == 0)
 
 
 def _period_tests(field, den, limit):
     """(l, [matrix of beta^(N / l^(v-a)) mod den for a = 0, 1, ...]) for each prime
-    l <= limit dividing N; none where _period_divisors answers [1].  N = lcm over q^e || den
+    l <= limit dividing N; none where _period_divisor answers 1.  N = lcm over q^e || den
     of lcm(q^d - 1, d <= m) q^(e-1+m) is a multiple of the order of beta mod den (a unit of
     F_q[x]/(f^a), deg f = d, a <= m, has order dividing (q^d - 1) q^a, and lifting to q^e
     multiplies that by at most q^(e-1)).  So r_s | N, and for l prime, l^(a+1) | r_s iff
@@ -725,11 +749,10 @@ def add_expansions(field, a_word, b_word, orbit_cap=DEFAULT_ORBIT_CAP):
     return _expand_orbit(field, frac.nums, frac.den, orbit_cap), carry
 
 
-def enumerate_admissible_words(field, max_len, include_empty=False):
-    """All admissible words of length <= max_len, ordered by length, then
-    lexicographically."""
-    words = list(_admissible_words(d_sequence(field), max_len))
-    return [()] + words if include_empty else words
+def enumerate_admissible_words(field, max_len):
+    """All nonempty admissible words of length <= max_len, ordered by length,
+    then lexicographically."""
+    return list(_admissible_words(d_sequence(field), max_len))
 
 
 # -- periodic points: Z_beta and the coding kernels ----------------------------
@@ -1023,20 +1046,19 @@ def _splice_blocks(field, p):
     return math.ceil(w_max / p) + 2
 
 
-def _certify_alpha(field, alpha, exp, depth, orbit_cap, tails_per_bucket=400):
-    d = d_sequence(field)
+def _certify_alpha(field, alpha, exp, depth, orbit_cap):
     p0 = len(exp.per)
-    p = _padded_period(field, alpha, p0, len(d.d.pre) + len(d.d.per))
+    p = _padded_period(field, alpha, p0, d_sequence(field).automaton.n_states)
     # escalate the padded period when no repair fits its value window
     while p + 1 <= depth:
-        cert = _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tails_per_bucket)
+        cert = _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap)
         if cert is not None:
             return cert
         p += p0
     return None
 
 
-def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tails_per_bucket):
+def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap):
     ds = d_sequence(field)
     window_hi = field.pow_beta(-p) * (field.one - alpha)
     alpha_digits = exp.digits(p)
@@ -1048,7 +1070,7 @@ def _certify_alpha_at(field, alpha, exp, p, depth, orbit_cap, tails_per_bucket):
         if budget < 1:
             continue
         # admissible words with a nonzero first digit, shortest first: cap + 1 of them
-        for tail in islice(_admissible_words(ds, budget, first=1), tails_per_bucket + 1):
+        for tail in islice(_admissible_words(ds, budget, first=1), _TAILS_PER_BUCKET + 1):
             f_word = (0,) * (j - 1) + tail
             f_val = value_of(field, f_word)
             if not (f_val < window_hi):

@@ -1,14 +1,12 @@
 """Sofic presentation of the beta-shift, Parry chain, and sampling.
 
-The automaton is Parry's admissibility rule (numeration._parry_walk, his
-single-track automaton over the quasi-greedy expansion d of 1) stored as one
-row per state: state i sends each digit below d_(i+1) to state 0 and
-d_(i+1) to the walk's next state, and rejects larger digits.  The rows are
-already minimal: the tails of d are distinct, so no two states are
-equivalent.  The maximal-entropy measure is the Markov chain with edge
-weights u(t) / (lambda u(s)) from the Perron data of the adjacency matrix,
-two per row: one shared by the digits below d_(i+1), one for d_(i+1).
-Only the per-digit views the automaton report prints grow with the alphabet.
+The automaton is numeration's SoficAutomaton, the one stored form of
+Parry's admissibility rule, which d_sequence reads off the quasi-greedy
+expansion d of 1 once per field.  The maximal-entropy measure is the Markov
+chain with edge weights u(t) / (lambda u(s)) from the Perron data of the
+adjacency matrix, two per row: one shared by the digits below d_(i+1),
+one for d_(i+1).  Only the per-digit table the automaton report prints
+(SoficAutomaton.transitions) grows with the alphabet.
 A tail row asks whether each sampled sum's greedy expansion ends by digit
 n + L, by ceil((n + L) / b) certified blocks of the one greedy kernel in
 numeration (_ends_within); the alpha = 0 rows are 1.0 by Parry's criterion
@@ -29,8 +27,8 @@ import numpy as np
 from .errors import ConvergenceFailure, OrbitCapExceeded
 from .numeration import (
     DEFAULT_ORBIT_CAP,
+    SoficAutomaton,
     _ends_within,
-    _parry_walk,
     check_weak_finitarity,
     d_sequence,
     enumerate_z_beta,
@@ -39,45 +37,15 @@ from .numeration import (
 )
 
 
-@dataclass(frozen=True)
-class SoficAutomaton:
-    """Deterministic partial automaton; state 0 is initial and synchronizing.
-    State s reads digits below top[s] to 0, top[s] to advance[s], no other."""
-
-    top: tuple
-    advance: tuple
-
-    @property
-    def n_states(self):
-        return len(self.top)
-
-    @property
-    def alphabet_size(self):
-        return max(self.top) + 1
-
-    def accepts(self, word):
-        s = 0
-        for e in word:
-            if not 0 <= e <= self.top[s]:
-                return False
-            s = 0 if e < self.top[s] else self.advance[s]
-        return True
-
-    @cached_property
-    def transitions(self):
-        """transitions[s][e] -> target state or None, one entry per digit."""
-        k = self.alphabet_size
-        return tuple((0,) * c + (t,) + (None,) * (k - 1 - c) for c, t in zip(self.top, self.advance))
+_PERRON_TOL = 1e-12  # power iteration stops at this relative eigen-residual
+_PERRON_ITERATIONS = 500000  # ... or raises ConvergenceFailure after this many steps
+_L1_CAP = 6  # the longest admissible words the tail experiment's estimate_L1 pairs
 
 
 def build_automaton(dseq):
-    """Admissibility automaton: the rows of Parry's single-track rule
-    (numeration._parry_walk), state i reading digit d_(i+1) to the walk's
-    next state.  Minimal, and numbered in breadth-first digit order from
-    state 0, since the walk's states are the distinct tails of d and digit
-    d_(i+1) leads from state i to i + 1."""
-    top = dseq.d.pre + dseq.d.per
-    return SoficAutomaton(top, tuple(_parry_walk(dseq, (c,), i)[0] for i, c in enumerate(top)))
+    """The admissibility automaton: the rows of Parry's rule that
+    d_sequence reads off d once per field."""
+    return dseq.automaton
 
 
 @dataclass(frozen=True)
@@ -100,48 +68,43 @@ class MarkovChain:
         cuts = [c * b for c, b in zip(auto.top, self.below)]
         return (*accumulate(self.stationary[:-1]), math.inf), tuple(zip(cuts, self.below, auto.top, auto.advance))
 
-    @cached_property
-    def edge_probs(self):
-        """edge_probs[s][e], 0.0 where the edge is absent, one entry per digit."""
-        k = self.automaton.alphabet_size
-        return tuple(
-            (b,) * c + (t,) + (0.0,) * (k - 1 - c) for c, b, t in zip(self.automaton.top, self.below, self.at_top)
-        )
-
     def entropy_rate(self):
         h = 0.0
-        for s, pi in enumerate(self.stationary):
-            for prob in self.edge_probs[s]:
+        for pi, c, b, t in zip(self.stationary, self.automaton.top, self.below, self.at_top):
+            for prob, times in ((b, c), (t, 1)):
                 if prob > 0:
-                    h -= pi * prob * math.log(prob)
+                    term = pi * prob * math.log(prob)
+                    for _ in range(times):  # one term per digit, in digit order
+                        h -= term
         return h
 
     def digit_frequencies(self):
         freqs = [0.0] * self.automaton.alphabet_size
-        for s, pi in enumerate(self.stationary):
-            for e, prob in enumerate(self.edge_probs[s]):
-                freqs[e] += pi * prob
+        for pi, c, b, t in zip(self.stationary, self.automaton.top, self.below, self.at_top):
+            for e in range(c):
+                freqs[e] += pi * b
+            freqs[c] += pi * t
         return tuple(freqs)
 
 
-def _power_iteration(a, tol, max_iter=500000):
+def _power_iteration(a):
     n = a.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_PERRON_ITERATIONS):
         w = a @ v
         nw = np.linalg.norm(w)
         if nw == 0:
             raise ConvergenceFailure("adjacency matrix is nilpotent on the iterate")
         w /= nw
         lam = float(w @ (a @ w)) / float(w @ w)
-        if np.linalg.norm(a @ w - lam * w, ord=np.inf) <= tol * max(1.0, lam):
+        if np.linalg.norm(a @ w - lam * w, ord=np.inf) <= _PERRON_TOL * max(1.0, lam):
             return lam, w
         v = w
     raise ConvergenceFailure("power iteration did not reach the tolerance")
 
 
-def max_entropy_chain(automaton, tol=1e-12):
+def max_entropy_chain(automaton):
     """Perron-weighted chain; requires an irreducible automaton: state 0's
     advance orbit (all it reaches) covers every state, and its cycle holds
     state 0 or a digit below a top, the way back to state 0."""
@@ -156,8 +119,8 @@ def max_entropy_chain(automaton, tol=1e-12):
     for s, (c, t) in enumerate(zip(top, advance)):
         a[s, 0] += c
         a[s, t] += 1.0
-    lam, u = _power_iteration(a, tol)
-    _, v = _power_iteration(a.T, tol)
+    lam, u = _power_iteration(a)
+    _, v = _power_iteration(a.T)
     u = np.abs(u)
     v = np.abs(v)
     pi = u * v
@@ -173,9 +136,7 @@ def max_entropy_chain(automaton, tol=1e-12):
 
 def _parry_chain(field):
     """The maximal-entropy chain of the field's beta-shift, built once per field."""
-    return field.derived(
-        ("parry_chain",), lambda: max_entropy_chain(build_automaton(d_sequence(field)))
-    )
+    return field.derived(("parry_chain",), lambda: max_entropy_chain(d_sequence(field).automaton))
 
 
 def sample(chain, n, seed):
@@ -263,7 +224,6 @@ def tail_invariance_experiment(
     seed,
     L=None,
     certificate=None,
-    l1_cap=6,
     orbit_cap=DEFAULT_ORBIT_CAP,
     jobs=1,
 ):
@@ -286,7 +246,7 @@ def tail_invariance_experiment(
     cert = certificate or check_weak_finitarity(field)
     if cert.status != "proven":
         raise ValueError("tail experiment requires a proven weak-finitarity certificate")
-    l1 = estimate_L1(field, l1_cap)
+    l1 = estimate_L1(field, _L1_CAP)
     l2 = math.ceil(float(cert.L2))
     window = L if L is not None else max(l1 + 4, l2)
     if n_list and max(n_list) + window > orbit_cap:

@@ -236,16 +236,22 @@ def moore_minimize(transitions):
 
 
 def parry_table(dseq):
-    """Parry's single-track rule (numeration._parry_walk) tabulated per state
-    and digit, table[i][e] the walk's state after digit e from state i, None
-    where it rejects: the automaton's table as it was first built, one walk
-    per entry."""
-    from pisotcoding.numeration import _parry_walk
+    """Parry's single-track rule tabulated from d alone, table[i][e] the state
+    after digit e from state i, None where it rejects.  State i stands for the
+    prefix d_1 ... d_i; that prefix followed by e compares lexicographically
+    with d_1 ... d_(i+1): below leads to state 0, equal to state i + 1 (to
+    ell = |d.pre| after the last state, as d repeats its period from there),
+    above nowhere."""
+    d = dseq.d.pre + dseq.d.per
+    ell = len(dseq.d.pre)
 
-    return tuple(
-        tuple(_parry_walk(dseq, (e,), i)[0] for e in dseq.alphabet)
-        for i in range(len(dseq.d.pre) + len(dseq.d.per))
-    )
+    def step(i, e):
+        word, prefix = d[:i] + (e,), d[: i + 1]
+        if word > prefix:
+            return None
+        return 0 if word < prefix else i + 1 if i + 1 < len(d) else ell
+
+    return tuple(tuple(step(i, e) for e in dseq.alphabet) for i in range(len(d)))
 
 
 def poly_mul_mod(a, b, g):
@@ -576,16 +582,25 @@ def pick(rng, weights):
     return len(weights) - 1
 
 
+def edge_probs(chain):
+    """edge_probs[s][e], the chain's probability of digit e from state s, 0.0
+    where the edge is absent: one entry per digit."""
+    k = chain.automaton.alphabet_size
+    return tuple(
+        (b,) * c + (t,) + (0.0,) * (k - 1 - c) for c, b, t in zip(chain.automaton.top, chain.below, chain.at_top)
+    )
+
+
 def pick_path(rng, chain, n):
     """n digits of the chain from a stationary start, each drawn by pick;
     an edge is picked among the weights up to the state's last present
     edge, so a draw past every running sum takes that edge."""
-    trans = chain.automaton.transitions
+    trans, probs = chain.automaton.transitions, edge_probs(chain)
     word = []
     state = pick(rng, chain.stationary)
     for _ in range(n):
         last = max(e for e, t in enumerate(trans[state]) if t is not None)
-        e = pick(rng, chain.edge_probs[state][: last + 1])
+        e = pick(rng, probs[state][: last + 1])
         word.append(e)
         state = trans[state][e]
     return tuple(word)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     AdmissibilityTracker,
+    edge_probs,
     languages_agree,
     moore_minimize,
     naive_admissible,
@@ -60,8 +61,9 @@ class TestAutomaton:
 
     def test_language_equality_all_lengths(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
         # product-graph equivalence against the definitional subset tracker,
-        # and the rows' per-digit view against the walk tabulated per digit,
-        # on the fixtures and on the Pisot fields among seeded k-vectors
+        # and the rows' per-digit view against Parry's rule tabulated from d
+        # by lexicographic comparison, on the fixtures and on the Pisot
+        # fields among seeded k-vectors
         fields = [golden, tribonacci, quartic, phi_squared, cubic341, plastic]
         rng = random.Random(12)
         for _ in range(200):
@@ -100,6 +102,22 @@ class TestAutomaton:
                 for word in itertools.product(range(ds.floor_beta + 1), repeat=n):
                     assert auto.accepts(word) == is_admissible(word, ds)
                     assert auto.accepts(word) == naive_admissible(word, ds.d.pre, ds.d.per)
+
+    @pytest.mark.parametrize("k, n_states", [((2, 2, 2, 3, 1), 17), ((3, 2, 1, -1, -3), 22)])
+    def test_long_d_rows_match_the_oracle(self, k, n_states):
+        # d with 17 and 22 states, past the fixtures' 5 at most: the stored
+        # rows are the oracle's table, and the automaton, the library's
+        # admissibility and the definition agree on every word up to length 6
+        import itertools
+
+        ds = d_sequence(make_field(k))
+        auto = build_automaton(ds)
+        assert auto is ds.automaton and auto.n_states == n_states
+        assert auto.transitions == parry_table(ds)
+        for n in range(1, 7):
+            for word in itertools.product(ds.alphabet, repeat=n):
+                want = naive_admissible(word, ds.d.pre, ds.d.per)
+                assert auto.accepts(word) == want and is_admissible(word, ds) == want, word
 
     def test_parry_table_is_minimal(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
         # Moore refinement merges no state of Parry's table and its
@@ -141,7 +159,7 @@ class TestChain:
         auto = SoficAutomaton((2,), (0,))  # digits 0 and 1 to state 0, digit 2 advancing to it
         chain = max_entropy_chain(auto)
         assert abs(chain.perron_value - 3.0) < 1e-12
-        assert all(abs(p - 1 / 3) < 1e-12 for p in chain.edge_probs[0])
+        assert all(abs(p - 1 / 3) < 1e-12 for p in edge_probs(chain)[0])
 
     def test_tribonacci_perron(self, tribonacci):
         chain = max_entropy_chain(build_automaton(d_sequence(tribonacci)))
@@ -155,18 +173,32 @@ class TestChain:
 
     def test_rows_stochastic(self, quartic):
         chain = max_entropy_chain(build_automaton(d_sequence(quartic)))
-        for row in chain.edge_probs:
+        probs = edge_probs(chain)
+        for row in probs:
             assert abs(sum(row) - 1.0) < 1e-10  # at the power-iteration tolerance
         pi = chain.stationary
         auto = chain.automaton
         for t in range(auto.n_states):
             inflow = sum(
-                pi[s] * chain.edge_probs[s][e]
+                pi[s] * probs[s][e]
                 for s, row in enumerate(auto.transitions)
                 for e, tt in enumerate(row)
                 if tt == t
             )
             assert abs(inflow - pi[t]) < 1e-10
+
+    def test_row_sums_match_per_digit_sums(self, golden, tribonacci, quartic, phi_squared, cubic341, plastic):
+        # entropy and digit frequencies read two weights per row, yet give
+        # the bytes of the per-digit sums over every edge, in digit order
+        for field in (golden, tribonacci, quartic, phi_squared, cubic341, plastic):
+            chain = shift._parry_chain(field)
+            h, freqs = 0.0, [0.0] * chain.automaton.alphabet_size
+            for pi, row in zip(chain.stationary, edge_probs(chain)):
+                for e, p in enumerate(row):
+                    if p > 0:
+                        h -= pi * p * math.log(p)
+                    freqs[e] += pi * p
+            assert chain.entropy_rate() == h and chain.digit_frequencies() == tuple(freqs), field
 
     def test_reducible_rejected(self):
         # state 1 never returns to state 0; state 1 is never reached from state 0
@@ -222,7 +254,7 @@ class TestSampling:
         assert chain.automaton.top == (10 ** 9, 0) and chain.automaton.advance == (1, 0)
         word = sample(chain, 50, 5)
         assert chain.automaton.accepts(word) and max(word) > 10 ** 8
-        assert "edge_probs" not in vars(chain) and "transitions" not in vars(chain.automaton)
+        assert "transitions" not in vars(chain.automaton)
 
     @pytest.mark.parametrize("name", ["golden", "tribonacci", "quartic", "cubic341", "phi_squared"])
     def test_bisection_matches_linear_scan(self, name, request):
